@@ -3,8 +3,8 @@
 RM(r, m-1) x RM(r-1, m-1) -> RM(r, m) admits an explicit conversion
 that keeps every symbol of the first code and the information symbols
 of the second code unchanged.  This script builds the merge for
-r=2, m=4, runs it both through the conversion matrix and through the
-symbol-level procedure, and then composes a deeper chain.
+r=2, m=4, runs it on codewords both through apply_conversion and
+through rm_merge_apply, and then composes a deeper chain.
 """
 
 import random
@@ -34,15 +34,16 @@ print("  costs:", report.to_record())
 print(f"  (all {c1.code.n} symbols of the first code and "
       f"{len(report.unchanged_per_code[1])} of the second stay in place)")
 
-# The symbol-level procedure touches only the declared read positions
-# and agrees with the matrix route on every input.
+# rm_merge_apply runs the merge's conversion matrix, so it agrees with
+# apply_conversion on every input.  The symbols a conversion reads are
+# the R sets that classify_symbols reports.
 rng = random.Random(7)
 for _ in range(3):
     x1 = encode(c1.code, BitVector(c1.code.k, rng.getrandbits(c1.code.k)))
     x2 = encode(c2.code, BitVector(c2.code.k, rng.getrandbits(c2.code.k)))
     via_matrix = apply_conversion(inst, y, [x1, x2])
-    via_symbols = rm_merge_apply(R, M, x1, x2)
-    assert via_matrix == via_symbols
+    via_merge = rm_merge_apply(R, M, x1, x2)
+    assert via_matrix == via_merge
     print(f"  merge({x1.to_bits()}, {x2.to_bits()}) ok")
 
 # Chaining: re-split the first code recursively to merge more inputs.

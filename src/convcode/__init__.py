@@ -14,7 +14,6 @@ from .gf2 import (
     block_diag,
     enumerate_invertible,
     gl2_order,
-    hstack,
     inverse,
     mat_mul,
     mat_vec,

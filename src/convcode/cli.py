@@ -27,13 +27,14 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
+    _stack_codewords,
     apply_conversion,
     classify_symbols,
     make_instance,
     rm_merge_procedure,
     verify_conversion,
 )
-from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError
+from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError, vec_mat
 from .oracle import SearchLimits, min_access_cost
 from .reedmuller import rm_generator, rm_transformed_generator
 
@@ -316,6 +317,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    if args.gi and not args.gf:
+        raise CliError("--gi requires --gf for membership checking")
     y_mat, y_blocks = _load_matrix(args.y)
     blocks = _parse_int_list(args.blocks or "") or y_blocks
     if not blocks:
@@ -330,10 +333,7 @@ def cmd_apply(args) -> int:
             raise CliError(f"{path}: expected a 1x{n_i} matrix")
         words.append(BitVector(n_i, mat.row_words[0]))
     if args.gi:
-        inst = _instance_from_files(args.gi, tuple(blocks), args.gf) \
-            if args.gf else None
-        if inst is None:
-            raise CliError("--gi requires --gf for membership checking")
+        inst = _instance_from_files(args.gi, tuple(blocks), args.gf)
         try:
             out = apply_conversion(
                 inst, ConversionMatrix(y_mat, tuple(blocks)), words
@@ -342,14 +342,7 @@ def cmd_apply(args) -> int:
             print(f"INVALID input: {exc}")
             return FAIL
     else:
-        mask = 0
-        shift = 0
-        for v, n_i in zip(words, blocks):
-            mask |= v.mask << shift
-            shift += n_i
-        from .gf2 import vec_mat
-
-        out = vec_mat(BitVector(sum(blocks), mask), y_mat)
+        out = vec_mat(_stack_codewords(words), y_mat)
     text = matio.format_matrix(BitMatrix([out.mask], out.n))
     if args.out:
         with open(args.out, "w") as fh:

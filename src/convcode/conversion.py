@@ -31,7 +31,6 @@ from .gf2 import (
 from .codes import (
     LinearCode,
     contains,
-    decode_from_positions,
     first_information_set,
     systematic_generator,
 )
@@ -244,6 +243,16 @@ def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
     return ConversionMatrix(y, inst.n_initial)
 
 
+def _stack_codewords(codewords: Sequence[BitVector]) -> BitVector:
+    """Concatenate one codeword per initial code in stacked coordinates."""
+    mask = 0
+    shift = 0
+    for x in codewords:
+        mask |= x.mask << shift
+        shift += x.n
+    return BitVector(shift, mask)
+
+
 def apply_conversion(
     inst: ConvertibleInstance,
     y: ConversionMatrix,
@@ -255,13 +264,51 @@ def apply_conversion(
     for c, x in zip(inst.initial_codes, codewords):
         if not contains(c, x):
             raise ConversionError("input is not a codeword of its code")
-    mask = 0
-    shift = 0
-    for c, x in zip(inst.initial_codes, codewords):
-        mask |= x.mask << shift
-        shift += c.n
-    stacked = BitVector(inst.total_initial_length, mask)
-    return vec_mat(stacked, y.y)
+    return vec_mat(_stack_codewords(codewords), y.y)
+
+
+def _rm_merge_matrix(
+    r: int, m: int
+) -> Tuple[ConvertibleInstance, ConversionMatrix]:
+    """Instance and matrix Y = [[I, T], [0, B]] of the RM merge, by rows.
+
+    With s1 the weight-<=r information set of the first code and inv1 the
+    inverse of its generator on s1, row s1[s] of T is the XOR of the
+    degree-r rows A_t with inv1[s, k1 - C(m-1, r) + t] = 1.  B is I when
+    reading the second code directly is no dearer than decoding it; else
+    it re-encodes that code from its symbols at the zero columns of A.
+    """
+    if not 1 <= r <= m - 1:
+        raise ConversionError("need 1 <= r <= m - 1")
+    c1 = rm_code(r, m - 1).code
+    c2 = rm_code(r - 1, m - 1).code
+    inst = make_instance([c1, c2], rm_code(r, m).code)
+
+    half = 1 << (m - 1)
+    a = degree_block_a(r, m)
+    first = c1.k - a.rows  # degree-r coefficients are the last message rows
+    s1 = low_weight_positions(r, m - 1)
+    inv1 = inverse(c1.generator.select_columns(s1))
+    t_rows = [0] * half
+    for s, pos in enumerate(s1):
+        coeffs = inv1.row_words[s] >> first
+        for t, a_row in enumerate(a.row_words):
+            if (coeffs >> t) & 1:
+                t_rows[pos] ^= a_row
+
+    if half - c2.k <= c2.k:
+        b_rows = [1 << j for j in range(half)]
+    else:
+        # The zero columns are the weight-<=(r-1) points: an information
+        # set of the second code, so its other symbols can be decoded.
+        zeros = zero_columns(a)
+        b_rows = [0] * half
+        for z, row in zip(zeros, systematic_generator(c2, zeros).row_words):
+            b_rows[z] = row
+
+    words = [(1 << i) | (t << half) for i, t in enumerate(t_rows)]
+    words += [b << half for b in b_rows]
+    return inst, ConversionMatrix(BitMatrix(words, 2 * half), inst.n_initial)
 
 
 def rm_merge_procedure(
@@ -275,114 +322,20 @@ def rm_merge_procedure(
     matching degree-r combination of the first codeword plus the
     corresponding second-codeword symbol.
     """
-    if not 1 <= r <= m - 1:
-        raise ConversionError("need 1 <= r <= m - 1")
-    c1 = rm_code(r, m - 1)
-    c2 = rm_code(r - 1, m - 1)
-    cf = rm_code(r, m)
-    inst = make_instance([c1.code, c2.code], cf.code)
-
-    half = 1 << (m - 1)
-    a = degree_block_a(r, m)
-    zeros = set(zero_columns(a))
-    k1, k2 = c1.code.k, c2.code.k
-    n_deg_r = a.rows  # number of degree-exactly-r monomials
-
-    # Functionals extracting the degree-r message coefficients of the
-    # first codeword from its weight-<=r information set.
-    s1 = low_weight_positions(r, m - 1)
-    inv1 = inverse(c1.code.generator.select_columns(s1))
-    w_masks = []
-    for t in range(n_deg_r):
-        idx = k1 - n_deg_r + t  # degree-r coefficients are the last rows
-        mask = 0
-        for s, pos in enumerate(s1):
-            mask |= inv1.get(s, idx) << pos
-        w_masks.append(mask)
-
-    direct_reads = (half - k2) <= k2
-    if not direct_reads:
-        # The zero columns are the weight-<=(r-1) points: an information
-        # set of the second code, so its other symbols can be decoded.
-        z_sorted = sorted(zeros)
-        sys2 = systematic_generator(c2.code, z_sorted)
-
-    col_masks: List[int] = []
-    for j in range(half):
-        col_masks.append(1 << j)
-    for j in range(half):
-        if j in zeros:
-            col_masks.append(1 << (half + j))
-            continue
-        c1_part = 0
-        for t in range(n_deg_r):
-            if a.get(t, j):
-                c1_part ^= w_masks[t]
-        if direct_reads:
-            c2_part = 1 << (half + j)
-        else:
-            c2_part = 0
-            for s, pos in enumerate(z_sorted):
-                c2_part |= sys2.get(s, j) << (half + pos)
-        col_masks.append(c1_part | c2_part)
-
-    y = ConversionMatrix(
-        BitMatrix.from_columns(col_masks, 2 * half), inst.n_initial
-    )
-    report = classify_symbols(inst, y)
-    return inst, y, report
+    inst, y = _rm_merge_matrix(r, m)
+    return inst, y, classify_symbols(inst, y)
 
 
 def rm_merge_apply(
     r: int, m: int, c1_word: BitVector, c2_word: BitVector
 ) -> BitVector:
-    """Symbol-level execution of the Reed-Muller merge.
+    """Run the Reed-Muller merge on one codeword of each initial code.
 
-    Touches only the declared read positions and equals apply_conversion
-    with the matrix emitted by rm_merge_procedure.
+    Applies the merge's conversion matrix, so it equals apply_conversion
+    with the matrix emitted by rm_merge_procedure; the symbols it reads
+    are the read sets that classify_symbols reports for that matrix.
     """
-    if not 1 <= r <= m - 1:
-        raise ConversionError("need 1 <= r <= m - 1")
-    c1 = rm_code(r, m - 1)
-    c2 = rm_code(r - 1, m - 1)
-    if not contains(c1.code, c1_word):
-        raise ConversionError("first input is not a codeword of RM(r, m-1)")
-    if not contains(c2.code, c2_word):
-        raise ConversionError("second input is not a codeword of RM(r-1, m-1)")
-
-    half = 1 << (m - 1)
-    a = degree_block_a(r, m)
-    zeros = set(zero_columns(a))
-    k1, k2 = c1.code.k, c2.code.k
-    n_deg_r = a.rows
-
-    s1 = low_weight_positions(r, m - 1)
-    u = decode_from_positions(
-        c1.code, s1, BitVector.from_bits([c1_word[p] for p in s1])
-    )
-    w = [(u.mask >> (k1 - n_deg_r + t)) & 1 for t in range(n_deg_r)]
-
-    direct_reads = (half - k2) <= k2
-    if direct_reads:
-        def second_symbol(j: int) -> int:
-            return c2_word[j]
-    else:
-        z_sorted = sorted(zeros)
-        vals = BitVector.from_bits([c2_word[p] for p in z_sorted])
-        re_encoded = vec_mat(vals, systematic_generator(c2.code, z_sorted))
-
-        def second_symbol(j: int) -> int:
-            return re_encoded[j]
-
-    mask = c1_word.mask
-    for j in range(half):
-        if j in zeros:
-            bit = c2_word[j]
-        else:
-            bit = sum(w[t] & a.get(t, j) for t in range(n_deg_r)) & 1
-            bit ^= second_symbol(j)
-        mask |= bit << (half + j)
-    return BitVector(2 * half, mask)
+    return apply_conversion(*_rm_merge_matrix(r, m), (c1_word, c2_word))
 
 
 def rm_merge_chain(
@@ -399,19 +352,16 @@ def rm_merge_chain(
         raise ConversionError("depth must be >= 1")
     if r < depth or m - 1 < depth:
         raise ConversionError("need r >= depth and m - 1 >= depth")
-    # Innermost stage merges two leaves into RM(r, m - depth + 1).
-    _, y_stage, _ = rm_merge_procedure(r, m - depth + 1)
+    # Innermost stage merges two leaves into RM(r, m - depth + 1); each
+    # later stage adds the next RM(r-1, out_m - 1) leaf.
+    stage, y_stage = _rm_merge_matrix(r, m - depth + 1)
+    leaves = list(stage.initial_codes)
     composed = y_stage.y
-    leaves = [rm_code(r, m - depth).code, rm_code(r - 1, m - depth).code]
-    for s in range(depth - 1, 0, -1):
-        out_m = m - s + 1
-        _, y_stage, _ = rm_merge_procedure(r, out_m)
-        lift = block_diag(
-            [composed, BitMatrix.identity(1 << (out_m - 1))]
-        )
+    for out_m in range(m - depth + 2, m + 1):
+        stage, y_stage = _rm_merge_matrix(r, out_m)
+        lift = block_diag([composed, BitMatrix.identity(1 << (out_m - 1))])
         composed = mat_mul(lift, y_stage.y)
-        leaves.append(rm_code(r - 1, out_m - 1).code)
-    inst = make_instance(leaves, rm_code(r, m).code)
+        leaves.append(stage.initial_codes[1])
+    inst = make_instance(leaves, stage.final_code)
     y = ConversionMatrix(composed, inst.n_initial)
-    report = classify_symbols(inst, y)
-    return inst, y, report
+    return inst, y, classify_symbols(inst, y)

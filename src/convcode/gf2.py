@@ -187,13 +187,6 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
 
 
-def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.rows != b.rows:
-        raise DimensionError("hstack needs equal row counts")
-    words = [wa | (wb << a.cols) for wa, wb in zip(a.row_words, b.row_words)]
-    return BitMatrix(words, a.cols + b.cols)
-
-
 def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.cols:
         raise DimensionError("vstack needs equal column counts")

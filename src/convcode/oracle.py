@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, List, Optional, Tuple
 
 from .gf2 import (
@@ -55,7 +56,7 @@ def candidate_count(inst: ConvertibleInstance) -> int:
     return gl2_order(inst.k_final) * (1 << (kernel_dim * inst.n_final))
 
 
-def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> int:
+def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> None:
     kernel_dim = inst.total_initial_length - inst.k_final
     if inst.k_final > lim.max_k_final:
         raise SizeGuardError(f"k_F = {inst.k_final} > {lim.max_k_final}")
@@ -68,7 +69,6 @@ def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> int:
         raise SizeGuardError(
             f"search would evaluate {count} candidates (> {MAX_CANDIDATES})"
         )
-    return count
 
 
 def _right_inverse(g: BitMatrix) -> BitMatrix:
@@ -82,6 +82,36 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
     return BitMatrix.from_columns(cols, g.cols)
 
 
+def _search_space(
+    inst: ConvertibleInstance, lim: SearchLimits
+) -> Tuple[List[int], Iterator[List[int]]]:
+    """Shared set-up of both searches, done eagerly.
+
+    Returns the kernel combinations of G_I and a generator that checks
+    the time budget, then yields the columns of a particular solution of
+    G_I . Y = M . G_F for each invertible M in enumeration order.
+    """
+    _check_limits(inst, lim)
+    g_stack = inst.stacked_generator()
+    g_final = inst.final_code.generator
+    e = _right_inverse(g_stack)
+    combos = [0]
+    for v in right_kernel_basis(g_stack):
+        combos += [c ^ v.mask for c in combos]
+    deadline = (
+        None if lim.time_budget is None else time.monotonic() + lim.time_budget
+    )
+
+    def parts() -> Iterator[List[int]]:
+        for m in enumerate_invertible(inst.k_final, limit=None):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SizeGuardError("time budget exhausted")
+            part = mat_mul(e, mat_mul(m, g_final))
+            yield [part.column_mask(j) for j in range(inst.n_final)]
+
+    return combos, parts()
+
+
 def enumerate_conversions(
     inst: ConvertibleInstance, lim: SearchLimits = SearchLimits()
 ) -> Iterator[Tuple[ConversionMatrix, CostReport]]:
@@ -90,57 +120,16 @@ def enumerate_conversions(
     Ordered by the invertible-matrix enumeration, then by kernel-coset
     choices per column; each Y appears exactly once.
     """
-    _check_limits(inst, lim)
-    g_stack = inst.stacked_generator()
-    g_final = inst.final_code.generator
-    e = _right_inverse(g_stack)
-    kernel = right_kernel_basis(g_stack)
-    combos = _kernel_combos(kernel)
-    n_final = inst.n_final
+    combos, parts = _search_space(inst, lim)
     total_rows = inst.total_initial_length
-    deadline = (
-        None if lim.time_budget is None else time.monotonic() + lim.time_budget
-    )
-    for m in enumerate_invertible(inst.k_final, limit=None):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SizeGuardError("time budget exhausted")
-        target = mat_mul(m, g_final)
-        part = mat_mul(e, target)  # particular solution, column-wise
-        part_cols = [part.column_mask(j) for j in range(n_final)]
-        for choice_masks in _product_columns(part_cols, combos):
+    for part_cols in parts:
+        cosets = [[pc ^ kc for kc in combos] for pc in part_cols]
+        for choice_masks in product(*cosets):
             y = ConversionMatrix(
                 BitMatrix.from_columns(choice_masks, total_rows),
                 inst.n_initial,
             )
             yield y, classify_symbols(inst, y)
-
-
-def _kernel_combos(kernel) -> List[int]:
-    combos = [0]
-    for v in kernel:
-        combos += [c ^ v.mask for c in combos]
-    return combos
-
-
-def _product_columns(
-    part_cols: List[int], combos: List[int]
-) -> Iterator[List[int]]:
-    if len(combos) == 1:
-        yield [pc ^ combos[0] for pc in part_cols]
-        return
-    n = len(part_cols)
-    idx = [0] * n
-    while True:
-        yield [part_cols[j] ^ combos[idx[j]] for j in range(n)]
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(combos):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
 
 
 def min_access_cost(
@@ -152,18 +141,9 @@ def min_access_cost(
     admissible prune; ties are broken by write cost, then by the
     lexicographic row-major bit string of Y, so results are deterministic.
     """
-    _check_limits(inst, lim)
-    g_stack = inst.stacked_generator()
-    g_final = inst.final_code.generator
-    e = _right_inverse(g_stack)
-    kernel = right_kernel_basis(g_stack)
-    combos = _kernel_combos(kernel)
+    combos, parts = _search_space(inst, lim)
     n_final = inst.n_final
     total_rows = inst.total_initial_length
-    block_starts = inst.block_starts()
-    deadline = (
-        None if lim.time_budget is None else time.monotonic() + lim.time_budget
-    )
 
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
     best_cols: Optional[List[int]] = None
@@ -179,15 +159,10 @@ def min_access_cost(
             key.append(word)
         return tuple(key)
 
-    for m in enumerate_invertible(inst.k_final, limit=None):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SizeGuardError("time budget exhausted")
-        target = mat_mul(m, g_final)
-        part = mat_mul(e, target)
+    for part_cols in parts:
         options: List[List[Tuple[int, int]]] = []
         has_unchanged: List[bool] = []
-        for j in range(n_final):
-            pc = part.column_mask(j)
+        for pc in part_cols:
             opts = []
             any_w1 = False
             for kc in combos:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import BitMatrix, BitVector, SizeGuardError, vstack
 from .codes import LinearCode, from_generator
@@ -101,11 +101,17 @@ def rm_generator(r: int, m: int) -> BitMatrix:
     return BitMatrix(words, 1 << m)
 
 
+_RM_CODES: Dict[Tuple[int, int], RmCode] = {}
+
+
 def rm_code(r: int, m: int) -> RmCode:
-    gen = rm_generator(r, m)
-    code = from_generator(gen)
-    code._d = 1 << (m - r)  # Reed-Muller distance is known exactly
-    return RmCode(r, m, code, monomial_basis(r, m), points(m))
+    """RM(r, m) with its basis and points; built once per (r, m)."""
+    key = (r, m)
+    if key not in _RM_CODES:
+        code = from_generator(rm_generator(r, m))
+        code._d = 1 << (m - r)  # Reed-Muller distance is known exactly
+        _RM_CODES[key] = RmCode(r, m, code, monomial_basis(r, m), points(m))
+    return _RM_CODES[key]
 
 
 def plotkin_sum(c: LinearCode, d: LinearCode) -> LinearCode:

@@ -233,6 +233,19 @@ def test_apply_membership_check(example_files, tmp_path, capsys):
     assert "INVALID input" in capsys.readouterr().out
 
 
+def test_apply_gi_without_gf_exits_2(example_files, tmp_path, capsys):
+    gi, _, y = example_files
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 3\n101\n")
+    x2.write_text("1 3\n110\n")
+    code = main(
+        ["apply", "--y", str(y), "--inputs", f"{x1},{x2}", "--gi", str(gi)]
+    )
+    assert code == 2
+    assert "--gi requires --gf" in capsys.readouterr().err
+
+
 def test_apply_wrong_input_count(example_files, tmp_path):
     _, _, y = example_files
     x1 = tmp_path / "x1.txt"
