@@ -12,6 +12,7 @@ import random
 from convcode import (
     BitVector,
     apply_conversion,
+    contains,
     encode,
     rm_code,
     rm_merge_apply,
@@ -35,8 +36,8 @@ print(f"  (all {c1.code.n} symbols of the first code and "
       f"{len(report.unchanged_per_code[1])} of the second stay in place)")
 
 # rm_merge_apply runs the merge's conversion matrix, so it agrees with
-# apply_conversion on every input.  The symbols a conversion reads are
-# the R sets that classify_symbols reports.
+# apply_conversion on every input and lands in RM(r, m).  The symbols a
+# conversion reads are the R sets that classify_symbols reports.
 rng = random.Random(7)
 for _ in range(3):
     x1 = encode(c1.code, BitVector(c1.code.k, rng.getrandbits(c1.code.k)))
@@ -44,6 +45,7 @@ for _ in range(3):
     via_matrix = apply_conversion(inst, y, [x1, x2])
     via_merge = rm_merge_apply(R, M, x1, x2)
     assert via_matrix == via_merge
+    assert contains(inst.final_code, via_merge)
     print(f"  merge({x1.to_bits()}, {x2.to_bits()}) ok")
 
 # Chaining: re-split the first code recursively to merge more inputs.

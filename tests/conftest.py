@@ -1,6 +1,17 @@
 import pytest
 
 import convcode as cc
+from convcode import reedmuller
+
+
+@pytest.fixture(autouse=True)
+def fresh_rm_codes():
+    # rm_code shares one LinearCode per (r, m); a test that resets its
+    # distance cache must not leak that into the next test.
+    reedmuller._RM_CODES.clear()
+    yield
+    reedmuller._RM_CODES.clear()
+
 
 # Worked merge example used throughout: two [3,2] single-parity codes
 # merged into one [5,4] code, with a known access-cost-3 conversion.

@@ -17,7 +17,12 @@ from convcode.conversion import (
     verify_conversion,
 )
 from convcode.gf2 import BitMatrix, BitVector, DimensionError
-from convcode.reedmuller import rm_code, rm_dimension
+from convcode.reedmuller import (
+    degree_block_a,
+    rm_code,
+    rm_dimension,
+    zero_columns,
+)
 
 from tests.conftest import GI1_ROWS, GI2_ROWS
 
@@ -197,13 +202,20 @@ def test_rm_merge_apply_tiny():
 def test_rm_merge_apply_matches_matrix(r, m):
     inst, y, _ = rm_merge_procedure(r, m)
     c1, c2 = inst.initial_codes
+    half = 1 << (m - 1)
+    zeros = zero_columns(degree_block_a(r, m))
     rng = random.Random(17)
     for _ in range(25):
         x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))
         x2 = encode(c2, BitVector(c2.k, rng.getrandbits(c2.k)))
         via_matrix = apply_conversion(inst, y, [x1, x2])
         assert rm_merge_apply(r, m, x1, x2) == via_matrix
+        # rm_merge_apply runs this same Y (pinned by tests/test_golden.py);
+        # the checks below hold for any correct merge, whatever its Y.
         assert contains(inst.final_code, via_matrix)
+        assert via_matrix.mask & ((1 << half) - 1) == x1.mask
+        for z in zeros:
+            assert via_matrix[half + z] == x2[z]
 
 
 def test_rm_merge_apply_rejects_non_codewords():
