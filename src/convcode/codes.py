@@ -2,14 +2,15 @@
 
 Covers duals, puncturing, shortening, exact minimum distance by
 Gray-code enumeration, information sets, encoding, and decoding from a
-coordinate subset.  Codes are immutable except for the distance caches,
-which are filled idempotently.
+coordinate subset.  Codes are immutable except for two lazily filled
+caches, the minimum distances and the reduced echelon form of the
+generator; each is filled idempotently on first use.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
@@ -28,6 +29,9 @@ from .gf2 import (
 
 DEFAULT_K_LIMIT = 24
 
+# Pivot columns of rref(generator), their mask, and pivot -> reduced row.
+_Echelon = Tuple[Tuple[int, ...], int, Dict[int, int]]
+
 
 class CodeError(ValueError):
     """Invalid code construction or operation argument."""
@@ -39,9 +43,13 @@ class LinearCode:
     ``k == 0`` marks the zero code on n coordinates (its generator is
     None); it arises from shortening and is a legal value everywhere the
     structural operations need it.
+
+    Nothing changes after construction except the private caches, each
+    filled idempotently: ``_d`` and ``_d_dual`` (the distances) and
+    ``_echelon`` (pivots and reduced rows of the generator's RREF).
     """
 
-    __slots__ = ("n", "k", "generator", "_d", "_d_dual")
+    __slots__ = ("n", "k", "generator", "_d", "_d_dual", "_echelon")
 
     def __init__(self, n: int, generator: Optional[BitMatrix]):
         if n < 1:
@@ -62,6 +70,7 @@ class LinearCode:
             self.generator = generator
         self._d: Optional[int] = None
         self._d_dual: Optional[int] = None
+        self._echelon: Optional[_Echelon] = None
 
     @property
     def is_zero(self) -> bool:
@@ -197,12 +206,24 @@ def is_information_set(c: LinearCode, s: Sequence[int]) -> bool:
     return rank(c.generator.select_columns(s)) == c.k
 
 
+def _echelon(c: LinearCode) -> _Echelon:
+    """The code's echelon form, computed on first use and then cached.
+
+    The reduced row with pivot p has its lowest set bit at column p and
+    a zero at every other pivot column.
+    """
+    if c._echelon is None:
+        reduced, pivots = rref(c.generator)
+        mask = sum(1 << p for p in pivots)
+        c._echelon = (pivots, mask, dict(zip(pivots, reduced.row_words)))
+    return c._echelon
+
+
 def first_information_set(c: LinearCode) -> Tuple[int, ...]:
     """Lexicographically first information set (greedy column scan)."""
     if c.is_zero:
         raise CodeError("the zero code has no information set")
-    _, pivots = rref(c.generator)
-    return pivots
+    return _echelon(c)[0]
 
 
 def encode(c: LinearCode, u: BitVector) -> BitVector:
@@ -232,15 +253,24 @@ def decode_from_positions(
 
 
 def contains(c: LinearCode, x: BitVector) -> bool:
-    """Membership of x in the code."""
+    """Membership of x in the code, by systematic re-encoding.
+
+    A codeword is fixed by its symbols at the pivots of the reduced
+    echelon generator, so x is a codeword iff it equals the XOR of the
+    reduced rows whose pivot bit is set in x.  The echelon form is
+    computed once per code; each call is at most k row XORs.
+    """
     if x.n != c.n:
         raise DimensionError("vector length must equal the block length")
     if c.is_zero:
         return x.mask == 0
-    if x.mask == 0:
-        return True
-    stacked = BitMatrix(list(c.generator.row_words) + [x.mask], c.n)
-    return rank(stacked) == c.k
+    _, pivot_mask, rows = _echelon(c)
+    acc = 0
+    t = x.mask & pivot_mask
+    while t:
+        acc ^= rows[(t & -t).bit_length() - 1]
+        t &= t - 1
+    return acc == x.mask
 
 
 def systematic_generator(c: LinearCode, s: Sequence[int]) -> BitMatrix:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convcode as cc
 from convcode.codes import (
@@ -22,7 +23,15 @@ from convcode.codes import (
     systematic_generator,
     zero_code,
 )
-from convcode.gf2 import BitMatrix, BitVector, SizeGuardError, vec_mat
+from convcode.gf2 import (
+    BitMatrix,
+    BitVector,
+    DimensionError,
+    SizeGuardError,
+    rank,
+    vec_mat,
+)
+from convcode.reedmuller import rm_code
 
 from tests.conftest import GF_ROWS, GI1_ROWS
 
@@ -214,6 +223,83 @@ def test_contains():
     assert not contains(c, BitVector.from_bits([1, 0, 0, 0, 0, 0, 0]))
     assert contains(zero_code(3), BitVector(3, 0))
     assert not contains(zero_code(3), BitVector(3, 1))
+
+
+def contains_by_rank(c, x):
+    """Reference membership: x is a codeword iff stacking it onto the
+    generator leaves the rank at k (the elimination contains replaced)."""
+    if x.n != c.n:
+        raise DimensionError("vector length must equal the block length")
+    if c.is_zero:
+        return x.mask == 0
+    if x.mask == 0:
+        return True
+    stacked = BitMatrix(list(c.generator.row_words) + [x.mask], c.n)
+    return rank(stacked) == c.k
+
+
+@st.composite
+def codes_and_words(draw):
+    """A random code, spread over a column permutation with some all-zero
+    columns (so its pivots need not be a prefix), and a word to test:
+    an encoded codeword, a codeword with one flipped bit, or a random word.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))  # k == n is drawn too
+    zeros = draw(st.integers(0, 3))
+    base = random_code(n, k, random.Random(draw(st.integers(0, 2**32 - 1))))
+    perm = draw(st.permutations(range(n + zeros)))
+    words = []
+    for w in base.generator.row_words:
+        words.append(sum(1 << perm[j] for j in range(n) if (w >> j) & 1))
+    c = from_generator(BitMatrix(words, n + zeros))
+    kind = draw(st.sampled_from(["codeword", "flipped", "random"]))
+    if kind == "random":
+        x = BitVector(c.n, draw(st.integers(0, (1 << c.n) - 1)))
+    else:
+        x = encode(c, BitVector(k, draw(st.integers(0, (1 << k) - 1))))
+        if kind == "flipped":
+            x = x ^ BitVector(c.n, 1 << draw(st.integers(0, c.n - 1)))
+    return c, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(codes_and_words())
+def test_contains_matches_rank_reference(case):
+    c, x = case
+    expected = contains_by_rank(c, x)
+    assert contains(c, x) == expected
+    assert contains(c, x) == expected  # answered again from the cache
+
+
+def test_contains_edge_codes():
+    full = from_generator(
+        BitMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 1]])
+    )
+    for mask in range(8):
+        assert contains(full, BitVector(3, mask))
+    late = from_generator(BitMatrix.from_rows([[0, 1, 1, 0], [0, 0, 1, 1]]))
+    assert first_information_set(late) == (1, 2)
+    for mask in range(16):
+        x = BitVector(4, mask)
+        assert contains(late, x) == contains_by_rank(late, x)
+    with pytest.raises(DimensionError):
+        contains(late, BitVector(3, 0))
+    with pytest.raises(DimensionError):
+        contains(zero_code(3), BitVector(4, 0))
+
+
+def test_contains_repeated_on_memoised_rm_code():
+    code = rm_code(2, 5).code
+    rng = random.Random(12)
+    words = [encode(code, BitVector(code.k, rng.getrandbits(code.k)))
+             for _ in range(5)]
+    words += [BitVector(code.n, rng.getrandbits(code.n)) for _ in range(5)]
+    first = [contains(code, x) for x in words]
+    assert first == [contains_by_rank(code, x) for x in words]
+    assert first[:5] == [True] * 5
+    assert rm_code(2, 5).code is code
+    assert [contains(rm_code(2, 5).code, x) for x in words] == first
 
 
 def test_systematic_generator_identity_on_set():

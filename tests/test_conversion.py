@@ -3,6 +3,7 @@ import random
 import pytest
 
 import convcode as cc
+from convcode import gf2
 from convcode.codes import contains, encode, random_code
 from convcode.conversion import (
     ConversionError,
@@ -216,6 +217,33 @@ def test_rm_merge_apply_matches_matrix(r, m):
         assert via_matrix.mask & ((1 << half) - 1) == x1.mask
         for z in zeros:
             assert via_matrix[half + z] == x2[z]
+
+
+def test_apply_conversion_eliminates_nothing_once_warm(monkeypatch):
+    # Guards the data path by a count, not a time: after one warm-up call
+    # has cached the initial codes' echelon forms, membership checks and
+    # the conversion itself run without any Gaussian elimination.
+    inst, y, _ = rm_merge_procedure(4, 9)
+    rng = random.Random(23)
+
+    def words():
+        return [encode(c, BitVector(c.k, rng.getrandbits(c.k)))
+                for c in inst.initial_codes]
+
+    calls = []
+    eliminate = gf2._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(gf2, "_eliminate", counting)
+    apply_conversion(inst, y, words())
+    warm = len(calls)
+    assert warm > 0  # the counter sees the warm-up's echelon forms
+    for _ in range(10):
+        apply_conversion(inst, y, words())
+    assert len(calls) == warm
 
 
 def test_rm_merge_apply_rejects_non_codewords():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -60,6 +61,44 @@ def test_evaluate_monomial_constant_and_single():
     # X1 is the most significant coordinate: ones at points 2 and 3.
     assert evaluate_monomial((1,), pts).mask == 0b1100
     assert evaluate_monomial((2,), pts).mask == 0b1010
+
+
+def evaluate_by_points(s, pts):
+    """Reference evaluation: test the monomial at every point in turn."""
+    mask = 0
+    for j, p in enumerate(pts.points):
+        if all(p[i - 1] for i in s):
+            mask |= 1 << j
+    return mask
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_monomial_masks_match_pointwise_reference(m):
+    pts = points(m)
+    ref = {}
+    for deg in range(m + 1):
+        for s in combinations(range(1, m + 1), deg):
+            ref[s] = evaluate_by_points(s, pts)
+            v = evaluate_monomial(s, pts)
+            assert (v.n, v.mask) == (1 << m, ref[s])
+    for r in range(m + 1):
+        g = rm_generator(r, m)
+        assert g.cols == 1 << m
+        assert list(g.row_words) == [
+            ref[s] for s in monomial_basis(r, m).monomials
+        ]
+    # degree_block_a(r, m + 1) evaluates in m variables: this m.
+    for r in range(1, m + 1):
+        assert list(degree_block_a(r, m + 1).row_words) == [
+            ref[s] for s in combinations(range(1, m + 1), r)
+        ]
+
+
+def test_evaluate_monomial_rejects_bad_index():
+    pts = points(3)
+    for s in [(0,), (4,), (1, 5), (-1, 2)]:
+        with pytest.raises(ValueError):
+            evaluate_monomial(s, pts)
 
 
 def test_rm_2_3_generator_rows():
