@@ -9,6 +9,7 @@ are reported as inapplicable rather than omitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .conversion import CostReport
@@ -158,7 +159,7 @@ class BoundReport:
 
 def evaluate_bounds(p: ParamSet) -> BoundReport:
     """All bound values for p, with no cost report to compare against."""
-    return _build_report(p, report=None)
+    return _build_report(p, None, None)
 
 
 def audit(p: ParamSet, report: CostReport) -> BoundReport:
@@ -171,12 +172,24 @@ def audit(p: ParamSet, report: CostReport) -> BoundReport:
     allow; the constructions in this package satisfy them, but a
     deliberately wasteful conversion matrix can report fewer unchanged
     symbols and show up as a violation.
+
+    The bounds read only the per-code counts of unchanged and read
+    symbols, so after the two report checks the result is memoised by
+    (p, unchanged_counts, read_counts) and shared between reports with
+    the same counts; a BoundsError is not memoised and raises every time.
+    A ParamSet built from lists is unhashable and is audited uncached.
     """
     if len(report.unchanged_per_code) != p.lam:
         raise BoundsError("report and parameter set disagree on lambda")
-    if report.unchanged_total + report.write_cost != p.n_final:
+    u = report.unchanged_counts
+    if sum(u) + report.write_cost != p.n_final:
         raise BoundsError("report does not cover n_F final coordinates")
-    return _build_report(p, report=report)
+    r = report.read_counts
+    try:
+        hash(p)
+    except TypeError:
+        return _build_report(p, u, r)
+    return _audit_counts(p, u, r)
 
 
 def _rec(
@@ -203,9 +216,13 @@ def _rec(
     )
 
 
-def _build_report(p: ParamSet, report: Optional[CostReport]) -> BoundReport:
-    u = report.unchanged_counts if report else None
-    r = report.read_counts if report else None
+def _build_report(
+    p: ParamSet,
+    u: Optional[Tuple[int, ...]],
+    r: Optional[Tuple[int, ...]],
+) -> BoundReport:
+    """Every bound for p, audited against the counts u (unchanged) and r
+    (read) per code when given."""
     records: List[BoundRecord] = []
     for i in range(p.lam):
         records.append(
@@ -281,3 +298,7 @@ def _build_report(p: ParamSet, report: Optional[CostReport]) -> BoundReport:
         )
     )
     return BoundReport(tuple(records))
+
+
+# Bounded: one oracle sweep meets a few hundred distinct count tuples.
+_audit_counts = lru_cache(maxsize=256)(_build_report)

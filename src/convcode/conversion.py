@@ -15,7 +15,8 @@ Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
@@ -89,10 +90,19 @@ class ConvertibleInstance:
 
     def owner_of(self, row: int) -> Tuple[int, int]:
         """Map a stacked-coordinate row to (code index, local coordinate)."""
-        for i, start in enumerate(self.block_starts()):
-            if start <= row < start + self.n_initial[i]:
-                return i, row - start
-        raise IndexError(row)
+        if not 0 <= row < self.total_initial_length:
+            raise IndexError(row)
+        return self._row_owner[row]
+
+    @cached_property
+    def _row_owner(self) -> Tuple[Tuple[int, int], ...]:
+        """(code index, local coordinate) of every stacked row, in row
+        order; built on first use."""
+        return tuple(
+            (i, local)
+            for i, n in enumerate(self.n_initial)
+            for local in range(n)
+        )
 
 
 @dataclass(frozen=True)
@@ -192,28 +202,39 @@ def classify_symbols(
 
     A final coordinate is unchanged iff its Y column has weight 1; the
     single support row attributes it to an initial code.  Support rows of
-    heavier columns become read symbols of their owning codes.
+    heavier columns become read symbols of their owning codes.  Y is
+    verified first (rank and row space); the columns then come from one
+    transpose of Y.
     """
     if not verify_conversion(inst, y):
         raise ConversionError("matrix is not a valid conversion for instance")
-    lam = inst.lam
-    unchanged: List[set] = [set() for _ in range(lam)]
-    reads: List[set] = [set() for _ in range(lam)]
+    return _classify_columns(inst, y.y.transpose().row_words)
+
+
+def _classify_columns(
+    inst: ConvertibleInstance, col_masks: Sequence[int]
+) -> CostReport:
+    """Cost report of the conversion with these Y columns, unverified.
+
+    The one classifier: callers must already know that the columns form
+    a valid conversion matrix for inst.
+    """
+    owner = inst._row_owner
+    unchanged: List[set] = [set() for _ in range(inst.lam)]
+    reads: List[set] = [set() for _ in range(inst.lam)]
     new: set = set()
-    for j in range(inst.n_final):
-        col = y.y.column_mask(j)
-        w = col.bit_count()
-        if w == 1:
-            i, local = inst.owner_of(col.bit_length() - 1)
-            unchanged[i].add(j)
+    read_rows = 0
+    for j, col in enumerate(col_masks):
+        if col and not col & (col - 1):  # weight 1
+            unchanged[owner[col.bit_length() - 1][0]].add(j)
         else:
             new.add(j)
-            t = col
-            while t:
-                row = (t & -t).bit_length() - 1
-                i, local = inst.owner_of(row)
-                reads[i].add(local)
-                t &= t - 1
+            read_rows |= col
+    while read_rows:
+        low = read_rows & -read_rows
+        i, local = owner[low.bit_length() - 1]
+        reads[i].add(local)
+        read_rows ^= low
     return CostReport(
         tuple(frozenset(u) for u in unchanged),
         frozenset(new),
@@ -267,7 +288,25 @@ def apply_conversion(
     return vec_mat(_stack_codewords(codewords), y.y)
 
 
+_RM_MERGES: Dict[
+    Tuple[int, int], Tuple[ConvertibleInstance, ConversionMatrix]
+] = {}
+
+
 def _rm_merge_matrix(
+    r: int, m: int
+) -> Tuple[ConvertibleInstance, ConversionMatrix]:
+    """Instance and conversion matrix of the RM merge, built once per
+    (r, m); later calls return the same (shared, immutable) pair."""
+    if not 1 <= r <= m - 1:
+        raise ConversionError("need 1 <= r <= m - 1")
+    key = (r, m)
+    if key not in _RM_MERGES:
+        _RM_MERGES[key] = _build_rm_merge(r, m)
+    return _RM_MERGES[key]
+
+
+def _build_rm_merge(
     r: int, m: int
 ) -> Tuple[ConvertibleInstance, ConversionMatrix]:
     """Instance and matrix Y = [[I, T], [0, B]] of the RM merge, by rows.
@@ -278,8 +317,6 @@ def _rm_merge_matrix(
     reading the second code directly is no dearer than decoding it; else
     it re-encodes that code from its symbols at the zero columns of A.
     """
-    if not 1 <= r <= m - 1:
-        raise ConversionError("need 1 <= r <= m - 1")
     c1 = rm_code(r, m - 1).code
     c2 = rm_code(r - 1, m - 1).code
     inst = make_instance([c1, c2], rm_code(r, m).code)
@@ -333,7 +370,9 @@ def rm_merge_apply(
 
     Applies the merge's conversion matrix, so it equals apply_conversion
     with the matrix emitted by rm_merge_procedure; the symbols it reads
-    are the read sets that classify_symbols reports for that matrix.
+    are the read sets that classify_symbols reports for that matrix.  The
+    matrix is built on the first call per (r, m), so a later call costs
+    one apply_conversion.
     """
     return apply_conversion(*_rm_merge_matrix(r, m), (c1_word, c2_word))
 

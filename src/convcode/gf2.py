@@ -116,14 +116,15 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, col_masks: Sequence[int], rows: int) -> "BitMatrix":
-        """Build from column masks (bit i of mask j = entry (i, j))."""
-        words = []
-        for i in range(rows):
-            w = 0
-            for j, cm in enumerate(col_masks):
-                w |= ((cm >> i) & 1) << j
-            words.append(w)
-        return cls(words, len(col_masks))
+        """Build from column masks (bit i of mask j = entry (i, j)).
+
+        Bits of a mask at or above `rows` are ignored.
+        """
+        full = (1 << rows) - 1
+        return cls(
+            _transpose_words([cm & full for cm in col_masks], rows),
+            len(col_masks),
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -147,9 +148,7 @@ class BitMatrix:
         return m
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            [self.column_mask(j) for j in range(self.cols)], self.rows
-        )
+        return BitMatrix(_transpose_words(self.row_words, self.cols), self.rows)
 
     def select_columns(self, cols: Sequence[int]) -> "BitMatrix":
         cols = list(cols)
@@ -158,13 +157,11 @@ class BitMatrix:
         for j in cols:
             if not 0 <= j < self.cols:
                 raise IndexError(j)
-        words = []
-        for w in self.row_words:
-            v = 0
-            for t, j in enumerate(cols):
-                v |= ((w >> j) & 1) << t
-            words.append(v)
-        return BitMatrix(words, len(cols))
+        col_words = _transpose_words(self.row_words, self.cols)
+        return BitMatrix(
+            _transpose_words([col_words[j] for j in cols], self.rows),
+            len(cols),
+        )
 
     def to_lists(self) -> List[List[int]]:
         return [[(w >> j) & 1 for j in range(self.cols)] for w in self.row_words]
@@ -185,6 +182,23 @@ class BitMatrix:
             for w in self.row_words
         )
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
+
+
+def _transpose_words(words: Sequence[int], width: int) -> List[int]:
+    """Transpose packed bit rows: bit j of words[i] becomes bit i of out[j].
+
+    Walks only the set bits of each word, so the cost is O(popcount) plus
+    O(width), not O(len(words) * width).  Every bit must lie below width.
+    """
+    out = [0] * width
+    bit = 1
+    for w in words:
+        while w:
+            low = w & -w
+            out[low.bit_length() - 1] |= bit
+            w ^= low
+        bit <<= 1
+    return out
 
 
 def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -30,6 +30,7 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
+    _classify_columns,
     classify_symbols,
 )
 
@@ -84,12 +85,13 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
 
 def _search_space(
     inst: ConvertibleInstance, lim: SearchLimits
-) -> Tuple[List[int], Iterator[List[int]]]:
+) -> Tuple[List[int], Iterator[Tuple[Tuple[int, ...], List[int]]]]:
     """Shared set-up of both searches, done eagerly.
 
     Returns the kernel combinations of G_I and a generator that checks
-    the time budget, then yields the columns of a particular solution of
-    G_I . Y = M . G_F for each invertible M in enumeration order.
+    the time budget, then yields, for each invertible M in enumeration
+    order, the rows of M . G_F and the columns of a particular solution
+    of G_I . Y = M . G_F.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
@@ -106,8 +108,9 @@ def _search_space(
         for m in enumerate_invertible(inst.k_final, limit=None):
             if deadline is not None and time.monotonic() > deadline:
                 raise SizeGuardError("time budget exhausted")
-            part = mat_mul(e, mat_mul(m, g_final))
-            yield [part.column_mask(j) for j in range(inst.n_final)]
+            target = mat_mul(m, g_final)
+            part = mat_mul(e, target)
+            yield target.row_words, part.transpose().row_words
 
     return combos, parts()
 
@@ -118,18 +121,26 @@ def enumerate_conversions(
     """Yield every valid conversion matrix with its cost report.
 
     Ordered by the invertible-matrix enumeration, then by kernel-coset
-    choices per column; each Y appears exactly once.
+    choices per column; each Y appears exactly once.  Each candidate is
+    checked without elimination: G_I . Y must equal M . G_F for the
+    current M, else ConversionError is raised.  As M is invertible, that
+    equality implies what verify_conversion checks (rank k_F and the
+    final code's row space).  The report then comes from the candidate's
+    columns directly, by the same classifier as classify_symbols.
     """
     combos, parts = _search_space(inst, lim)
+    g_stack = inst.stacked_generator()
     total_rows = inst.total_initial_length
-    for part_cols in parts:
+    blocks = inst.n_initial
+    for target, part_cols in parts:
         cosets = [[pc ^ kc for kc in combos] for pc in part_cols]
         for choice_masks in product(*cosets):
-            y = ConversionMatrix(
-                BitMatrix.from_columns(choice_masks, total_rows),
-                inst.n_initial,
+            y = BitMatrix.from_columns(choice_masks, total_rows)
+            if mat_mul(g_stack, y).row_words != target:
+                raise ConversionError("enumerated matrix is not a conversion")
+            yield ConversionMatrix(y, blocks), _classify_columns(
+                inst, choice_masks
             )
-            yield y, classify_symbols(inst, y)
 
 
 def min_access_cost(
@@ -159,7 +170,7 @@ def min_access_cost(
             key.append(word)
         return tuple(key)
 
-    for part_cols in parts:
+    for _, part_cols in parts:
         options: List[List[Tuple[int, int]]] = []
         has_unchanged: List[bool] = []
         for pc in part_cols:

@@ -1,16 +1,38 @@
+import random
+
 import pytest
+from hypothesis import assume, strategies as st
 
 import convcode as cc
-from convcode import reedmuller
+from convcode import conversion, gf2, reedmuller
+from convcode.codes import from_generator, random_code
+from convcode.oracle import candidate_count
 
 
 @pytest.fixture(autouse=True)
 def fresh_rm_codes():
-    # rm_code shares one LinearCode per (r, m); a test that resets its
-    # distance cache must not leak that into the next test.
+    # rm_code shares one LinearCode per (r, m), and the RM merge shares one
+    # instance (holding those codes) and matrix per (r, m); a test that
+    # resets a distance cache must not leak that into the next test.
     reedmuller._RM_CODES.clear()
+    conversion._RM_MERGES.clear()
     yield
     reedmuller._RM_CODES.clear()
+    conversion._RM_MERGES.clear()
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """List that gains one entry per gf2._eliminate call in the test."""
+    calls = []
+    eliminate = gf2._eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(gf2, "_eliminate", counting)
+    return calls
 
 
 # Worked merge example used throughout: two [3,2] single-parity codes
@@ -47,3 +69,33 @@ def example_y(example_instance):
     return cc.ConversionMatrix(
         cc.BitMatrix.from_columns(cols, 6), example_instance.n_initial
     )
+
+
+@st.composite
+def small_instances(draw, max_candidates=4096):
+    """Seeded random merge instances with lambda = 2 or 3, without the
+    d >= 2, d_dual >= 3 filter of the acceptance sweeps.
+
+    The final code is drawn as is, or degenerate: a random [n_F - 1, k_F]
+    code with one more coordinate that repeats an existing one or is
+    zero.  Every instance is small enough to enumerate all conversions.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ks = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1)]))
+    ns = [k + draw(st.integers(0, 1)) for k in ks]
+    k_f = sum(ks)
+    kind = draw(st.sampled_from(["random", "repeated", "zero"]))
+    n_f = k_f + draw(st.integers(0 if kind == "random" else 1, 2))
+    initial = [random_code(n, k, rng) for n, k in zip(ns, ks)]
+    if kind == "random":
+        final = random_code(n_f, k_f, rng)
+    else:
+        base = random_code(n_f - 1, k_f, rng).generator.row_words
+        src = rng.randrange(n_f - 1)
+        copy = 1 if kind == "repeated" else 0
+        final = from_generator(cc.BitMatrix(
+            [w | (((w >> src) & copy) << (n_f - 1)) for w in base], n_f
+        ))
+    inst = cc.make_instance(initial, final)
+    assume(candidate_count(inst) <= max_candidates)
+    return inst

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings
 
+from convcode import bounds
 from convcode.bounds import (
     BoundsError,
     ParamSet,
@@ -13,7 +15,11 @@ from convcode.bounds import (
     unchanged_upper_dual,
     unchanged_upper_singleton,
 )
-from convcode.conversion import rm_merge_procedure
+from convcode.codes import dual_distance, min_distance
+from convcode.conversion import CostReport, rm_merge_procedure
+from convcode.oracle import enumerate_conversions
+
+from tests.conftest import small_instances
 
 
 def example_params():
@@ -164,7 +170,6 @@ def test_audit_rm_sweep_no_violations(r, m):
 
 def test_audit_pinch_applies():
     p = example_params()
-    from convcode.conversion import CostReport
     costs = CostReport(
         (frozenset({0, 1}), frozenset({2, 3})),
         frozenset({4}),
@@ -190,3 +195,48 @@ def test_to_records_one_indexed():
     assert all(
         r["i"] is None for r in recs if r["name"] == "unchanged_total_lower"
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(max_candidates=1536))
+def test_audit_memo_matches_uncached(inst):
+    assume(inst.n_final > inst.k_final)  # d_F_dual needs a nonzero dual
+    cf = inst.final_code
+    p = ParamSet(inst.n_initial, inst.k_initial, inst.n_final, inst.k_final,
+                 min_distance(cf), dual_distance(cf))
+    for _, report in enumerate_conversions(inst):
+        try:
+            expected = bounds._build_report(
+                p, report.unchanged_counts, report.read_counts
+            )
+        except BoundsError as exc:
+            with pytest.raises(BoundsError) as raised:
+                audit(p, report)
+            assert str(raised.value) == str(exc)
+        else:
+            assert audit(p, report) == expected
+
+
+def test_audit_memo_is_bounded_and_shared():
+    assert bounds._audit_counts.cache_info().maxsize is not None
+    p, costs = rm_params(2, 4)
+    first = audit(p, costs)
+    assert audit(p, costs) is first  # same counts: the shared report
+    # A ParamSet built from lists is unhashable; it is audited uncached.
+    listed = ParamSet(list(p.n_initial), list(p.k_initial), p.n_final,
+                      p.k_final, p.d_final, p.d_final_dual)
+    assert audit(listed, costs) == first
+
+
+def test_audit_error_is_not_memoised():
+    # Degenerate final code (repeated coordinate): one initial symbol
+    # copied to two final positions gives |U_2| = 2 > n_I2 = 1.
+    p = ParamSet((2, 1), (1, 1), 4, 2, 2, 2)
+    costs = CostReport(
+        (frozenset({0}), frozenset({1, 2})),
+        frozenset({3}),
+        (frozenset({1}), frozenset()),
+    )
+    for _ in range(2):
+        with pytest.raises(BoundsError, match="u_i must be between"):
+            audit(p, costs)

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convcode as cc
-from convcode import gf2
+from convcode import conversion
 from convcode.codes import contains, encode, random_code
 from convcode.conversion import (
     ConversionError,
@@ -17,7 +18,13 @@ from convcode.conversion import (
     rm_merge_procedure,
     verify_conversion,
 )
-from convcode.gf2 import BitMatrix, BitVector, DimensionError
+from convcode.gf2 import (
+    BitMatrix,
+    BitVector,
+    DimensionError,
+    right_kernel_basis,
+)
+from convcode.oracle import enumerate_conversions
 from convcode.reedmuller import (
     degree_block_a,
     rm_code,
@@ -25,7 +32,7 @@ from convcode.reedmuller import (
     zero_columns,
 )
 
-from tests.conftest import GI1_ROWS, GI2_ROWS
+from tests.conftest import GI1_ROWS, GI2_ROWS, small_instances
 
 
 def test_make_instance_checks_dimension_sum(example_codes):
@@ -96,6 +103,96 @@ def test_classify_rejects_invalid(example_instance):
     bad = ConversionMatrix(BitMatrix([0] * 6, 5), (3, 3))
     with pytest.raises(ConversionError):
         classify_symbols(example_instance, bad)
+
+
+def owner_by_blocks(inst, row):
+    """Row ownership by a scan of the block starts (the old owner_of)."""
+    for i, start in enumerate(inst.block_starts()):
+        if start <= row < start + inst.n_initial[i]:
+            return i, row - start
+    raise IndexError(row)
+
+
+def classify_by_owner(inst, y):
+    """The per-column classification that classify_symbols replaced: one
+    column_mask per final column and a block scan per support row."""
+    if not verify_conversion(inst, y):
+        raise ConversionError("matrix is not a valid conversion for instance")
+    unchanged = [set() for _ in range(inst.lam)]
+    reads = [set() for _ in range(inst.lam)]
+    new = set()
+    for j in range(inst.n_final):
+        col = y.y.column_mask(j)
+        if col.bit_count() == 1:
+            i, _ = owner_by_blocks(inst, col.bit_length() - 1)
+            unchanged[i].add(j)
+        else:
+            new.add(j)
+            for row in range(col.bit_length()):
+                if (col >> row) & 1:
+                    i, local = owner_by_blocks(inst, row)
+                    reads[i].add(local)
+    return (
+        tuple(frozenset(u) for u in unchanged),
+        frozenset(new),
+        tuple(frozenset(r) for r in reads),
+    )
+
+
+def report_sets(report):
+    return report.unchanged_per_code, report.new_symbols, report.read_per_code
+
+
+def test_owner_of_matches_block_scan():
+    rng = random.Random(5)
+    codes = [random_code(n, 1, rng) for n in (3, 1, 4, 2)]
+    inst = make_instance(codes, random_code(6, 4, rng))
+    for row in range(inst.total_initial_length):
+        assert inst.owner_of(row) == owner_by_blocks(inst, row)
+    assert inst._row_owner is inst._row_owner  # built once
+    for row in (-1, inst.total_initial_length):
+        with pytest.raises(IndexError):
+            owner_by_blocks(inst, row)
+        with pytest.raises(IndexError):
+            inst.owner_of(row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(max_candidates=1536))
+def test_enumerated_reports_match_old_classification(inst):
+    count = 0
+    for y, report in enumerate_conversions(inst):
+        assert report_sets(report) == classify_by_owner(inst, y)
+        assert report_sets(classify_symbols(inst, y)) == report_sets(report)
+        count += 1
+    assert count > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.data())
+def test_classify_symbols_matches_old_on_perturbed_default(inst, data):
+    y0 = default_conversion(inst)
+    kernel = [v.mask for v in right_kernel_basis(inst.stacked_generator())]
+    rows = inst.total_initial_length
+    cols = []
+    for j in range(inst.n_final):
+        col = y0.y.column_mask(j)
+        for v in kernel:
+            if data.draw(st.booleans()):
+                col ^= v
+        cols.append(col)
+    # Optionally one flip outside the kernel, which usually breaks Y.
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, inst.n_final - 1))
+        cols[j] ^= 1 << data.draw(st.integers(0, rows - 1))
+    y = ConversionMatrix(BitMatrix.from_columns(cols, rows), inst.n_initial)
+    if verify_conversion(inst, y):
+        assert report_sets(classify_symbols(inst, y)) == classify_by_owner(
+            inst, y
+        )
+    else:
+        with pytest.raises(ConversionError):
+            classify_symbols(inst, y)
 
 
 def test_default_conversion_example(example_instance):
@@ -219,7 +316,7 @@ def test_rm_merge_apply_matches_matrix(r, m):
             assert via_matrix[half + z] == x2[z]
 
 
-def test_apply_conversion_eliminates_nothing_once_warm(monkeypatch):
+def test_apply_conversion_eliminates_nothing_once_warm(eliminations):
     # Guards the data path by a count, not a time: after one warm-up call
     # has cached the initial codes' echelon forms, membership checks and
     # the conversion itself run without any Gaussian elimination.
@@ -230,20 +327,34 @@ def test_apply_conversion_eliminates_nothing_once_warm(monkeypatch):
         return [encode(c, BitVector(c.k, rng.getrandbits(c.k)))
                 for c in inst.initial_codes]
 
-    calls = []
-    eliminate = gf2._eliminate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(gf2, "_eliminate", counting)
     apply_conversion(inst, y, words())
-    warm = len(calls)
+    warm = len(eliminations)
     assert warm > 0  # the counter sees the warm-up's echelon forms
     for _ in range(10):
         apply_conversion(inst, y, words())
-    assert len(calls) == warm
+    assert len(eliminations) == warm
+
+
+def test_rm_merge_apply_eliminates_nothing_once_warm(eliminations):
+    # The merge matrix is built once per (r, m), so after one warm-up a
+    # call is one apply_conversion: no Gaussian elimination at all.
+    c1, c2 = rm_code(4, 8).code, rm_code(3, 8).code
+    rng = random.Random(29)
+    pairs = [
+        (encode(c1, BitVector(c1.k, rng.getrandbits(c1.k))),
+         encode(c2, BitVector(c2.k, rng.getrandbits(c2.k))))
+        for _ in range(11)
+    ]
+    outs = [rm_merge_apply(4, 9, *pairs[0])]
+    warm = len(eliminations)
+    assert warm > 0  # the counter sees the warm-up's merge build
+    outs += [rm_merge_apply(4, 9, x1, x2) for x1, x2 in pairs[1:]]
+    assert len(eliminations) == warm
+    inst, y = conversion._rm_merge_matrix(4, 9)
+    assert conversion._rm_merge_matrix(4, 9)[1] is y  # shared, not rebuilt
+    for (x1, x2), out in zip(pairs, outs):
+        assert out == apply_conversion(inst, y, [x1, x2])
+        assert contains(inst.final_code, out)
 
 
 def test_rm_merge_apply_rejects_non_codewords():

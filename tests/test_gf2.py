@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convcode as cc
 from convcode.gf2 import (
@@ -200,3 +201,96 @@ def test_inverse_round_trip():
             if rank(m) == 5:
                 break
         assert mat_mul(m, inverse(m)) == BitMatrix.identity(5)
+
+
+# Bit-by-bit references for the word-parallel transpose in gf2: these are
+# the loops that column_mask, from_columns, transpose and select_columns
+# used before, kept here as the reference they are checked against.
+
+def column_mask_by_bits(m: BitMatrix, j: int) -> int:
+    mask = 0
+    for i, w in enumerate(m.row_words):
+        mask |= ((w >> j) & 1) << i
+    return mask
+
+
+def from_columns_by_bits(col_masks, rows: int) -> BitMatrix:
+    words = []
+    for i in range(rows):
+        w = 0
+        for j, cm in enumerate(col_masks):
+            w |= ((cm >> i) & 1) << j
+        words.append(w)
+    return BitMatrix(words, len(col_masks))
+
+
+def select_columns_by_bits(m: BitMatrix, cols) -> BitMatrix:
+    words = []
+    for w in m.row_words:
+        v = 0
+        for t, j in enumerate(cols):
+            v |= ((w >> j) & 1) << t
+        words.append(v)
+    return BitMatrix(words, len(cols))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices up to 70 wide whose rows and columns may be all zero."""
+    rows = draw(st.integers(1, 70))
+    cols = draw(st.integers(1, 70))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    keep = sum(1 << j for j in range(cols) if j not in zero_cols)
+    words = [
+        0 if i in zero_rows else draw(st.integers(0, (1 << cols) - 1)) & keep
+        for i in range(rows)
+    ]
+    return BitMatrix(words, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_transpose_matches_bit_loops(m, data):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert list(t.row_words) == [
+        column_mask_by_bits(m, j) for j in range(m.cols)
+    ]
+    assert t.transpose() == m
+    assert BitMatrix.from_columns(t.row_words, m.rows) == m
+    assert [m.column_mask(j) for j in range(m.cols)] == list(t.row_words)
+    picks = data.draw(
+        st.lists(st.integers(0, m.cols - 1), min_size=1, max_size=80)
+    )
+    assert m.select_columns(picks) == select_columns_by_bits(m, picks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 70),
+    st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=70),
+)
+def test_from_columns_matches_bit_loop(rows, col_masks):
+    # Bits at or above `rows` (and the sign of a negative mask) are
+    # ignored, exactly as the bit-by-bit loop ignores them.
+    assert BitMatrix.from_columns(col_masks, rows) == from_columns_by_bits(
+        col_masks, rows
+    )
+
+
+def test_transpose_edge_shapes():
+    for width in range(1, 71):
+        row = BitMatrix([(1 << width) - 1], width)
+        assert row.transpose() == BitMatrix([1] * width, 1)
+        zero = BitMatrix.zeros(3, width)
+        assert zero.transpose() == BitMatrix.zeros(width, 3)
+        assert zero.select_columns([width - 1, 0]) == BitMatrix.zeros(3, 2)
+    with pytest.raises(DimensionError):
+        BitMatrix.from_columns([], 3)
+    with pytest.raises(DimensionError):
+        BitMatrix.from_columns([1], 0)
+    with pytest.raises(DimensionError):
+        BitMatrix.identity(3).select_columns([])
+    with pytest.raises(IndexError):
+        BitMatrix.identity(3).select_columns([3])

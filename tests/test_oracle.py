@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from convcode import oracle
 from convcode.codes import from_generator, random_code
 from convcode.conversion import (
+    ConversionError,
     ConversionMatrix,
     classify_symbols,
     default_conversion,
@@ -123,3 +125,42 @@ def test_time_budget(example_instance):
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         SearchLimits(max_k_final=0)
+
+
+def test_enumerate_checks_every_candidate(monkeypatch):
+    # Add e_0 to column 1 of every particular solution.  G_I . e_0 is
+    # column 0 of G_I, which is nonzero, so G_I . Y != M . G_F and the
+    # product check must refuse the first candidate instead of yielding it.
+    inst = tiny_instance()
+    search_space = oracle._search_space
+
+    def corrupted(inst, lim):
+        combos, parts = search_space(inst, lim)
+
+        def wrong():
+            for target, cols in parts:
+                cols = list(cols)
+                cols[1] ^= 1
+                yield target, cols
+
+        return combos, wrong()
+
+    monkeypatch.setattr(oracle, "_search_space", corrupted)
+    yielded = []
+    with pytest.raises(ConversionError):
+        for item in enumerate_conversions(inst):
+            yielded.append(item)
+    assert yielded == []
+
+
+def test_enumerate_eliminates_only_in_set_up(eliminations):
+    # Per-candidate verification is a product check, not elimination: the
+    # elimination count after the first candidate is the whole count.
+    inst = tiny_instance()
+    stream = enumerate_conversions(inst)
+    next(stream)
+    set_up = len(eliminations)
+    assert set_up > 0  # the counter sees the right inverse and the kernel
+    rest = sum(1 for _ in stream)
+    assert rest + 1 == candidate_count(inst)
+    assert len(eliminations) == set_up
