@@ -31,6 +31,9 @@ class ParamSet:
     d_final_dual: int
 
     def __post_init__(self):
+        # Tuples keep the parameter set hashable, so audit can memoise it.
+        object.__setattr__(self, "n_initial", tuple(self.n_initial))
+        object.__setattr__(self, "k_initial", tuple(self.k_initial))
         if len(self.n_initial) != len(self.k_initial) or not self.n_initial:
             raise BoundsError("n_I and k_I must be nonempty and equal length")
         if sum(self.k_initial) != self.k_final:
@@ -177,19 +180,13 @@ def audit(p: ParamSet, report: CostReport) -> BoundReport:
     symbols, so after the two report checks the result is memoised by
     (p, unchanged_counts, read_counts) and shared between reports with
     the same counts; a BoundsError is not memoised and raises every time.
-    A ParamSet built from lists is unhashable and is audited uncached.
     """
     if len(report.unchanged_per_code) != p.lam:
         raise BoundsError("report and parameter set disagree on lambda")
     u = report.unchanged_counts
     if sum(u) + report.write_cost != p.n_final:
         raise BoundsError("report does not cover n_F final coordinates")
-    r = report.read_counts
-    try:
-        hash(p)
-    except TypeError:
-        return _build_report(p, u, r)
-    return _audit_counts(p, u, r)
+    return _audit_counts(p, u, report.read_counts)
 
 
 def _rec(

@@ -85,10 +85,12 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
 
 def _search_space(
     inst: ConvertibleInstance, lim: SearchLimits
-) -> Tuple[List[int], Iterator[Tuple[Tuple[int, ...], List[int]]]]:
+) -> Tuple[
+    BitMatrix, List[int], Iterator[Tuple[Tuple[int, ...], List[int]]]
+]:
     """Shared set-up of both searches, done eagerly.
 
-    Returns the kernel combinations of G_I and a generator that checks
+    Returns G_I, the kernel combinations of G_I and a generator that checks
     the time budget, then yields, for each invertible M in enumeration
     order, the rows of M . G_F and the columns of a particular solution
     of G_I . Y = M . G_F.
@@ -104,7 +106,7 @@ def _search_space(
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
 
-    def parts() -> Iterator[List[int]]:
+    def parts() -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
         for m in enumerate_invertible(inst.k_final, limit=None):
             if deadline is not None and time.monotonic() > deadline:
                 raise SizeGuardError("time budget exhausted")
@@ -112,7 +114,7 @@ def _search_space(
             part = mat_mul(e, target)
             yield target.row_words, part.transpose().row_words
 
-    return combos, parts()
+    return g_stack, combos, parts()
 
 
 def enumerate_conversions(
@@ -128,8 +130,7 @@ def enumerate_conversions(
     final code's row space).  The report then comes from the candidate's
     columns directly, by the same classifier as classify_symbols.
     """
-    combos, parts = _search_space(inst, lim)
-    g_stack = inst.stacked_generator()
+    g_stack, combos, parts = _search_space(inst, lim)
     total_rows = inst.total_initial_length
     blocks = inst.n_initial
     for target, part_cols in parts:
@@ -152,7 +153,7 @@ def min_access_cost(
     admissible prune; ties are broken by write cost, then by the
     lexicographic row-major bit string of Y, so results are deterministic.
     """
-    combos, parts = _search_space(inst, lim)
+    _, combos, parts = _search_space(inst, lim)
     n_final = inst.n_final
     total_rows = inst.total_initial_length
 

@@ -222,10 +222,10 @@ def test_audit_memo_is_bounded_and_shared():
     p, costs = rm_params(2, 4)
     first = audit(p, costs)
     assert audit(p, costs) is first  # same counts: the shared report
-    # A ParamSet built from lists is unhashable; it is audited uncached.
+    # A ParamSet built from lists stores tuples, so it hits the same memo.
     listed = ParamSet(list(p.n_initial), list(p.k_initial), p.n_final,
                       p.k_final, p.d_final, p.d_final_dual)
-    assert audit(listed, costs) == first
+    assert audit(listed, costs) is first
 
 
 def test_audit_error_is_not_memoised():

@@ -135,7 +135,7 @@ def test_enumerate_checks_every_candidate(monkeypatch):
     search_space = oracle._search_space
 
     def corrupted(inst, lim):
-        combos, parts = search_space(inst, lim)
+        g_stack, combos, parts = search_space(inst, lim)
 
         def wrong():
             for target, cols in parts:
@@ -143,7 +143,7 @@ def test_enumerate_checks_every_candidate(monkeypatch):
                 cols[1] ^= 1
                 yield target, cols
 
-        return combos, wrong()
+        return g_stack, combos, wrong()
 
     monkeypatch.setattr(oracle, "_search_space", corrupted)
     yielded = []
