@@ -2,7 +2,13 @@
 
 Every matrix row is stored as a single Python integer where bit j holds
 column j, so a row elimination step is one word-parallel XOR regardless
-of the matrix width.  All values are immutable after construction.
+of the matrix width.  All values are immutable after construction, and
+every bit of a row word lies below the column count.
+
+Elimination (rank, rref, solve, inverse, kernels) reduces each row only
+by the pivots it hits, so its work grows with the XORs it performs, not
+with rows x pivots: sparse, nearly echelon matrices such as Reed-Muller
+generators reduce in a few list lookups per row.
 """
 
 from __future__ import annotations
@@ -221,27 +227,48 @@ def block_diag(blocks: Sequence[BitMatrix]) -> BitMatrix:
 
 
 def _eliminate(words: List[int], cols: int, reduce_above: bool) -> List[int]:
-    """In-place Gaussian elimination; returns pivot column list."""
+    """In-place Gaussian elimination; returns the ascending pivot columns.
+
+    Afterwards words is a row echelon form of the same row space: one row
+    per pivot, in ascending pivot order, each row's lowest set bit its
+    pivot, then zero rows.  With reduce_above it is the (unique) reduced
+    row echelon form.  Every bit of every word must lie below cols.
+
+    Each row is inserted into a basis indexed by pivot column: while the
+    row's lowest set bit already has a basis row, that row is XORed in,
+    else the row is stored there.  With reduce_above, one pass from the
+    highest pivot down then clears the other pivot bits of each row.  So
+    the cost is one lowest-bit lookup per row plus one per XOR performed,
+    not a bit test of every row for every pivot; sparse, nearly echelon
+    matrices such as Reed-Muller generators need few XORs.
+    """
+    basis = [0] * cols
     pivots = []
-    pivot_row = 0
-    for col in range(cols):
-        bit = 1 << col
-        found = -1
-        for r in range(pivot_row, len(words)):
-            if words[r] & bit:
-                found = r
+    for v in words:
+        while v:
+            p = (v & -v).bit_length() - 1
+            b = basis[p]
+            if not b:
+                basis[p] = v
+                pivots.append(p)
                 break
-        if found < 0:
-            continue
-        words[pivot_row], words[found] = words[found], words[pivot_row]
-        start = 0 if reduce_above else pivot_row + 1
-        for r in range(start, len(words)):
-            if r != pivot_row and words[r] & bit:
-                words[r] ^= words[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(words):
-            break
+            v ^= b
+    pivots.sort()
+    if reduce_above:
+        mask = 0
+        for p in pivots:
+            mask |= 1 << p
+        for p in reversed(pivots):
+            # Rows of higher pivots are reduced already, so XORing one in
+            # clears its pivot bit here and sets no other pivot bit.
+            v = basis[p]
+            t = v & mask ^ (1 << p)
+            while t:
+                q = t.bit_length() - 1
+                v ^= basis[q]
+                t ^= 1 << q
+            basis[p] = v
+    words[:] = [basis[p] for p in pivots] + [0] * (len(words) - len(pivots))
     return pivots
 
 

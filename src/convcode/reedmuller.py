@@ -115,12 +115,17 @@ def evaluate_monomial(s: Sequence[int], pts: PointList) -> BitVector:
 
 def rm_generator(r: int, m: int) -> BitMatrix:
     """Generator of RM(r, m): one evaluation row per basis monomial."""
+    return _rm_parts(r, m)[0]
+
+
+def _rm_parts(r: int, m: int) -> Tuple[BitMatrix, MonomialBasis, PointList]:
+    """Generator of RM(r, m) with the basis and points it was built from."""
     if not (0 <= r <= m):
         raise ValueError("need 0 <= r <= m")
     pts = points(m)
     basis = monomial_basis(r, m)
     words = [evaluate_monomial(s, pts).mask for s in basis.monomials]
-    return BitMatrix(words, 1 << m)
+    return BitMatrix(words, 1 << m), basis, pts
 
 
 _RM_CODES: Dict[Tuple[int, int], RmCode] = {}
@@ -130,9 +135,10 @@ def rm_code(r: int, m: int) -> RmCode:
     """RM(r, m) with its basis and points; built once per (r, m)."""
     key = (r, m)
     if key not in _RM_CODES:
-        code = from_generator(rm_generator(r, m))
+        generator, basis, pts = _rm_parts(r, m)
+        code = from_generator(generator)
         code._d = 1 << (m - r)  # Reed-Muller distance is known exactly
-        _RM_CODES[key] = RmCode(r, m, code, monomial_basis(r, m), points(m))
+        _RM_CODES[key] = RmCode(r, m, code, basis, pts)
     return _RM_CODES[key]
 
 

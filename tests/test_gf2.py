@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
+from convcode.conversion import _rm_merge_matrix
 from convcode.gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
     SizeGuardError,
+    _eliminate,
     enumerate_invertible,
     gl2_order,
     inverse,
@@ -19,6 +21,7 @@ from convcode.gf2 import (
     rref,
     solve,
 )
+from convcode.reedmuller import rm_generator
 from tests.conftest import GI1_ROWS, GI2_ROWS
 
 
@@ -294,3 +297,111 @@ def test_transpose_edge_shapes():
         BitMatrix.identity(3).select_columns([])
     with pytest.raises(IndexError):
         BitMatrix.identity(3).select_columns([3])
+
+
+# Column-scan reference for the pivot-indexed elimination in gf2: the
+# loop that _eliminate ran before, kept here as the reference it is
+# checked against.  For each column it searches the remaining rows for a
+# pivot, then tests every other row for that column's bit.
+
+def eliminate_by_columns(words, cols, reduce_above):
+    pivots = []
+    pivot_row = 0
+    for col in range(cols):
+        bit = 1 << col
+        found = -1
+        for r in range(pivot_row, len(words)):
+            if words[r] & bit:
+                found = r
+                break
+        if found < 0:
+            continue
+        words[pivot_row], words[found] = words[found], words[pivot_row]
+        start = 0 if reduce_above else pivot_row + 1
+        for r in range(start, len(words)):
+            if r != pivot_row and words[r] & bit:
+                words[r] ^= words[pivot_row]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(words):
+            break
+    return pivots
+
+
+def assert_eliminates_like_column_scan(words, cols):
+    """Both modes: the pivot lists agree; with reduce_above the words
+    (the RREF) agree; without it the words are a row echelon form of
+    the same row space."""
+    ref_rref = list(words)
+    ref_pivots = eliminate_by_columns(ref_rref, cols, reduce_above=True)
+    got = list(words)
+    assert _eliminate(got, cols, reduce_above=True) == ref_pivots
+    assert got == ref_rref
+
+    got = list(words)
+    pivots = _eliminate(got, cols, reduce_above=False)
+    assert pivots == eliminate_by_columns(list(words), cols, False)
+    n = len(pivots)
+    assert [(w & -w).bit_length() - 1 for w in got[:n]] == pivots
+    assert not any(got[n:])
+    eliminate_by_columns(got, cols, reduce_above=True)
+    assert got == ref_rref
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(words, cols) with zero, duplicate and dependent rows, sparse and
+    dense rows, possibly more rows than columns, in the plain layout or
+    the augmented ones that solve (cols + 1) and inverse (2n) build."""
+    layout = draw(st.sampled_from(["plain", "solve", "inverse"]))
+    cols = draw(st.integers(1, 130 if layout != "inverse" else 65))
+    n_rows = cols if layout == "inverse" else draw(st.integers(1, 40))
+    words = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(
+            ["zero", "dense", "sparse", "duplicate", "dependent"]
+        ))
+        if kind == "dense":
+            w = draw(st.integers(0, (1 << cols) - 1))
+        elif kind == "sparse":
+            w = sum({1 << j for j in draw(
+                st.lists(st.integers(0, cols - 1), max_size=4)
+            )})
+        elif kind in ("duplicate", "dependent") and words:
+            picks = draw(st.lists(
+                st.sampled_from(words), min_size=1,
+                max_size=1 if kind == "duplicate" else 4,
+            ))
+            w = 0
+            for v in picks:
+                w ^= v
+        else:
+            w = 0
+        words.append(w)
+    if layout == "solve":
+        b = draw(st.integers(0, (1 << n_rows) - 1))
+        words = [w | ((b >> i) & 1) << cols for i, w in enumerate(words)]
+        return words, cols + 1
+    if layout == "inverse":
+        return [w | 1 << (cols + i) for i, w in enumerate(words)], 2 * cols
+    return words, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_inputs())
+def test_eliminate_matches_column_scan(case):
+    words, cols = case
+    assert_eliminates_like_column_scan(words, cols)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_eliminate_matches_column_scan_on_rm_matrices(m):
+    for r in range(m + 1):
+        g = rm_generator(r, m)
+        assert_eliminates_like_column_scan(list(g.row_words), g.cols)
+    for r in range(1, m):
+        inst, y = _rm_merge_matrix(r, m)
+        product = mat_mul(inst.stacked_generator(), y.y)
+        assert_eliminates_like_column_scan(
+            list(product.row_words), product.cols
+        )

@@ -87,6 +87,9 @@ def test_monomial_masks_match_pointwise_reference(m):
         assert list(g.row_words) == [
             ref[s] for s in monomial_basis(r, m).monomials
         ]
+        rec = rm_code(r, m)
+        assert rec.code.generator == g
+        assert (rec.basis, rec.points) == (monomial_basis(r, m), pts)
     # degree_block_a(r, m + 1) evaluates in m variables: this m.
     for r in range(1, m + 1):
         assert list(degree_block_a(r, m + 1).row_words) == [
