@@ -6,6 +6,7 @@ from hypothesis import assume, strategies as st
 import convcode as cc
 from convcode import conversion, gf2, reedmuller
 from convcode.codes import from_generator, random_code
+from convcode.matio import format_matrix
 from convcode.oracle import candidate_count
 
 
@@ -69,6 +70,24 @@ def example_y(example_instance):
     return cc.ConversionMatrix(
         cc.BitMatrix.from_columns(cols, 6), example_instance.n_initial
     )
+
+
+@pytest.fixture
+def example_files(tmp_path):
+    """Files of the worked example: stacked G_I with blocks, G_F, Y."""
+    gi = cc.block_diag(
+        [cc.BitMatrix.from_rows(GI1_ROWS), cc.BitMatrix.from_rows(GI2_ROWS)]
+    )
+    gi_path = tmp_path / "gi.txt"
+    gi_path.write_text(format_matrix(gi, blocks=(3, 3)))
+    gf_path = tmp_path / "gf.txt"
+    gf_path.write_text(format_matrix(cc.BitMatrix.from_rows(GF_ROWS)))
+    y = cc.BitMatrix.from_columns(
+        [1 << 0, 1 << 1, 1 << 3, 1 << 4, (1 << 2) | (1 << 5)], 6
+    )
+    y_path = tmp_path / "y.txt"
+    y_path.write_text(format_matrix(y, blocks=(3, 3)))
+    return gi_path, gf_path, y_path
 
 
 @st.composite

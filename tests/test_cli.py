@@ -3,27 +3,8 @@ import json
 import pytest
 
 from convcode.cli import main
-from convcode.gf2 import BitMatrix, block_diag
+from convcode.gf2 import BitMatrix
 from convcode.matio import format_matrix, parse_matrix, read_matrix
-
-from tests.conftest import GF_ROWS, GI1_ROWS, GI2_ROWS
-
-
-@pytest.fixture
-def example_files(tmp_path):
-    gi = block_diag(
-        [BitMatrix.from_rows(GI1_ROWS), BitMatrix.from_rows(GI2_ROWS)]
-    )
-    gi_path = tmp_path / "gi.txt"
-    gi_path.write_text(format_matrix(gi, blocks=(3, 3)))
-    gf_path = tmp_path / "gf.txt"
-    gf_path.write_text(format_matrix(BitMatrix.from_rows(GF_ROWS)))
-    y = BitMatrix.from_columns(
-        [1 << 0, 1 << 1, 1 << 3, 1 << 4, (1 << 2) | (1 << 5)], 6
-    )
-    y_path = tmp_path / "y.txt"
-    y_path.write_text(format_matrix(y, blocks=(3, 3)))
-    return gi_path, gf_path, y_path
 
 
 def test_rm_stdout(capsys):

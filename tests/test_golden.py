@@ -2,7 +2,9 @@
 
 The digests below were recorded from the reference implementation; any
 change to a conversion matrix, a cost record, the enumeration order or
-the oracle's tie-break shows up here as a digest mismatch.
+the oracle's tie-break shows up here as a digest mismatch.  The CLI
+digests pin the exact stdout (and exit code) of the merge, report, rm
+and verify commands.
 """
 
 import hashlib
@@ -10,7 +12,9 @@ import random
 
 import pytest
 
+from convcode.cli import main
 from convcode.codes import random_code
+from convcode.gf2 import BitMatrix
 from convcode.conversion import make_instance, rm_merge_chain, rm_merge_procedure
 from convcode.matio import format_matrix
 from convcode.oracle import enumerate_conversions, min_access_cost
@@ -271,3 +275,61 @@ def test_oracle_stream_and_pick_golden(case):
 def test_rm_code_is_memoised():
     assert rm_code(2, 5) is rm_code(2, 5)
     assert rm_code(2, 5) is not rm_code(1, 5)
+
+
+# Y files for `verify` beside the worked example's valid one: rank 0; full
+# rank but a wrong row space (the new symbol reads x3 instead of x3 + x6);
+# a width that does not match n_F (a usage error, so nothing on stdout).
+VERIFY_YS = {
+    "zero": BitMatrix([0] * 6, 5),
+    "wrong-space": BitMatrix.from_columns(
+        [1 << 0, 1 << 1, 1 << 3, 1 << 4, 1 << 2], 6),
+    "narrow": BitMatrix.from_columns([1 << 0, 1 << 1, 1 << 3, 1 << 4], 6),
+}
+
+# argv -> (exit code, sha256 of stdout); {gi}, {gf}, {y} and {y:<name>}
+# name the worked example's files and the VERIFY_YS files.
+CLI_GOLDEN = {
+    "merge --r 2 --m 4": (
+        0, "4cec87e6d88d07787d0e9dcd621260dee8a2488990d4d15cb447cb8261770186"),
+    "merge --r 2 --m 4 --format json": (
+        0, "172e1f4cb93f991346bae8e5332acffb6b00c173bd5ccfa10fba5c6bd56a53c8"),
+    "merge --r 3 --m 6 --format json": (
+        0, "d5a3c0eb61fb227e16fab081edca73eab625f10e4acc15573e40940565a268fd"),
+    "report --m-min 4 --m-max 6": (
+        0, "bab41c37e24bd3a6627de820a24f25f7ca237bb52192b77d6f46773c82d1894b"),
+    "report --m-min 4 --m-max 6 --format json": (
+        0, "3e5c7ccc188020fc01a1d429eaa8614330fb5806539f3d6a4b1855ee8f49aa19"),
+    "rm --r 2 --m 4 --transformed": (
+        0, "591f0b233d8d0861a8440e833a27557f1327c4ca3854d5d3e880a16c79a13763"),
+    "verify --gi {gi} --gf {gf} --y {y}": (
+        0, "6cd1319c28aebcaaa32f1bc4ef41914d8d81412b8b0c44156ea791fa21e3c7f4"),
+    "verify --gi {gi} --blocks 3,3 --gf {gf} --y {y}": (
+        0, "6cd1319c28aebcaaa32f1bc4ef41914d8d81412b8b0c44156ea791fa21e3c7f4"),
+    "verify --gi {gi} --gf {gf} --y {y:zero}": (
+        1, "0464536588a95c6dfe990673cca89ad33603e31b6484a487175c5aa48ace3b35"),
+    "verify --gi {gi} --gf {gf} --y {y:wrong-space}": (
+        1, "0464536588a95c6dfe990673cca89ad33603e31b6484a487175c5aa48ace3b35"),
+    "verify --gi {gi} --gf {gf} --y {y:narrow}": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "rm --r 1 --m 21": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "merge --r 1 --m 22": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _cli_argv(cmd, files, tmp_path):
+    gi, gf, y = files
+    names = {"{gi}": gi, "{gf}": gf, "{y}": y}
+    for name, mat in VERIFY_YS.items():
+        path = tmp_path / f"y-{name}.txt"
+        path.write_text(format_matrix(mat, blocks=(3, 3)))
+        names[f"{{y:{name}}}"] = path
+    return [str(names.get(word, word)) for word in cmd.split()]
+
+
+@pytest.mark.parametrize("cmd", list(CLI_GOLDEN))
+def test_cli_stdout_golden(cmd, example_files, tmp_path, capsys):
+    code = main(_cli_argv(cmd, example_files, tmp_path))
+    assert (code, _sha(capsys.readouterr().out)) == CLI_GOLDEN[cmd]
