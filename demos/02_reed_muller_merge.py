@@ -22,17 +22,17 @@ from convcode import (
 )
 
 R, M = 2, 4
+# rm_code(r, m) is the code itself (a LinearCode), built once per (r, m).
 c1 = rm_code(R, M - 1)
 c2 = rm_code(R - 1, M - 1)
 cf = rm_code(R, M)
 print(f"RM({R},{M - 1}) x RM({R - 1},{M - 1}) -> RM({R},{M}):")
-print(f"  [{c1.code.n},{c1.code.k}] x [{c2.code.n},{c2.code.k}] "
-      f"-> [{cf.code.n},{cf.code.k}]")
+print(f"  [{c1.n},{c1.k}] x [{c2.n},{c2.k}] -> [{cf.n},{cf.k}]")
 
 inst, y, report = rm_merge_procedure(R, M)
 print("  conversion valid:", verify_conversion(inst, y))
 print("  costs:", report.to_record())
-print(f"  (all {c1.code.n} symbols of the first code and "
+print(f"  (all {c1.n} symbols of the first code and "
       f"{len(report.unchanged_per_code[1])} of the second stay in place)")
 
 # rm_merge_apply runs the merge's conversion matrix, so it agrees with
@@ -40,8 +40,8 @@ print(f"  (all {c1.code.n} symbols of the first code and "
 # conversion reads are the R sets that classify_symbols reports.
 rng = random.Random(7)
 for _ in range(3):
-    x1 = encode(c1.code, BitVector(c1.code.k, rng.getrandbits(c1.code.k)))
-    x2 = encode(c2.code, BitVector(c2.code.k, rng.getrandbits(c2.code.k)))
+    x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))
+    x2 = encode(c2, BitVector(c2.k, rng.getrandbits(c2.k)))
     via_matrix = apply_conversion(inst, y, [x1, x2])
     via_merge = rm_merge_apply(R, M, x1, x2)
     assert via_matrix == via_merge

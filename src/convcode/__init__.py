@@ -19,7 +19,6 @@ from .gf2 import (
     mat_vec,
     rank,
     right_kernel_basis,
-    row_space_equal,
     rref,
     solve,
     vec_mat,
@@ -46,15 +45,11 @@ from .codes import (
     zero_code,
 )
 from .reedmuller import (
-    MonomialBasis,
-    PointList,
-    RmCode,
     degree_block_a,
     evaluate_monomial,
     low_weight_positions,
     monomial_basis,
     plotkin_sum,
-    points,
     rm_code,
     rm_dimension,
     rm_generator,

@@ -32,7 +32,6 @@ from .conversion import (
     classify_symbols,
     make_instance,
     rm_merge_procedure,
-    verify_conversion,
 )
 from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError, vec_mat
 from .oracle import SearchLimits, min_access_cost
@@ -186,21 +185,36 @@ def cmd_rm(args) -> int:
     return OK
 
 
-def _merge_report(r: int, m: int):
+def _merge_audit(r: int, m: int, source: str):
+    """The RM merge (r, m) with its ParamSet and bound audit.
+
+    source "formula" takes d_F = 2^(m-r) and d_F_dual = 2^(r+1);
+    "exhaustive" scans the final code and its dual, falling back to the
+    formula beyond the scan limit.  Also returns the source of each.
+    """
     inst, y, costs = rm_merge_procedure(r, m)
-    d_f = 1 << (m - r)
-    d_f_dual = 1 << (r + 1)
+    d_f = d_f_dual = None
+    if source == "exhaustive":
+        d_f, d_f_dual = _code_distances(inst.final_code)
+    distance_source = {"d_F": "exhaustive", "d_F_dual": "exhaustive"}
+    if d_f is None:
+        d_f = 1 << (m - r)
+        distance_source["d_F"] = "formula"
+    if d_f_dual is None:
+        d_f_dual = 1 << (r + 1)
+        distance_source["d_F_dual"] = "formula"
     p = bounds_mod.ParamSet(
-        inst.n_initial, inst.k_initial, inst.n_final, inst.k_final, d_f, d_f_dual
+        inst.n_initial, inst.k_initial, inst.n_final, inst.k_final,
+        d_f, d_f_dual,
     )
-    return inst, y, costs, p, bounds_mod.audit(p, costs)
+    return inst, y, costs, p, bounds_mod.audit(p, costs), distance_source
 
 
 def cmd_merge(args) -> int:
     r, m = args.r, args.m
     if not 1 <= r <= m - 1:
         raise CliError(f"merge needs 1 <= r <= m-1, got r={r}, m={m}")
-    inst, y, costs, p, bound_report = _merge_report(r, m)
+    inst, y, costs, p, bound_report, _ = _merge_audit(r, m, "formula")
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
     if args.format == "json":
@@ -220,14 +234,12 @@ def cmd_verify(args) -> int:
     y_mat, y_blocks = _load_matrix(args.y)
     blocks = y_blocks or inst.n_initial
     try:
-        y = ConversionMatrix(y_mat, tuple(blocks))
-        ok = verify_conversion(inst, y)
+        report = classify_symbols(inst, ConversionMatrix(y_mat, tuple(blocks)))
     except DimensionError as exc:
         raise CliError(str(exc)) from exc
-    if not ok:
+    except ConversionError:
         print("INVALID: matrix does not convert the initial codes to the final code")
         return FAIL
-    report = classify_symbols(inst, y)
     print("VALID conversion")
     for line in _format_cost_text(report):
         print(line)
@@ -244,24 +256,11 @@ def cmd_report(args) -> int:
         rows.append((m, m - 2))
     records = []
     for m, r in rows:
-        inst, y, costs = rm_merge_procedure(r, m)
-        final = inst.final_code
-        d_f, d_f_dual = _code_distances(final)
-        d_source = "exhaustive"
-        if d_f is None:
-            d_f = 1 << (m - r)
-            d_source = "formula"
-        dual_source = "exhaustive"
-        if d_f_dual is None:
-            d_f_dual = 1 << (r + 1)
-            dual_source = "formula"
-        p = bounds_mod.ParamSet(
-            inst.n_initial, inst.k_initial, inst.n_final, inst.k_final,
-            d_f, d_f_dual,
+        _, _, costs, p, bound_report, distance_source = _merge_audit(
+            r, m, "exhaustive"
         )
-        bound_report = bounds_mod.audit(p, costs)
         rec = _report_record(p, costs, bound_report)
-        rec["distance_source"] = {"d_F": d_source, "d_F_dual": dual_source}
+        rec["distance_source"] = distance_source
         records.append((m, r, p, costs, bound_report, rec))
     if args.format == "json":
         print(json.dumps([rec for *_, rec in records], indent=2))

@@ -20,7 +20,6 @@ from .gf2 import (
     inverse,
     mat_mul,
     rank,
-    row_space_equal,
     rref,
     solve,
     right_kernel_basis,
@@ -90,12 +89,16 @@ def zero_code(n: int) -> LinearCode:
 
 
 def same_code(a: LinearCode, b: LinearCode) -> bool:
-    """Row-space equality (generator choice does not matter)."""
-    if a.n != b.n:
+    """Row-space equality (generator choice does not matter).
+
+    Generators have full rank, so the codes are equal iff k agrees and
+    every generator row of a is a codeword of b.
+    """
+    if a.n != b.n or a.k != b.k:
         return False
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return row_space_equal(a.generator, b.generator)
+    return a.is_zero or all(
+        contains(b, a.generator.row(i)) for i in range(a.k)
+    )
 
 
 def min_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
@@ -268,8 +271,9 @@ def contains(c: LinearCode, x: BitVector) -> bool:
     acc = 0
     t = x.mask & pivot_mask
     while t:
-        acc ^= rows[(t & -t).bit_length() - 1]
-        t &= t - 1
+        p = t.bit_length() - 1
+        acc ^= rows[p]
+        t ^= 1 << p
     return acc == x.mask
 
 

@@ -26,7 +26,6 @@ from .gf2 import (
     inverse,
     mat_mul,
     rank,
-    row_space_equal,
     vec_mat,
 )
 from .codes import (
@@ -183,7 +182,9 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
     """True iff G_I . Y has rank k_F and generates the final code.
 
     Row-space equality, not literal matrix equality: a valid conversion
-    may land on any generator choice of the final code.
+    may land on any generator choice of the final code.  With rank k_F,
+    the rows span the final code iff each is a codeword; contains tests
+    each against the final code's cached echelon form.
     """
     if y.blocks != inst.n_initial:
         raise DimensionError("conversion-matrix blocks do not match instance")
@@ -192,7 +193,9 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
     product = mat_mul(inst.stacked_generator(), y.y)
     if rank(product) != inst.k_final:
         return False
-    return row_space_equal(product, inst.final_code.generator)
+    return all(
+        contains(inst.final_code, product.row(i)) for i in range(product.rows)
+    )
 
 
 def classify_symbols(
@@ -288,24 +291,6 @@ def apply_conversion(
     return vec_mat(_stack_codewords(codewords), y.y)
 
 
-_RM_MERGES: Dict[
-    Tuple[int, int], Tuple[ConvertibleInstance, ConversionMatrix]
-] = {}
-
-
-def _rm_merge_matrix(
-    r: int, m: int
-) -> Tuple[ConvertibleInstance, ConversionMatrix]:
-    """Instance and conversion matrix of the RM merge, built once per
-    (r, m); later calls return the same (shared, immutable) pair."""
-    if not 1 <= r <= m - 1:
-        raise ConversionError("need 1 <= r <= m - 1")
-    key = (r, m)
-    if key not in _RM_MERGES:
-        _RM_MERGES[key] = _build_rm_merge(r, m)
-    return _RM_MERGES[key]
-
-
 def _build_rm_merge(
     r: int, m: int
 ) -> Tuple[ConvertibleInstance, ConversionMatrix]:
@@ -317,9 +302,9 @@ def _build_rm_merge(
     reading the second code directly is no dearer than decoding it; else
     it re-encodes that code from its symbols at the zero columns of A.
     """
-    c1 = rm_code(r, m - 1).code
-    c2 = rm_code(r - 1, m - 1).code
-    inst = make_instance([c1, c2], rm_code(r, m).code)
+    c1 = rm_code(r, m - 1)
+    c2 = rm_code(r - 1, m - 1)
+    inst = make_instance([c1, c2], rm_code(r, m))
 
     half = 1 << (m - 1)
     a = degree_block_a(r, m)
@@ -348,6 +333,11 @@ def _build_rm_merge(
     return inst, ConversionMatrix(BitMatrix(words, 2 * half), inst.n_initial)
 
 
+_RM_MERGES: Dict[
+    Tuple[int, int], Tuple[ConvertibleInstance, ConversionMatrix, CostReport]
+] = {}
+
+
 def rm_merge_procedure(
     r: int, m: int
 ) -> Tuple[ConvertibleInstance, ConversionMatrix, CostReport]:
@@ -358,9 +348,17 @@ def rm_merge_procedure(
     unchanged in the right half; each remaining right-half symbol is the
     matching degree-r combination of the first codeword plus the
     corresponding second-codeword symbol.
+
+    The triple is built and classified (so verified) on the first call
+    per (r, m); later calls return the same (shared, immutable) triple.
     """
-    inst, y = _rm_merge_matrix(r, m)
-    return inst, y, classify_symbols(inst, y)
+    if not 1 <= r <= m - 1:
+        raise ConversionError("need 1 <= r <= m - 1")
+    key = (r, m)
+    if key not in _RM_MERGES:
+        inst, y = _build_rm_merge(r, m)
+        _RM_MERGES[key] = (inst, y, classify_symbols(inst, y))
+    return _RM_MERGES[key]
 
 
 def rm_merge_apply(
@@ -371,10 +369,11 @@ def rm_merge_apply(
     Applies the merge's conversion matrix, so it equals apply_conversion
     with the matrix emitted by rm_merge_procedure; the symbols it reads
     are the read sets that classify_symbols reports for that matrix.  The
-    matrix is built on the first call per (r, m), so a later call costs
-    one apply_conversion.
+    matrix is built and verified on the first call per (r, m), so a later
+    call costs one apply_conversion.
     """
-    return apply_conversion(*_rm_merge_matrix(r, m), (c1_word, c2_word))
+    inst, y, _ = rm_merge_procedure(r, m)
+    return apply_conversion(inst, y, (c1_word, c2_word))
 
 
 def rm_merge_chain(
@@ -393,11 +392,11 @@ def rm_merge_chain(
         raise ConversionError("need r >= depth and m - 1 >= depth")
     # Innermost stage merges two leaves into RM(r, m - depth + 1); each
     # later stage adds the next RM(r-1, out_m - 1) leaf.
-    stage, y_stage = _rm_merge_matrix(r, m - depth + 1)
+    stage, y_stage, _ = rm_merge_procedure(r, m - depth + 1)
     leaves = list(stage.initial_codes)
     composed = y_stage.y
     for out_m in range(m - depth + 2, m + 1):
-        stage, y_stage = _rm_merge_matrix(r, out_m)
+        stage, y_stage, _ = rm_merge_procedure(r, out_m)
         lift = block_diag([composed, BitMatrix.identity(1 << (out_m - 1))])
         composed = mat_mul(lift, y_stage.y)
         leaves.append(stage.initial_codes[1])

@@ -145,7 +145,13 @@ class BitMatrix:
         return BitVector(self.cols, self.row_words[i])
 
     def column_mask(self, j: int) -> int:
-        """Column j packed into an integer (bit i = row i)."""
+        """Column j packed into an integer (bit i = row i).
+
+        A bit-by-bit convenience for tests and interactive use; no path
+        in the package calls it (classification reads all columns from
+        one transpose).  It stays because `perfbench/tracer.py` wraps
+        it by name.
+        """
         if not 0 <= j < self.cols:
             raise IndexError(j)
         m = 0
@@ -283,16 +289,6 @@ def rref(m: BitMatrix) -> Tuple[BitMatrix, Tuple[int, ...]]:
     words = list(m.row_words)
     pivots = _eliminate(words, m.cols, reduce_above=True)
     return BitMatrix(words, m.cols), tuple(pivots)
-
-
-def row_space_words(m: BitMatrix) -> Tuple[int, ...]:
-    """Canonical form of the row space: nonzero rows of the RREF."""
-    reduced, pivots = rref(m)
-    return reduced.row_words[: len(pivots)]
-
-
-def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
-    return a.cols == b.cols and row_space_words(a) == row_space_words(b)
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

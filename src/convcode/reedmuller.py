@@ -1,8 +1,8 @@
 """Reed-Muller codes RM(r, m) by monomial evaluation.
 
-Builds the evaluation-point list, the square-free monomial basis, the
-plain and row-transformed generator matrices, the Plotkin sum, and the
-degree-r evaluation block used by the merge construction.
+Builds the square-free monomial basis, the plain and row-transformed
+generator matrices, the Plotkin sum, and the degree-r evaluation block
+used by the merge construction.
 
 A monomial is evaluated on all points at once: each variable's
 evaluations form a periodic mask, and the monomial's row is the AND of
@@ -17,7 +17,6 @@ degree, then lexicographically within each degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
@@ -27,52 +26,23 @@ from .codes import LinearCode, from_generator
 MAX_M = 20
 
 
-@dataclass(frozen=True)
-class PointList:
-    """All 2^m evaluation points in lexicographic order."""
-
-    m: int
-    points: Tuple[Tuple[int, ...], ...]
+def _check_m(m: int) -> None:
+    if not 1 <= m <= MAX_M:
+        raise SizeGuardError(f"m must be in [1, {MAX_M}]")
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+def monomial_basis(r: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     """Square-free monomials of degree <= r in m variables.
 
     Each monomial is the tuple of its variable indices (1-based),
     ordered by degree then lexicographically within a degree.
     """
-
-    m: int
-    r: int
-    monomials: Tuple[Tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class RmCode:
-    r: int
-    m: int
-    code: LinearCode
-    basis: MonomialBasis
-    points: PointList
-
-
-def points(m: int) -> PointList:
-    if not 1 <= m <= MAX_M:
-        raise SizeGuardError(f"m must be in [1, {MAX_M}]")
-    pts = tuple(
-        tuple((j >> (m - 1 - i)) & 1 for i in range(m)) for j in range(1 << m)
-    )
-    return PointList(m, pts)
-
-
-def monomial_basis(r: int, m: int) -> MonomialBasis:
     if not (0 <= r <= m and m >= 1):
         raise ValueError("need 0 <= r <= m and m >= 1")
     monos: List[Tuple[int, ...]] = []
     for deg in range(r + 1):
         monos.extend(combinations(range(1, m + 1), deg))
-    return MonomialBasis(m, r, tuple(monos))
+    return tuple(monos)
 
 
 def rm_dimension(r: int, m: int) -> int:
@@ -94,51 +64,45 @@ def _variable_mask(i: int, m: int) -> int:
     return mask
 
 
-def evaluate_monomial(s: Sequence[int], pts: PointList) -> BitVector:
-    """Evaluations of the monomial prod_{i in s} X_i at every point.
+def evaluate_monomial(s: Sequence[int], m: int) -> BitVector:
+    """Evaluations of the monomial prod_{i in s} X_i at all 2^m points.
 
-    The points are those of points(m), in lexicographic order.  The result
-    is the AND of the variable masks of s (see _variable_mask), so it costs
-    a few whole-word operations per variable instead of a pass over the
+    The points are in lexicographic order.  The result is the AND of the
+    variable masks of s (see _variable_mask), so it costs a few
+    whole-word operations per variable instead of a pass over the
     points.  The empty monomial evaluates to the all-ones vector.
     """
+    _check_m(m)
     s = tuple(s)
     for i in s:
-        if not 1 <= i <= pts.m:
-            raise ValueError(f"variable index {i} outside [1, {pts.m}]")
-    n = 1 << pts.m
+        if not 1 <= i <= m:
+            raise ValueError(f"variable index {i} outside [1, {m}]")
+    n = 1 << m
     mask = (1 << n) - 1
     for i in s:
-        mask &= _variable_mask(i, pts.m)
+        mask &= _variable_mask(i, m)
     return BitVector(n, mask)
 
 
 def rm_generator(r: int, m: int) -> BitMatrix:
     """Generator of RM(r, m): one evaluation row per basis monomial."""
-    return _rm_parts(r, m)[0]
-
-
-def _rm_parts(r: int, m: int) -> Tuple[BitMatrix, MonomialBasis, PointList]:
-    """Generator of RM(r, m) with the basis and points it was built from."""
     if not (0 <= r <= m):
         raise ValueError("need 0 <= r <= m")
-    pts = points(m)
-    basis = monomial_basis(r, m)
-    words = [evaluate_monomial(s, pts).mask for s in basis.monomials]
-    return BitMatrix(words, 1 << m), basis, pts
+    _check_m(m)
+    words = [evaluate_monomial(s, m).mask for s in monomial_basis(r, m)]
+    return BitMatrix(words, 1 << m)
 
 
-_RM_CODES: Dict[Tuple[int, int], RmCode] = {}
+_RM_CODES: Dict[Tuple[int, int], LinearCode] = {}
 
 
-def rm_code(r: int, m: int) -> RmCode:
-    """RM(r, m) with its basis and points; built once per (r, m)."""
+def rm_code(r: int, m: int) -> LinearCode:
+    """RM(r, m), built once per (r, m); later calls return the same code."""
     key = (r, m)
     if key not in _RM_CODES:
-        generator, basis, pts = _rm_parts(r, m)
-        code = from_generator(generator)
+        code = from_generator(rm_generator(r, m))
         code._d = 1 << (m - r)  # Reed-Muller distance is known exactly
-        _RM_CODES[key] = RmCode(r, m, code, basis, pts)
+        _RM_CODES[key] = code
     return _RM_CODES[key]
 
 
@@ -162,9 +126,8 @@ def degree_block_a(r: int, m: int) -> BitMatrix:
     """
     if not 1 <= r <= m - 1:
         raise ValueError("need 1 <= r <= m - 1")
-    pts = points(m - 1)
     words = [
-        evaluate_monomial(s, pts).mask
+        evaluate_monomial(s, m - 1).mask
         for s in combinations(range(1, m), r)
     ]
     return BitMatrix(words, 1 << (m - 1))

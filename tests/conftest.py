@@ -13,8 +13,8 @@ from convcode.oracle import candidate_count
 @pytest.fixture(autouse=True)
 def fresh_rm_codes():
     # rm_code shares one LinearCode per (r, m), and the RM merge shares one
-    # instance (holding those codes) and matrix per (r, m); a test that
-    # resets a distance cache must not leak that into the next test.
+    # (instance, matrix, report) triple per (r, m); a test that resets a
+    # distance cache must not leak that into the next test.
     reedmuller._RM_CODES.clear()
     conversion._RM_MERGES.clear()
     yield
@@ -34,6 +34,13 @@ def eliminations(monkeypatch):
 
     monkeypatch.setattr(gf2, "_eliminate", counting)
     return calls
+
+
+def row_space_by_rref(m):
+    """Reference canonical form of a row space: the nonzero RREF rows (the
+    comparison that verify_conversion and same_code used to make)."""
+    reduced, pivots = cc.rref(m)
+    return reduced.row_words[: len(pivots)]
 
 
 # Worked merge example used throughout: two [3,2] single-parity codes

@@ -132,7 +132,7 @@ def test_criterion_4_rm_property_suite(capsys):
     with criterion(capsys, 4, "RM dimension/dual/Plotkin/distance, m <= 7", 300.0):
         for m in range(1, 8):
             for r in range(0, m + 1):
-                code = rm_code(r, m).code
+                code = rm_code(r, m)
                 k = code.k
                 assert k == rm_dimension(r, m)
                 assert k == sum(math.comb(m, i) for i in range(r + 1))
@@ -153,7 +153,7 @@ def test_criterion_4_rm_property_suite(capsys):
                 if r == m:
                     assert dual_rm.is_zero
                 else:
-                    assert same_code(dual_rm, rm_code(m - r - 1, m).code)
+                    assert same_code(dual_rm, rm_code(m - r - 1, m))
 
                 if m >= 1:
                     assert same_code(_plotkin_span(r, m), code)
@@ -305,7 +305,7 @@ def test_criterion_8_structural_properties(capsys):
         # Encode/decode round trips on the weight-<=r information sets.
         for m in range(1, 7):
             for r in range(0, m + 1):
-                code = rm_code(r, m).code
+                code = rm_code(r, m)
                 s = low_weight_positions(r, m)
                 for _ in range(5):
                     u = BitVector(code.k, rng.getrandbits(code.k))

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from convcode.cli import main
 from convcode.gf2 import BitMatrix
 from convcode.matio import format_matrix, parse_matrix, read_matrix

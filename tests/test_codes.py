@@ -28,12 +28,13 @@ from convcode.gf2 import (
     BitVector,
     DimensionError,
     SizeGuardError,
+    mat_mul,
     rank,
     vec_mat,
 )
 from convcode.reedmuller import rm_code
 
-from tests.conftest import GF_ROWS, GI1_ROWS
+from tests.conftest import GF_ROWS, GI1_ROWS, row_space_by_rref
 
 
 def repetition(n):
@@ -67,6 +68,43 @@ def test_same_code_row_space():
     assert not same_code(a, c)
     assert not same_code(a, zero_code(3))
     assert same_code(zero_code(3), zero_code(3))
+
+
+def same_code_by_rref(a, b):
+    if a.n != b.n or a.is_zero or b.is_zero:
+        return a.n == b.n and a.is_zero and b.is_zero
+    return row_space_by_rref(a.generator) == row_space_by_rref(b.generator)
+
+
+@st.composite
+def code_pairs(draw):
+    """Two codes: b is a's generator times a random invertible matrix
+    (equal spaces), a with one row replaced by a random word (usually
+    unequal), or an unrelated code, sometimes zero or of another length."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    a = random_code(n, k, rng) if k else zero_code(n)
+    kind = draw(st.sampled_from(["mixed", "row", "other"]))
+    if kind == "mixed" and k:
+        mix = random_code(k, k, rng).generator  # invertible k x k
+        return a, from_generator(mat_mul(mix, a.generator))
+    if kind == "row" and k:
+        words = list(a.generator.row_words)
+        words[rng.randrange(k)] = rng.getrandbits(n)
+        if rank(BitMatrix(words, n)) == k:
+            return a, from_generator(BitMatrix(words, n))
+    n2 = n + draw(st.sampled_from([0, 0, 0, 1]))
+    k2 = draw(st.integers(0, n2))
+    return a, random_code(n2, k2, rng) if k2 else zero_code(n2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(code_pairs())
+def test_same_code_matches_rref_reference(pair):
+    a, b = pair
+    assert same_code(a, b) == same_code_by_rref(a, b)
+    assert same_code(b, a) == same_code_by_rref(a, b)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -290,7 +328,7 @@ def test_contains_edge_codes():
 
 
 def test_contains_repeated_on_memoised_rm_code():
-    code = rm_code(2, 5).code
+    code = rm_code(2, 5)
     rng = random.Random(12)
     words = [encode(code, BitVector(code.k, rng.getrandbits(code.k)))
              for _ in range(5)]
@@ -298,8 +336,8 @@ def test_contains_repeated_on_memoised_rm_code():
     first = [contains(code, x) for x in words]
     assert first == [contains_by_rank(code, x) for x in words]
     assert first[:5] == [True] * 5
-    assert rm_code(2, 5).code is code
-    assert [contains(rm_code(2, 5).code, x) for x in words] == first
+    assert rm_code(2, 5) is code
+    assert [contains(rm_code(2, 5), x) for x in words] == first
 
 
 def test_systematic_generator_identity_on_set():

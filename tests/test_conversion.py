@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
-from convcode import conversion
 from convcode.codes import contains, encode, random_code
 from convcode.conversion import (
     ConversionError,
@@ -22,6 +21,8 @@ from convcode.gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
+    mat_mul,
+    rank,
     right_kernel_basis,
 )
 from convcode.oracle import enumerate_conversions
@@ -32,7 +33,12 @@ from convcode.reedmuller import (
     zero_columns,
 )
 
-from tests.conftest import GI1_ROWS, GI2_ROWS, small_instances
+from tests.conftest import (
+    GI1_ROWS,
+    GI2_ROWS,
+    row_space_by_rref,
+    small_instances,
+)
 
 
 def test_make_instance_checks_dimension_sum(example_codes):
@@ -168,9 +174,10 @@ def test_enumerated_reports_match_old_classification(inst):
     assert count > 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_instances(), st.data())
-def test_classify_symbols_matches_old_on_perturbed_default(inst, data):
+def perturbed_default(inst, data):
+    """default_conversion with right-kernel vectors added to its columns
+    (still valid) and optionally one flip outside the kernel, which
+    usually breaks Y."""
     y0 = default_conversion(inst)
     kernel = [v.mask for v in right_kernel_basis(inst.stacked_generator())]
     rows = inst.total_initial_length
@@ -181,11 +188,16 @@ def test_classify_symbols_matches_old_on_perturbed_default(inst, data):
             if data.draw(st.booleans()):
                 col ^= v
         cols.append(col)
-    # Optionally one flip outside the kernel, which usually breaks Y.
     if data.draw(st.booleans()):
         j = data.draw(st.integers(0, inst.n_final - 1))
         cols[j] ^= 1 << data.draw(st.integers(0, rows - 1))
-    y = ConversionMatrix(BitMatrix.from_columns(cols, rows), inst.n_initial)
+    return ConversionMatrix(BitMatrix.from_columns(cols, rows), inst.n_initial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.data())
+def test_classify_symbols_matches_old_on_perturbed_default(inst, data):
+    y = perturbed_default(inst, data)
     if verify_conversion(inst, y):
         assert report_sets(classify_symbols(inst, y)) == classify_by_owner(
             inst, y
@@ -193,6 +205,22 @@ def test_classify_symbols_matches_old_on_perturbed_default(inst, data):
     else:
         with pytest.raises(ConversionError):
             classify_symbols(inst, y)
+
+
+def verify_by_rref(inst, y):
+    """The check verify_conversion replaced: rank k_F, then equal RREF
+    row spaces of G_I . Y and the final generator."""
+    product = mat_mul(inst.stacked_generator(), y.y)
+    return rank(product) == inst.k_final and row_space_by_rref(
+        product
+    ) == row_space_by_rref(inst.final_code.generator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_verify_conversion_matches_rref_reference(inst, data):
+    y = perturbed_default(inst, data)
+    assert verify_conversion(inst, y) == verify_by_rref(inst, y)
 
 
 def test_default_conversion_example(example_instance):
@@ -339,7 +367,7 @@ def test_apply_conversion_eliminates_nothing_once_warm(eliminations):
 def test_rm_merge_apply_eliminates_nothing_once_warm(eliminations):
     # The merge matrix is built once per (r, m), so after one warm-up a
     # call is one apply_conversion: no Gaussian elimination at all.
-    c1, c2 = rm_code(4, 8).code, rm_code(3, 8).code
+    c1, c2 = rm_code(4, 8), rm_code(3, 8)
     rng = random.Random(29)
     pairs = [
         (encode(c1, BitVector(c1.k, rng.getrandbits(c1.k))),
@@ -351,15 +379,25 @@ def test_rm_merge_apply_eliminates_nothing_once_warm(eliminations):
     assert warm > 0  # the counter sees the warm-up's merge build
     outs += [rm_merge_apply(4, 9, x1, x2) for x1, x2 in pairs[1:]]
     assert len(eliminations) == warm
-    inst, y = conversion._rm_merge_matrix(4, 9)
-    assert conversion._rm_merge_matrix(4, 9)[1] is y  # shared, not rebuilt
+    inst, y, _ = rm_merge_procedure(4, 9)
+    assert rm_merge_procedure(4, 9)[1] is y  # shared, not rebuilt
     for (x1, x2), out in zip(pairs, outs):
         assert out == apply_conversion(inst, y, [x1, x2])
         assert contains(inst.final_code, out)
 
 
+def test_rm_merge_procedure_verifies_nothing_once_warm(eliminations):
+    # The triple is built, classified and verified once per (r, m); a warm
+    # call returns the same object and runs no Gaussian elimination.
+    first = rm_merge_procedure(4, 9)
+    warm = len(eliminations)
+    assert warm > 0  # the counter sees the build and its verification
+    assert rm_merge_procedure(4, 9) is first
+    assert len(eliminations) == warm
+
+
 def test_rm_merge_apply_rejects_non_codewords():
-    c2 = rm_code(1, 3).code
+    c2 = rm_code(1, 3)
     bad = BitVector.from_bits([1, 0, 0, 0, 0, 0, 0, 0])
     ok2 = encode(c2, BitVector(c2.k, 0))
     with pytest.raises(ConversionError):
@@ -369,10 +407,10 @@ def test_rm_merge_apply_rejects_non_codewords():
 def test_rm_merge_chain_2_4():
     inst, y, report = rm_merge_chain(2, 4, depth=2)
     assert inst.lam == 3
-    expected = [rm_code(2, 2).code, rm_code(1, 2).code, rm_code(1, 3).code]
+    expected = [rm_code(2, 2), rm_code(1, 2), rm_code(1, 3)]
     for a, b in zip(inst.initial_codes, expected):
         assert cc.same_code(a, b)
-    assert cc.same_code(inst.final_code, rm_code(2, 4).code)
+    assert cc.same_code(inst.final_code, rm_code(2, 4))
     assert verify_conversion(inst, y)
     assert report.to_record() == {
         "U": [4, 3, 4], "W": 5, "R": [4, 4, 4], "access": 17

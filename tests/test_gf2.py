@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
-from convcode.conversion import _rm_merge_matrix
+from convcode.conversion import rm_merge_procedure
 from convcode.gf2 import (
     BitMatrix,
     BitVector,
@@ -400,7 +400,7 @@ def test_eliminate_matches_column_scan_on_rm_matrices(m):
         g = rm_generator(r, m)
         assert_eliminates_like_column_scan(list(g.row_words), g.cols)
     for r in range(1, m):
-        inst, y = _rm_merge_matrix(r, m)
+        inst, y, _ = rm_merge_procedure(r, m)
         product = mat_mul(inst.stacked_generator(), y.y)
         assert_eliminates_like_column_scan(
             list(product.row_words), product.cols

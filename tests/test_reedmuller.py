@@ -17,7 +17,6 @@ from convcode.reedmuller import (
     low_weight_positions,
     monomial_basis,
     plotkin_sum,
-    points,
     rm_code,
     rm_dimension,
     rm_generator,
@@ -26,23 +25,55 @@ from convcode.reedmuller import (
 )
 
 
+def points(m):
+    """Reference evaluation points: point j is the big-endian binary
+    expansion of j, so X_1 is its most significant coordinate."""
+    return tuple(
+        tuple((j >> (m - 1 - i)) & 1 for i in range(m)) for j in range(1 << m)
+    )
+
+
 def test_points_lexicographic_big_endian():
     pts = points(3)
-    assert pts.points[0] == (0, 0, 0)
-    assert pts.points[1] == (0, 0, 1)
-    assert pts.points[4] == (1, 0, 0)
-    assert pts.points[7] == (1, 1, 1)
-    assert len(pts.points) == 8
+    assert pts[0] == (0, 0, 0)
+    assert pts[1] == (0, 0, 1)
+    assert pts[4] == (1, 0, 0)
+    assert pts[7] == (1, 1, 1)
+    assert len(pts) == 8
 
 
-def test_points_size_guard():
-    with pytest.raises(SizeGuardError):
-        points(21)
+# Exception each RM builder raises per input: m outside [1, 20] is a size
+# guard, a bad r a ValueError; monomial_basis builds no vectors.
+GUARDS = [
+    (rm_generator, (0, 21), SizeGuardError),
+    (rm_generator, (0, 0), SizeGuardError),
+    (rm_generator, (5, 2), ValueError),
+    (rm_code, (1, 21), SizeGuardError),
+    (degree_block_a, (1, 22), SizeGuardError),
+    (degree_block_a, (0, 5), ValueError),
+    (evaluate_monomial, ((), 21), SizeGuardError),
+    (evaluate_monomial, ((), 0), SizeGuardError),
+    (evaluate_monomial, ((4,), 3), ValueError),
+    (monomial_basis, (1, 21), None),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,args,error", GUARDS,
+    ids=[f"{f.__name__}-{args[-2]}-{args[-1]}" for f, args, _ in GUARDS],
+)
+def test_rm_builder_guards(builder, args, error):
+    if error is None:
+        builder(*args)
+    else:
+        with pytest.raises(error) as info:
+            builder(*args)
+        assert info.type is error
 
 
 def test_monomial_order_degree_then_lex():
     basis = monomial_basis(2, 3)
-    assert basis.monomials == (
+    assert basis == (
         (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)
     )
 
@@ -56,17 +87,16 @@ def test_rm_dimension_formula(r, m):
 
 
 def test_evaluate_monomial_constant_and_single():
-    pts = points(2)
-    assert evaluate_monomial((), pts).mask == 0b1111
+    assert evaluate_monomial((), 2).mask == 0b1111
     # X1 is the most significant coordinate: ones at points 2 and 3.
-    assert evaluate_monomial((1,), pts).mask == 0b1100
-    assert evaluate_monomial((2,), pts).mask == 0b1010
+    assert evaluate_monomial((1,), 2).mask == 0b1100
+    assert evaluate_monomial((2,), 2).mask == 0b1010
 
 
 def evaluate_by_points(s, pts):
     """Reference evaluation: test the monomial at every point in turn."""
     mask = 0
-    for j, p in enumerate(pts.points):
+    for j, p in enumerate(pts):
         if all(p[i - 1] for i in s):
             mask |= 1 << j
     return mask
@@ -79,17 +109,15 @@ def test_monomial_masks_match_pointwise_reference(m):
     for deg in range(m + 1):
         for s in combinations(range(1, m + 1), deg):
             ref[s] = evaluate_by_points(s, pts)
-            v = evaluate_monomial(s, pts)
+            v = evaluate_monomial(s, m)
             assert (v.n, v.mask) == (1 << m, ref[s])
     for r in range(m + 1):
         g = rm_generator(r, m)
         assert g.cols == 1 << m
         assert list(g.row_words) == [
-            ref[s] for s in monomial_basis(r, m).monomials
+            ref[s] for s in monomial_basis(r, m)
         ]
-        rec = rm_code(r, m)
-        assert rec.code.generator == g
-        assert (rec.basis, rec.points) == (monomial_basis(r, m), pts)
+        assert rm_code(r, m).generator == g
     # degree_block_a(r, m + 1) evaluates in m variables: this m.
     for r in range(1, m + 1):
         assert list(degree_block_a(r, m + 1).row_words) == [
@@ -98,10 +126,9 @@ def test_monomial_masks_match_pointwise_reference(m):
 
 
 def test_evaluate_monomial_rejects_bad_index():
-    pts = points(3)
     for s in [(0,), (4,), (1, 5), (-1, 2)]:
         with pytest.raises(ValueError):
-            evaluate_monomial(s, pts)
+            evaluate_monomial(s, 3)
 
 
 def test_rm_2_3_generator_rows():
@@ -121,22 +148,22 @@ def test_rm_2_3_generator_rows():
 
 @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (1, 4), (3, 4), (2, 5)])
 def test_rm_distance(r, m):
-    c = rm_code(r, m).code
+    c = rm_code(r, m)
     c._d = None  # force the exhaustive scan past the preset cache
     assert min_distance(c) == 1 << (m - r)
 
 
 def test_rm_dual_is_rm():
     # RM(r, m)^perp = RM(m - r - 1, m).
-    assert same_code(dual(rm_code(1, 4).code), rm_code(2, 4).code)
-    assert same_code(dual(rm_code(2, 5).code), rm_code(2, 5).code)
+    assert same_code(dual(rm_code(1, 4)), rm_code(2, 4))
+    assert same_code(dual(rm_code(2, 5)), rm_code(2, 5))
 
 
 @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (2, 5)])
 def test_plotkin_recursion(r, m):
-    left = rm_code(r, m - 1).code
-    right = rm_code(r - 1, m - 1).code
-    assert same_code(plotkin_sum(left, right), rm_code(r, m).code)
+    left = rm_code(r, m - 1)
+    right = rm_code(r - 1, m - 1)
+    assert same_code(plotkin_sum(left, right), rm_code(r, m))
 
 
 @pytest.mark.parametrize("r,m", [(1, 2), (2, 4), (2, 5), (3, 6)])
@@ -155,7 +182,7 @@ def test_degree_block_shape_and_zero_columns(r, m):
 @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (2, 5), (3, 5)])
 def test_low_weight_positions_information_set(r, m):
     s = low_weight_positions(r, m)
-    c = rm_code(r, m).code
+    c = rm_code(r, m)
     assert len(s) == c.k
     assert is_information_set(c, s)
 
@@ -178,7 +205,7 @@ def test_transformed_generator_row_equivalent(r, m):
         math.comb(m - 1, r),
         rm_dimension(r - 1, m - 1),
     )
-    assert same_code(from_generator(g), rm_code(r, m).code)
+    assert same_code(from_generator(g), rm_code(r, m))
     # Top two blocks generate RM(r, m-1) on the left half; the top block
     # is zero on the right half and the bottom block zero on the left.
     half = 1 << (m - 1)
@@ -189,9 +216,9 @@ def test_transformed_generator_row_equivalent(r, m):
     assert left[b1:b1 + b2] == right[b1:b1 + b2]
     from convcode.gf2 import BitMatrix
     top_left = BitMatrix(left[: b1 + b2], half)
-    assert same_code(from_generator(top_left), rm_code(r, m - 1).code)
+    assert same_code(from_generator(top_left), rm_code(r, m - 1))
 
 
 def test_rm_code_presets_distance_cache():
-    c = rm_code(2, 5).code
+    c = rm_code(2, 5)
     assert c._d == 8
