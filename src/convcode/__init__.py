@@ -54,7 +54,6 @@ from .reedmuller import (
     rm_dimension,
     rm_generator,
     rm_transformed_generator,
-    zero_columns,
 )
 from .conversion import (
     ConversionError,

@@ -43,8 +43,10 @@ class ParamSet:
                 raise BoundsError("need 1 <= k_I <= n_I")
         if not 1 <= self.k_final <= self.n_final:
             raise BoundsError("need 1 <= k_F <= n_F")
-        if self.d_final > self.n_final - self.k_final + 1:
-            raise BoundsError("d_F violates the Singleton bound")
+        if not 1 <= self.d_final <= self.n_final - self.k_final + 1:
+            raise BoundsError("need 1 <= d_F <= n_F - k_F + 1 (Singleton)")
+        if not 1 <= self.d_final_dual <= self.k_final + 1:
+            raise BoundsError("need 1 <= d_F_dual <= k_F + 1 (dual Singleton)")
 
     @property
     def lam(self) -> int:

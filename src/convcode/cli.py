@@ -94,10 +94,7 @@ def _instance_from_files(
             raise CliError("no --blocks given and none recorded in the file")
         blocks = file_blocks
     gf, _ = _load_matrix(gf_path)
-    try:
-        return make_instance(_split_blocks(gi, blocks), from_generator(gf))
-    except (CodeError, ConversionError) as exc:
-        raise CliError(str(exc)) from exc
+    return make_instance(_split_blocks(gi, blocks), from_generator(gf))
 
 
 def _format_cost_text(report: CostReport) -> List[str]:
@@ -168,6 +165,15 @@ def _code_distances(
     return d, d_dual
 
 
+def _write_out(path: Optional[str], text: str) -> None:
+    """Write text to the --out path, or to stdout when none is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_rm(args) -> int:
     r, m = args.r, args.m
     if not (0 <= r <= m and m >= 1) or (args.transformed and not 1 <= r <= m - 1):
@@ -177,11 +183,7 @@ def cmd_rm(args) -> int:
         text = matio.format_matrix(mat, blocks=row_blocks, block_sep=" ")
     else:
         text = matio.format_matrix(rm_generator(r, m))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, text)
     return OK
 
 
@@ -235,8 +237,6 @@ def cmd_verify(args) -> int:
     blocks = y_blocks or inst.n_initial
     try:
         report = classify_symbols(inst, ConversionMatrix(y_mat, tuple(blocks)))
-    except DimensionError as exc:
-        raise CliError(str(exc)) from exc
     except ConversionError:
         print("INVALID: matrix does not convert the initial codes to the final code")
         return FAIL
@@ -284,10 +284,7 @@ def cmd_bounds(args) -> int:
     k_i = _parse_int_list(args.kI)
     if args.lam is not None and args.lam != len(n_i):
         raise CliError("--lambda disagrees with the length of --nI")
-    try:
-        p = bounds_mod.ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
-    except bounds_mod.BoundsError as exc:
-        raise CliError(str(exc)) from exc
+    p = bounds_mod.ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
     bound_report = bounds_mod.evaluate_bounds(p)
     if args.format == "json":
         print(json.dumps(
@@ -303,10 +300,7 @@ def cmd_bounds(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _instance_from_files(args.gi, _parse_int_list(args.blocks or ""), args.gf)
     lim = SearchLimits(max_k_final=args.max_kf)
-    try:
-        y, report = min_access_cost(inst, lim)
-    except SizeGuardError as exc:
-        raise CliError(str(exc)) from exc
+    y, report = min_access_cost(inst, lim)
     print(f"optimal access cost: {report.access_cost}")
     for line in _format_cost_text(report):
         print(line)
@@ -342,21 +336,13 @@ def cmd_apply(args) -> int:
             return FAIL
     else:
         out = vec_mat(_stack_codewords(words), y_mat)
-    text = matio.format_matrix(BitMatrix([out.mask], out.n))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, matio.format_matrix(BitMatrix([out.mask], out.n)))
     return OK
 
 
 def cmd_info(args) -> int:
     mat, _ = _load_matrix(args.matrix)
-    try:
-        code = from_generator(mat)
-    except CodeError as exc:
-        raise CliError(str(exc)) from exc
+    code = from_generator(mat)
     d, d_dual = _code_distances(code)
     d_str = str(d) if d is not None else "unknown"
     dd_str = str(d_dual) if d_dual is not None else "unknown"
@@ -446,11 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (CodeError, ConversionError, DimensionError, SizeGuardError,
-            bounds_mod.BoundsError, ValueError) as exc:
+    except (CliError, CodeError, ConversionError, DimensionError, OSError,
+            SizeGuardError, bounds_mod.BoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

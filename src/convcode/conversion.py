@@ -38,7 +38,6 @@ from .reedmuller import (
     degree_block_a,
     low_weight_positions,
     rm_code,
-    zero_columns,
 )
 
 
@@ -321,9 +320,10 @@ def _build_rm_merge(
     if half - c2.k <= c2.k:
         b_rows = [1 << j for j in range(half)]
     else:
-        # The zero columns are the weight-<=(r-1) points: an information
-        # set of the second code, so its other symbols can be decoded.
-        zeros = zero_columns(a)
+        # The zero columns of A are the weight-<=(r-1) points: an
+        # information set of the second code, so its other symbols can
+        # be decoded.
+        zeros = low_weight_positions(r - 1, m - 1)
         b_rows = [0] * half
         for z, row in zip(zeros, systematic_generator(c2, zeros).row_words):
             b_rows[z] = row

@@ -6,6 +6,10 @@ M the columns of Y range independently over a coset of the right kernel
 of G_I.  Enumerating GL(k_F, 2) times the kernel cosets therefore
 covers every linear conversion exactly once, which makes the minimum
 access cost found here a true optimum.
+
+That is the one candidate space, built only by _search_space.
+enumerate_conversions walks it exhaustively; min_access_cost walks it
+depth first with a strict admissible prune.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     SizeGuardError,
+    _transpose_words,
     enumerate_invertible,
     gl2_order,
     mat_mul,
@@ -85,15 +90,13 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
 
 def _search_space(
     inst: ConvertibleInstance, lim: SearchLimits
-) -> Tuple[
-    BitMatrix, List[int], Iterator[Tuple[Tuple[int, ...], List[int]]]
-]:
-    """Shared set-up of both searches, done eagerly.
+) -> Tuple[BitMatrix, Iterator[Tuple[Tuple[int, ...], List[List[int]]]]]:
+    """The one candidate space of both searches; set-up done eagerly.
 
-    Returns G_I, the kernel combinations of G_I and a generator that checks
-    the time budget, then yields, for each invertible M in enumeration
-    order, the rows of M . G_F and the columns of a particular solution
-    of G_I . Y = M . G_F.
+    Returns G_I and a generator that checks the time budget, then yields,
+    for each invertible M in enumeration order, the rows of M . G_F and,
+    per final column, the coset of valid Y columns: a particular solution
+    of G_I . Y = M . G_F XOR each kernel combination of G_I.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
@@ -106,15 +109,15 @@ def _search_space(
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
 
-    def parts() -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    def parts() -> Iterator[Tuple[Tuple[int, ...], List[List[int]]]]:
         for m in enumerate_invertible(inst.k_final, limit=None):
             if deadline is not None and time.monotonic() > deadline:
                 raise SizeGuardError("time budget exhausted")
             target = mat_mul(m, g_final)
-            part = mat_mul(e, target)
-            yield target.row_words, part.transpose().row_words
+            part = mat_mul(e, target).transpose().row_words
+            yield target.row_words, [[pc ^ kc for kc in combos] for pc in part]
 
-    return g_stack, combos, parts()
+    return g_stack, parts()
 
 
 def enumerate_conversions(
@@ -130,11 +133,10 @@ def enumerate_conversions(
     final code's row space).  The report then comes from the candidate's
     columns directly, by the same classifier as classify_symbols.
     """
-    g_stack, combos, parts = _search_space(inst, lim)
+    g_stack, parts = _search_space(inst, lim)
     total_rows = inst.total_initial_length
     blocks = inst.n_initial
-    for target, part_cols in parts:
-        cosets = [[pc ^ kc for kc in combos] for pc in part_cols]
+    for target, cosets in parts:
         for choice_masks in product(*cosets):
             y = BitMatrix.from_columns(choice_masks, total_rows)
             if mat_mul(g_stack, y).row_words != target:
@@ -149,77 +151,51 @@ def min_access_cost(
 ) -> Tuple[ConversionMatrix, CostReport]:
     """Minimum-access-cost conversion over ALL linear conversions.
 
-    Exhaustive over the (M, kernel-coset) parameterization with an
-    admissible prune; ties are broken by write cost, then by the
-    lexicographic row-major bit string of Y, so results are deterministic.
+    A depth-first walk of the candidate space that enumerate_conversions
+    walks exhaustively, pruned only where even the cheapest completion
+    costs strictly more than the best found, so every tie is visited.
+    Ties are broken by write cost, then by the lexicographic row-major
+    bit string of Y, so results are deterministic.
     """
-    _, combos, parts = _search_space(inst, lim)
+    _, parts = _search_space(inst, lim)
     n_final = inst.n_final
     total_rows = inst.total_initial_length
-
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
-    best_cols: Optional[List[int]] = None
+    best_cols: List[int] = []
+    chosen: List[int] = []
 
-    def row_major_key(col_masks: List[int]) -> Tuple[int, ...]:
-        # Lexicographic on the row-major bit string: rows top to bottom,
-        # and within a row column 0 is the most significant character.
-        key = []
-        for i in range(total_rows):
-            word = 0
-            for j, cm in enumerate(col_masks):
-                word = (word << 1) | ((cm >> i) & 1)
-            key.append(word)
-        return tuple(key)
+    def descend(j: int, writes: int, read_mask: int) -> None:
+        # Walks cosets[j:] of the current M, set by the loop below.
+        nonlocal best_key, best_cols
+        cost_floor = writes + read_mask.bit_count() + suffix_floor[j]
+        if best_key is not None and cost_floor > best_key[0]:
+            return
+        if j == n_final:  # the floor is now the cost
+            # Row-major bit string of Y, column 0 most significant.
+            rows = tuple(_transpose_words(chosen[::-1], total_rows))
+            key = (cost_floor, writes, rows)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_cols = list(chosen)
+            return
+        for mask in cosets[j]:
+            chosen.append(mask)
+            if mask.bit_count() == 1:  # unchanged symbol: free
+                descend(j + 1, writes, read_mask)
+            else:  # one write plus its reads
+                descend(j + 1, writes + 1, read_mask | mask)
+            chosen.pop()
 
-    for _, part_cols in parts:
-        options: List[List[Tuple[int, int]]] = []
-        has_unchanged: List[bool] = []
-        for pc in part_cols:
-            opts = []
-            any_w1 = False
-            for kc in combos:
-                mask = pc ^ kc
-                w = mask.bit_count()
-                if w == 1:
-                    any_w1 = True
-                    opts.append((0, mask))  # free: unchanged symbol
-                else:
-                    opts.append((1, mask))  # costs one write plus reads
-            # Try unchanged options first so cheap completions are found early.
-            opts.sort(key=lambda t: t[0])
-            options.append(opts)
-            has_unchanged.append(any_w1)
-        # Admissible completion bound: every column without a weight-1
-        # option must be written.
+    for _, cosets in parts:
+        # Admissible completion bound: every column whose coset has no
+        # weight-1 member must be written.
         suffix_floor = [0] * (n_final + 1)
         for j in range(n_final - 1, -1, -1):
-            suffix_floor[j] = suffix_floor[j + 1] + (0 if has_unchanged[j] else 1)
-
-        chosen: List[int] = []
-
-        def descend(j: int, writes: int, read_mask: int) -> None:
-            nonlocal best_key, best_cols
-            cost_floor = writes + read_mask.bit_count() + suffix_floor[j]
-            if best_key is not None and cost_floor > best_key[0]:
-                return
-            if j == n_final:
-                cost = writes + read_mask.bit_count()
-                key = (cost, writes, row_major_key(chosen))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_cols = list(chosen)
-                return
-            for is_write, mask in options[j]:
-                chosen.append(mask)
-                if is_write:
-                    descend(j + 1, writes + 1, read_mask | mask)
-                else:
-                    descend(j + 1, writes, read_mask)
-                chosen.pop()
-
+            suffix_floor[j] = suffix_floor[j + 1] + (
+                1 not in map(int.bit_count, cosets[j])
+            )
         descend(0, 0, 0)
 
-    assert best_cols is not None
     y = ConversionMatrix(
         BitMatrix.from_columns(best_cols, total_rows), inst.n_initial
     )

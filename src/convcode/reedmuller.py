@@ -133,14 +133,6 @@ def degree_block_a(r: int, m: int) -> BitMatrix:
     return BitMatrix(words, 1 << (m - 1))
 
 
-def zero_columns(a: BitMatrix) -> Tuple[int, ...]:
-    """Indices of the all-zero columns of a."""
-    full = 0
-    for w in a.row_words:
-        full |= w
-    return tuple(j for j in range(a.cols) if not (full >> j) & 1)
-
-
 def low_weight_positions(r: int, m: int) -> Tuple[int, ...]:
     """Positions of evaluation points of Hamming weight <= r.
 

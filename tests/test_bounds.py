@@ -45,6 +45,17 @@ def test_paramset_validation():
         ParamSet((1, 3), (2, 2), 5, 4, 2, 5)     # k_I > n_I
     with pytest.raises(BoundsError):
         ParamSet((3, 3), (2, 2), 5, 4, 3, 5)     # Singleton violation
+    with pytest.raises(BoundsError):
+        ParamSet((3, 3), (2, 2), 5, 4, 0, 5)     # d_F < 1
+    with pytest.raises(BoundsError):
+        ParamSet((3, 3), (2, 2), 5, 4, 2, 0)     # d_F_dual < 1
+    with pytest.raises(BoundsError):
+        ParamSet((3, 3), (2, 2), 5, 4, 2, -3)    # d_F_dual < 1
+    with pytest.raises(BoundsError):
+        ParamSet((3, 3), (2, 2), 5, 4, 2, 6)     # dual Singleton: k_F + 1
+    # Both Singleton limits are attained: the [5,4] parity code.
+    p = ParamSet((3, 3), (2, 2), 5, 4, 2, 5)
+    assert (p.d_final, p.d_final_dual) == (2, 5)
 
 
 def test_singleton_cap_example():

@@ -23,6 +23,13 @@ def test_rm_transformed_blocks(tmp_path):
     assert m.to_lists() == [[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    assert main(["rm", "--r", "1", "--m", "2", "--out", missing]) == 2
+    assert main(["merge", "--r", "1", "--m", "2", "--emit-y", missing]) == 2
+    assert "no-such-dir" in capsys.readouterr().err
+
+
 def test_rm_bad_params():
     assert main(["rm", "--r", "5", "--m", "2"]) == 2
     assert main(["rm", "--r", "2", "--m", "2", "--transformed"]) == 2
@@ -160,6 +167,12 @@ def test_bounds_rejects_bad_params(capsys):
         ["bounds", "--nI", "3,3", "--kI", "2,2", "--nF", "5",
          "--kF", "4", "--dF", "4", "--dFdual", "5"]
     ) == 2
+    for d_f, d_f_dual in (("0", "-3"), ("2", "0"), ("2", "99")):
+        assert main(
+            ["bounds", "--nI", "3,3", "--kI", "2,2", "--nF", "5",
+             "--kF", "4", "--dF", d_f, "--dFdual", d_f_dual]
+        ) == 2
+    assert "d_F" in capsys.readouterr().err
 
 
 def test_oracle_example(example_files, tmp_path, capsys):

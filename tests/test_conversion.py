@@ -26,12 +26,7 @@ from convcode.gf2 import (
     right_kernel_basis,
 )
 from convcode.oracle import enumerate_conversions
-from convcode.reedmuller import (
-    degree_block_a,
-    rm_code,
-    rm_dimension,
-    zero_columns,
-)
+from convcode.reedmuller import low_weight_positions, rm_code, rm_dimension
 
 from tests.conftest import (
     GI1_ROWS,
@@ -329,7 +324,7 @@ def test_rm_merge_apply_matches_matrix(r, m):
     inst, y, _ = rm_merge_procedure(r, m)
     c1, c2 = inst.initial_codes
     half = 1 << (m - 1)
-    zeros = zero_columns(degree_block_a(r, m))
+    zeros = low_weight_positions(r - 1, m - 1)  # the zero columns of A
     rng = random.Random(17)
     for _ in range(25):
         x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))

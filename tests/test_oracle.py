@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from convcode import oracle
 from convcode.codes import from_generator, random_code
@@ -19,6 +20,8 @@ from convcode.oracle import (
     enumerate_conversions,
     min_access_cost,
 )
+
+from tests.conftest import small_instances
 
 
 def tiny_instance():
@@ -108,6 +111,34 @@ def test_min_access_cost_deterministic(example_instance):
     assert r1.to_record() == r2.to_record()
 
 
+def row_major_key(col_masks, total_rows):
+    """Reference tie-break key, bit by bit: Y's row-major bit string, rows
+    top to bottom, and within a row column 0 the most significant."""
+    key = []
+    for i in range(total_rows):
+        word = 0
+        for cm in col_masks:
+            word = (word << 1) | ((cm >> i) & 1)
+        key.append(word)
+    return tuple(key)
+
+
+def tie_break_triple(y, report):
+    cols = y.y.transpose().row_words
+    return report.access_cost, report.write_cost, row_major_key(cols, y.y.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_min_access_cost_pick_is_least_triple(inst):
+    # The pick is the least (access, write, row-major Y) over every valid
+    # conversion, also when the final code repeats or zeroes a coordinate.
+    y, report = min_access_cost(inst)
+    assert tie_break_triple(y, report) == min(
+        tie_break_triple(*cand) for cand in enumerate_conversions(inst)
+    )
+
+
 def test_size_guards(example_instance):
     with pytest.raises(SizeGuardError):
         min_access_cost(example_instance, SearchLimits(max_k_final=2))
@@ -128,22 +159,22 @@ def test_limits_must_be_positive():
 
 
 def test_enumerate_checks_every_candidate(monkeypatch):
-    # Add e_0 to column 1 of every particular solution.  G_I . e_0 is
+    # Add e_0 to every member of the coset of column 1.  G_I . e_0 is
     # column 0 of G_I, which is nonzero, so G_I . Y != M . G_F and the
     # product check must refuse the first candidate instead of yielding it.
     inst = tiny_instance()
     search_space = oracle._search_space
 
     def corrupted(inst, lim):
-        g_stack, combos, parts = search_space(inst, lim)
+        g_stack, parts = search_space(inst, lim)
 
         def wrong():
-            for target, cols in parts:
-                cols = list(cols)
-                cols[1] ^= 1
-                yield target, cols
+            for target, cosets in parts:
+                cosets = list(cosets)
+                cosets[1] = [c ^ 1 for c in cosets[1]]
+                yield target, cosets
 
-        return g_stack, combos, wrong()
+        return g_stack, wrong()
 
     monkeypatch.setattr(oracle, "_search_space", corrupted)
     yielded = []
