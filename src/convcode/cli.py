@@ -27,13 +27,13 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
-    _stack_codewords,
+    _run_plan,
     apply_conversion,
     classify_symbols,
     make_instance,
     rm_merge_procedure,
 )
-from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError, vec_mat
+from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError
 from .oracle import SearchLimits, min_access_cost
 from .reedmuller import rm_generator, rm_transformed_generator
 
@@ -325,17 +325,16 @@ def cmd_apply(args) -> int:
         if mat.rows != 1 or mat.cols != n_i:
             raise CliError(f"{path}: expected a 1x{n_i} matrix")
         words.append(BitVector(n_i, mat.row_words[0]))
+    y = ConversionMatrix(y_mat, tuple(blocks))
     if args.gi:
         inst = _instance_from_files(args.gi, tuple(blocks), args.gf)
         try:
-            out = apply_conversion(
-                inst, ConversionMatrix(y_mat, tuple(blocks)), words
-            )
+            out = apply_conversion(inst, y, words)
         except ConversionError as exc:
             print(f"INVALID input: {exc}")
             return FAIL
     else:
-        out = vec_mat(_stack_codewords(words), y_mat)
+        out = _run_plan(y, words)
     _write_out(args.out, matio.format_matrix(BitMatrix([out.mask], out.n)))
     return OK
 

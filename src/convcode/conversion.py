@@ -8,6 +8,12 @@ generate the final code.  Columns of Y of weight 1 mark final symbols
 inherited unchanged from an initial symbol; heavier columns mark new
 symbols, and their support rows are the symbols that must be read.
 
+Applying a conversion runs a plan compiled once per matrix: unchanged
+symbols are masked and shifted out of the stacked input, and new
+symbols are looked up 4 input bits at a time in tables over the read
+rows only, so apply reads exactly the R sets that classify_symbols
+reports.
+
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 -> RM(r, m) and its recursive multi-code chain.
 """
@@ -26,7 +32,6 @@ from .gf2 import (
     inverse,
     mat_mul,
     rank,
-    vec_mat,
 )
 from .codes import (
     LinearCode,
@@ -113,6 +118,58 @@ class ConversionMatrix:
     def __post_init__(self):
         if self.y.rows != sum(self.blocks):
             raise DimensionError("block sizes must sum to the row count")
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """Compiled apply plan of y; built on first apply."""
+        return _compile_plan(self.y)
+
+
+# (copies, align, windows): see _compile_plan.
+_Plan = Tuple[
+    Tuple[Tuple[int, int], ...], int, Tuple[Tuple[int, Tuple[int, ...]], ...]
+]
+
+
+def _compile_plan(y: BitMatrix) -> _Plan:
+    """Tables that compute x . y for a fixed y, for any y.
+
+    A weight-1 column j with support row i copies input bit i to output
+    bit j.  Copies with the same offset i - j share one source mask, kept
+    as (mask, shift) with shift = align - (i - j) >= 0, so the copied
+    bits are the OR of (x & mask) << shift, shifted right by align.
+    Columns of weight 0 stay 0.  The columns of weight >= 2 are the XOR
+    of the rows x selects, restricted to those columns; only the read
+    rows (the union of their supports) have a nonzero restriction.  Each
+    window (base, table) covers rows base..base+3, base a multiple of 4
+    holding a read row, and table[v] is the XOR of the restricted rows
+    base + t for the set bits t of v (Four Russians on a fixed matrix).
+    Column weights come from two running ORs over the rows, so no
+    transpose is needed.
+    """
+    once = twice = 0  # columns of weight >= 1 and of weight >= 2
+    for w in y.row_words:
+        twice |= once & w
+        once |= w
+    single = once & ~twice
+    offsets: Dict[int, int] = {}
+    for i, w in enumerate(y.row_words):
+        w &= single
+        while w:
+            j = w.bit_length() - 1
+            offsets[i - j] = offsets.get(i - j, 0) | 1 << i
+            w ^= 1 << j
+    align = max([0, *offsets])
+    copies = tuple((mask, align - off) for off, mask in offsets.items())
+    rows = [w & twice for w in y.row_words] + [0] * 3
+    windows = []
+    for base in range(0, y.rows, 4):
+        if any(rows[base:base + 4]):
+            table = [0]
+            for t in range(4):
+                table += [v ^ rows[base + t] for v in table]
+            windows.append((base, tuple(table)))
+    return copies, align, tuple(windows)
 
 
 @dataclass(frozen=True)
@@ -276,18 +333,43 @@ def _stack_codewords(codewords: Sequence[BitVector]) -> BitVector:
     return BitVector(shift, mask)
 
 
+def _run_plan(y: ConversionMatrix, codewords: Sequence[BitVector]) -> BitVector:
+    """x . Y for the stacked codewords x, by Y's compiled plan; equal to
+    vec_mat(x, y.y).  Reads only the unchanged sources and the read rows;
+    checks no code membership."""
+    stacked = _stack_codewords(codewords)
+    if stacked.n != y.y.rows:
+        raise DimensionError("vector/matrix size mismatch")
+    copies, align, windows = y._plan
+    x = stacked.mask
+    acc = 0
+    for mask, shift in copies:
+        acc |= (x & mask) << shift
+    out = acc >> align
+    for base, table in windows:
+        out ^= table[(x >> base) & 15]
+    return BitVector(y.y.cols, out)
+
+
 def apply_conversion(
     inst: ConvertibleInstance,
     y: ConversionMatrix,
     codewords: Sequence[BitVector],
 ) -> BitVector:
-    """Run the conversion on one codeword per initial code."""
+    """Run the conversion on one codeword per initial code.
+
+    Each input is checked to be a codeword of its initial code; then Y's
+    compiled plan (built on the first apply of this matrix) copies the
+    unchanged symbols and computes the new ones from the read rows, so
+    the stacked symbols it reads are exactly the U sources and R sets
+    that classify_symbols reports.
+    """
     if len(codewords) != inst.lam:
         raise ConversionError("need exactly one codeword per initial code")
     for c, x in zip(inst.initial_codes, codewords):
         if not contains(c, x):
             raise ConversionError("input is not a codeword of its code")
-    return vec_mat(_stack_codewords(codewords), y.y)
+    return _run_plan(y, codewords)
 
 
 def _build_rm_merge(
@@ -366,11 +448,12 @@ def rm_merge_apply(
 ) -> BitVector:
     """Run the Reed-Muller merge on one codeword of each initial code.
 
-    Applies the merge's conversion matrix, so it equals apply_conversion
-    with the matrix emitted by rm_merge_procedure; the symbols it reads
-    are the read sets that classify_symbols reports for that matrix.  The
-    matrix is built and verified on the first call per (r, m), so a later
-    call costs one apply_conversion.
+    One apply_conversion with the matrix emitted by rm_merge_procedure, so
+    it runs that matrix's compiled plan and reads exactly the read sets
+    that classify_symbols reports for it.  The matrix is built and
+    verified on the first call per (r, m) and its plan compiled on the
+    first apply, so a later call costs the membership checks and the
+    plan.
     """
     inst, y, _ = rm_merge_procedure(r, m)
     return apply_conversion(inst, y, (c1_word, c2_word))

@@ -1,7 +1,7 @@
 import json
 
 from convcode.cli import main
-from convcode.gf2 import BitMatrix
+from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
 
 
@@ -209,6 +209,26 @@ def test_apply_plain(example_files, tmp_path, capsys):
     assert code == 0
     m, _ = parse_matrix(out)
     assert m.to_lists() == [[1, 0, 1, 1, 1]]
+
+
+def test_apply_plain_runs_any_matrix(tmp_path, capsys):
+    # Without --gi nothing is checked: a Y that is no conversion (a zero
+    # column, one input symbol copied twice, dense columns) is applied as
+    # the matrix it is.
+    y = BitMatrix.from_columns([0, 1 << 2, 1 << 2, 0b110101, 1 << 6, 127], 7)
+    y_path = tmp_path / "y.txt"
+    y_path.write_text(format_matrix(y, blocks=(3, 4)))
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 3\n011\n")
+    x2.write_text("1 4\n1101\n")
+    assert main(["apply", "--y", str(y_path), "--inputs", f"{x1},{x2}"]) == 0
+    m, _ = parse_matrix(capsys.readouterr().out)
+    expected = vec_mat(BitVector.from_bits([0, 1, 1, 1, 1, 0, 1]), y)
+    assert m.row_words == (expected.mask,)
+    # Blocks that do not sum to Y's row count are a usage error.
+    assert main(["apply", "--y", str(y_path), "--inputs", f"{x1},{x1}",
+                 "--blocks", "3,3"]) == 2
 
 
 def test_apply_membership_check(example_files, tmp_path, capsys):

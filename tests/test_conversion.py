@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
+from convcode import conversion
 from convcode.codes import contains, encode, random_code
 from convcode.conversion import (
     ConversionError,
     ConversionMatrix,
+    _run_plan,
+    _stack_codewords,
     apply_conversion,
     classify_symbols,
     default_conversion,
@@ -24,6 +27,7 @@ from convcode.gf2 import (
     mat_mul,
     rank,
     right_kernel_basis,
+    vec_mat,
 )
 from convcode.oracle import enumerate_conversions
 from convcode.reedmuller import low_weight_positions, rm_code, rm_dimension
@@ -279,6 +283,177 @@ def test_apply_conversion_rejects_non_codeword(example_instance, example_y):
         )
     with pytest.raises(ConversionError):
         apply_conversion(example_instance, example_y, [BitVector(3, 0)])
+
+
+def random_codewords(inst, rng):
+    return [encode(c, BitVector(c.k, rng.getrandbits(c.k)))
+            for c in inst.initial_codes]
+
+
+def boundary_words(n):
+    """Words of length n with single bits just below, at and at the top
+    of every 4-bit window boundary, and every all-low and all-high run
+    that starts or ends at one."""
+    full = (1 << n) - 1
+    words = {0, full}
+    for b in range(0, n + 4, 4):
+        words.update(1 << i for i in (b - 1, b, b + 3) if 0 <= i < n)
+        low = (1 << min(b, n)) - 1
+        words.update((low, full ^ low))
+    return sorted(words)
+
+
+def assert_plan_matches_vec_mat(y, rng, random_words=8):
+    """The compiled plan of y gives vec_mat's x . Y on the boundary words
+    and on random words, for any y."""
+    n = y.y.rows
+    xs = boundary_words(n) + [rng.getrandbits(n) for _ in range(random_words)]
+    for x in xs:
+        v = BitVector(n, x)
+        assert _run_plan(y, [v]) == vec_mat(v, y.y)
+
+
+def test_plan_matches_vec_mat_on_random_matrices():
+    # Not conversions: columns of weight 0, copies of one source row into
+    # several positions at positive and negative offsets, sparse and
+    # dense columns, in shapes on both sides of a window boundary.
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 70), rng.randint(1, 70)
+        sources = [rng.randrange(rows) for _ in range(3)]
+        masks = []
+        for _ in range(cols):
+            kind = rng.choice(["zero", "copy", "repeat", "sparse", "dense"])
+            if kind == "zero":
+                masks.append(0)
+            elif kind == "copy":
+                masks.append(1 << rng.randrange(rows))
+            elif kind == "repeat":
+                masks.append(1 << rng.choice(sources))
+            elif kind == "sparse":
+                masks.append(sum({1 << rng.randrange(rows) for _ in range(3)}))
+            else:
+                masks.append(rng.getrandbits(rows))
+        y = BitMatrix.from_columns(masks, rows)
+        assert_plan_matches_vec_mat(ConversionMatrix(y, (rows,)), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), st.data())
+def test_apply_conversion_matches_vec_mat_valid_or_not(inst, data):
+    # apply_conversion checks its inputs, not Y: an invalid Y is applied
+    # as the matrix it is.
+    y = perturbed_default(inst, data)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(4):
+        words = random_codewords(inst, rng)
+        assert apply_conversion(inst, y, words) == vec_mat(
+            _stack_codewords(words), y.y
+        )
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_plan_matches_vec_mat_on_rm_merges(m):
+    rng = random.Random(m)
+    for r in range(1, m):
+        _, y, _ = rm_merge_procedure(r, m)
+        assert_plan_matches_vec_mat(y, rng)
+        copies, align, _ = y._plan
+        # The merge keeps every unchanged symbol at its stacked position.
+        assert align == 0 and [shift for _, shift in copies] == [0]
+
+
+@pytest.mark.parametrize("chain", [(2, 4, 2), (3, 8, 2), (3, 7, 3)])
+def test_plan_matches_vec_mat_on_rm_chains(chain):
+    _, y, _ = rm_merge_chain(*chain)
+    assert_plan_matches_vec_mat(y, random.Random(sum(chain)))
+
+
+def plan_access(inst, y):
+    """Per code, the final positions the plan of y copies into and the
+    local rows it reads, plus the mask of every stacked row it touches.
+    Row base + t of a window is read iff its table entry 1 << t, the row
+    restricted to the new symbols, is nonzero."""
+    copies, align, windows = y._plan
+    unchanged = [set() for _ in range(inst.lam)]
+    reads = [set() for _ in range(inst.lam)]
+    touched = 0
+    for mask, shift in copies:
+        touched |= mask
+        for i in range(mask.bit_length()):
+            if (mask >> i) & 1:
+                unchanged[inst.owner_of(i)[0]].add(i - (align - shift))
+    for base, table in windows:
+        assert any(table)  # every window holds a read row
+        for t in range(4):
+            if table[1 << t]:
+                touched |= 1 << (base + t)
+                code, local = inst.owner_of(base + t)
+                reads[code].add(local)
+    return (tuple(map(frozenset, unchanged)), tuple(map(frozenset, reads)),
+            touched)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(max_candidates=1536))
+def test_plan_on_every_enumerated_conversion(inst):
+    # The plan computes x . Y and touches exactly the U sources and R sets
+    # that classify_symbols reports.
+    rng = random.Random(inst.n_final)
+    n = inst.total_initial_length
+    for y, _ in enumerate_conversions(inst):
+        assert_plan_matches_vec_mat(y, rng, random_words=2)
+        report = classify_symbols(inst, y)
+        unchanged, reads, touched = plan_access(inst, y)
+        assert unchanged == report.unchanged_per_code
+        assert reads == report.read_per_code
+        x = rng.getrandbits(n)
+        out = _run_plan(y, [BitVector(n, x)])
+        for i in range(n):
+            flipped = _run_plan(y, [BitVector(n, x ^ (1 << i))])
+            # A touched row is a copy source or a read row: flipping it
+            # changes some output symbol; any other row is never read.
+            assert (flipped != out) == bool((touched >> i) & 1)
+
+
+def test_plan_compiles_once_per_matrix(monkeypatch, example_instance,
+                                       example_y):
+    builds = []
+    compile_plan = conversion._compile_plan
+
+    def counting(y):
+        builds.append(y)
+        return compile_plan(y)
+
+    monkeypatch.setattr(conversion, "_compile_plan", counting)
+    merge = rm_merge_procedure(3, 6)
+    chain = rm_merge_chain(2, 5, 2)
+    assert builds == []  # building and classifying a merge compiles nothing
+    rng = random.Random(37)
+    cases = [(example_instance, example_y), merge[:2], chain[:2]]
+    for inst, y in cases:
+        for _ in range(10):
+            apply_conversion(inst, y, random_codewords(inst, rng))
+    assert builds == [y.y for _, y in cases]
+    for _ in range(10):
+        rm_merge_apply(3, 6, *random_codewords(merge[0], rng))
+    assert len(builds) == len(cases)  # rm_merge_apply reuses the merge's
+
+
+def test_warm_apply_still_checks_its_inputs(example_instance, example_y):
+    c1, c2 = example_instance.initial_codes
+    x1, x2 = encode(c1, BitVector(2, 1)), encode(c2, BitVector(2, 3))
+    apply_conversion(example_instance, example_y, [x1, x2])  # compiles
+    with pytest.raises(ConversionError):
+        apply_conversion(
+            example_instance, example_y, [x1 ^ BitVector(3, 1), x2]
+        )
+    # Y with one stacked row more than the two length-3 codewords.
+    tall = ConversionMatrix(BitMatrix.identity(7), (3, 4))
+    with pytest.raises(DimensionError):
+        apply_conversion(example_instance, tall, [x1, x2])
+    with pytest.raises(DimensionError):
+        _run_plan(example_y, [x1])
 
 
 def test_rm_merge_2_4_costs():

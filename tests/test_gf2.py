@@ -352,34 +352,37 @@ def assert_eliminates_like_column_scan(words, cols):
 def elimination_inputs(draw):
     """(words, cols) with zero, duplicate and dependent rows, sparse and
     dense rows, possibly more rows than columns, in the plain layout or
-    the augmented ones that solve (cols + 1) and inverse (2n) build."""
+    the augmented ones that solve (cols + 1) and inverse (2n) build.
+
+    Hypothesis draws the shape and each row's kind; the words come from
+    a drawn seed, so an example costs a few draws rather than one per
+    word, sparse bit and dependent-row pick.
+    """
     layout = draw(st.sampled_from(["plain", "solve", "inverse"]))
     cols = draw(st.integers(1, 130 if layout != "inverse" else 65))
     n_rows = cols if layout == "inverse" else draw(st.integers(1, 40))
+    kinds = draw(st.lists(
+        st.sampled_from(["zero", "dense", "sparse", "duplicate", "dependent"]),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     words = []
-    for _ in range(n_rows):
-        kind = draw(st.sampled_from(
-            ["zero", "dense", "sparse", "duplicate", "dependent"]
-        ))
+    for kind in kinds:
         if kind == "dense":
-            w = draw(st.integers(0, (1 << cols) - 1))
+            w = rng.getrandbits(cols)
         elif kind == "sparse":
-            w = sum({1 << j for j in draw(
-                st.lists(st.integers(0, cols - 1), max_size=4)
-            )})
+            w = sum({1 << rng.randrange(cols) for _ in range(rng.randint(0, 4))})
         elif kind in ("duplicate", "dependent") and words:
-            picks = draw(st.lists(
-                st.sampled_from(words), min_size=1,
-                max_size=1 if kind == "duplicate" else 4,
-            ))
             w = 0
-            for v in picks:
+            for v in rng.choices(
+                words, k=1 if kind == "duplicate" else rng.randint(1, 4)
+            ):
                 w ^= v
         else:
             w = 0
         words.append(w)
     if layout == "solve":
-        b = draw(st.integers(0, (1 << n_rows) - 1))
+        b = rng.getrandbits(n_rows)
         words = [w | ((b >> i) & 1) << cols for i, w in enumerate(words)]
         return words, cols + 1
     if layout == "inverse":
