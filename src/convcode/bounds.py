@@ -89,10 +89,11 @@ def unchanged_total_lower(p: ParamSet) -> Optional[int]:
 
 def read_lower_delta(p: ParamSet, i: int, u_i: int) -> int:
     """Read floor from delta_i = u_i - d_F + 1: k_Ii if delta <= 0, else
-    k_Ii - delta_i (clamped at 0)."""
+    k_Ii - delta_i (clamped at 0).  Any u_i >= 0 is accepted, also
+    u_i > n_Ii, which a final code with repeated coordinates allows."""
     p._check_index(i)
-    if not 0 <= u_i <= p.n_initial[i]:
-        raise BoundsError("u_i must be between 0 and n_Ii")
+    if u_i < 0:
+        raise BoundsError("u_i must be >= 0")
     delta = u_i - p.d_final + 1
     if delta <= 0:
         return p.k_initial[i]
@@ -178,6 +179,11 @@ def audit(p: ParamSet, report: CostReport) -> BoundReport:
     deliberately wasteful conversion matrix can report fewer unchanged
     symbols and show up as a violation.
 
+    A final code with repeated coordinates lets one initial symbol be
+    copied to several final positions, so |U_i| counts final coordinates
+    and may exceed n_Ii.  The Singleton cap is then inapplicable to code
+    i (its record has no value), and the delta floor takes u_i as it is.
+
     The bounds read only the per-code counts of unchanged and read
     symbols, so after the two report checks the result is memoised by
     (p, unchanged_counts, read_counts) and shared between reports with
@@ -224,11 +230,12 @@ def _build_report(
     (read) per code when given."""
     records: List[BoundRecord] = []
     for i in range(p.lam):
+        copied = u is not None and u[i] > p.n_initial[i]
         records.append(
             _rec(
                 "unchanged_upper_singleton",
                 i,
-                unchanged_upper_singleton(p, i),
+                None if copied else unchanged_upper_singleton(p, i),
                 None if u is None else u[i],
                 "upper",
             )

@@ -16,9 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 from . import bounds as bounds_mod
 from . import matio
 from .codes import (
+    DEFAULT_K_LIMIT,
     CodeError,
     LinearCode,
-    dual,
+    dual_distance,
     from_generator,
     min_distance,
 )
@@ -38,16 +39,16 @@ from .oracle import SearchLimits, min_access_cost
 from .reedmuller import rm_generator, rm_transformed_generator
 
 OK, FAIL, USAGE = 0, 1, 2
-DISTANCE_K_LIMIT = 24
+DISTANCE_K_LIMIT = DEFAULT_K_LIMIT
 
 
 class CliError(Exception):
     """Usage or I/O level failure (exit code 2)."""
 
 
-def _parse_int_list(text: str) -> Tuple[int, ...]:
+def _parse_int_list(text: Optional[str]) -> Tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p)
+        return tuple(int(p) for p in (text or "").split(",") if p)
     except ValueError as exc:
         raise CliError(f"bad integer list: {text!r}") from exc
 
@@ -59,24 +60,30 @@ def _load_matrix(path: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
         raise CliError(f"cannot read matrix from {path}: {exc}") from exc
 
 
+def _blocks(*choices: Optional[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The first nonempty choice: the --blocks flag, then file #blocks."""
+    for blocks in choices:
+        if blocks:
+            return blocks
+    raise CliError("no --blocks given and none recorded in the file")
+
+
 def _split_blocks(g: BitMatrix, blocks: Tuple[int, ...]) -> List[LinearCode]:
-    """Cut a block-diagonal stacked generator into its initial codes."""
-    if sum(blocks) != g.cols:
-        raise CliError("block sizes must sum to the stacked generator width")
+    """Cut a block-diagonal stacked generator into its initial codes:
+    block i takes the next rows that meet its columns, each inside them."""
+    if min(blocks) < 1 or sum(blocks) != g.cols:
+        raise CliError("block sizes must be >= 1 and sum to the G_I width")
     codes = []
-    col = 0
-    row = 0
+    row = col = 0
     for n_i in blocks:
-        cols_i = list(range(col, col + n_i))
-        sub = g.select_columns(cols_i)
-        # Rows belonging to this block are exactly the nonzero ones.
-        rows_i = [w for j, w in enumerate(sub.row_words) if w]
-        nz = [j for j, w in enumerate(sub.row_words) if w]
-        if nz != list(range(row, row + len(nz))):
-            raise CliError("stacked generator is not block diagonal")
-        row += len(nz)
+        mask, start = ((1 << n_i) - 1) << col, row
+        while row < g.rows and g.row_words[row] & mask:
+            if g.row_words[row] & ~mask:
+                raise CliError("stacked generator is not block diagonal")
+            row += 1
         try:
-            codes.append(from_generator(BitMatrix(rows_i, n_i)))
+            codes.append(from_generator(
+                BitMatrix([w >> col for w in g.row_words[start:row]], n_i)))
         except (CodeError, DimensionError) as exc:
             raise CliError(f"bad generator block: {exc}") from exc
         col += n_i
@@ -86,13 +93,10 @@ def _split_blocks(g: BitMatrix, blocks: Tuple[int, ...]) -> List[LinearCode]:
 
 
 def _instance_from_files(
-    gi_path: str, blocks: Tuple[int, ...], gf_path: str
+    gi_path: str, gf_path: str, flag_blocks: Tuple[int, ...]
 ) -> ConvertibleInstance:
     gi, file_blocks = _load_matrix(gi_path)
-    if not blocks:
-        if file_blocks is None:
-            raise CliError("no --blocks given and none recorded in the file")
-        blocks = file_blocks
+    blocks = _blocks(flag_blocks, file_blocks)
     gf, _ = _load_matrix(gf_path)
     return make_instance(_split_blocks(gi, blocks), from_generator(gf))
 
@@ -153,15 +157,11 @@ def _bound_lines(bound_report: bounds_mod.BoundReport) -> List[str]:
     return lines
 
 
-def _code_distances(
-    code: LinearCode, k_limit: int = DISTANCE_K_LIMIT
-) -> Tuple[Optional[int], Optional[int]]:
-    d = min_distance(code, k_limit) if code.k <= k_limit else None
-    d_dual = (
-        min_distance(dual(code), k_limit)
-        if 0 < code.n - code.k <= k_limit
-        else None
-    )
+def _code_distances(code: LinearCode) -> Tuple[Optional[int], Optional[int]]:
+    """d and d_dual of the code; None where the scan exceeds the limit."""
+    d = min_distance(code) if code.k <= DISTANCE_K_LIMIT else None
+    d_dual = (dual_distance(code) if 0 < code.n - code.k <= DISTANCE_K_LIMIT
+              else None)
     return d, d_dual
 
 
@@ -190,25 +190,23 @@ def cmd_rm(args) -> int:
 def _merge_audit(r: int, m: int, source: str):
     """The RM merge (r, m) with its ParamSet and bound audit.
 
-    source "formula" takes d_F = 2^(m-r) and d_F_dual = 2^(r+1);
-    "exhaustive" scans the final code and its dual, falling back to the
-    formula beyond the scan limit.  Also returns the source of each.
+    source "formula" takes d_F and d_F_dual as rm_code presets them;
+    "exhaustive" scans a fresh copy of the final code and its dual, keeping
+    the formula where the scan limit stops a scan.  Also returns sources.
     """
     inst, y, costs = rm_merge_procedure(r, m)
-    d_f = d_f_dual = None
+    final = inst.final_code
+    dists = [min_distance(final), dual_distance(final)]
+    sources = ["formula", "formula"]
     if source == "exhaustive":
-        d_f, d_f_dual = _code_distances(inst.final_code)
-    distance_source = {"d_F": "exhaustive", "d_F_dual": "exhaustive"}
-    if d_f is None:
-        d_f = 1 << (m - r)
-        distance_source["d_F"] = "formula"
-    if d_f_dual is None:
-        d_f_dual = 1 << (r + 1)
-        distance_source["d_F_dual"] = "formula"
+        scanned = _code_distances(from_generator(final.generator))
+        for j, d in enumerate(scanned):
+            if d is not None:
+                dists[j], sources[j] = d, "exhaustive"
     p = bounds_mod.ParamSet(
-        inst.n_initial, inst.k_initial, inst.n_final, inst.k_final,
-        d_f, d_f_dual,
+        inst.n_initial, inst.k_initial, inst.n_final, inst.k_final, *dists
     )
+    distance_source = dict(zip(("d_F", "d_F_dual"), sources))
     return inst, y, costs, p, bounds_mod.audit(p, costs), distance_source
 
 
@@ -232,11 +230,11 @@ def cmd_merge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _instance_from_files(args.gi, _parse_int_list(args.blocks or ""), args.gf)
+    inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
     y_mat, y_blocks = _load_matrix(args.y)
-    blocks = y_blocks or inst.n_initial
+    y = ConversionMatrix(y_mat, _blocks(y_blocks, inst.n_initial))
     try:
-        report = classify_symbols(inst, ConversionMatrix(y_mat, tuple(blocks)))
+        report = classify_symbols(inst, y)
     except ConversionError:
         print("INVALID: matrix does not convert the initial codes to the final code")
         return FAIL
@@ -298,7 +296,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _instance_from_files(args.gi, _parse_int_list(args.blocks or ""), args.gf)
+    inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
     lim = SearchLimits(max_k_final=args.max_kf)
     y, report = min_access_cost(inst, lim)
     print(f"optimal access cost: {report.access_cost}")
@@ -313,9 +311,7 @@ def cmd_apply(args) -> int:
     if args.gi and not args.gf:
         raise CliError("--gi requires --gf for membership checking")
     y_mat, y_blocks = _load_matrix(args.y)
-    blocks = _parse_int_list(args.blocks or "") or y_blocks
-    if not blocks:
-        raise CliError("no --blocks given and none recorded in the file")
+    blocks = _blocks(_parse_int_list(args.blocks), y_blocks)
     input_paths = [p for p in args.inputs.split(",") if p]
     if len(input_paths) != len(blocks):
         raise CliError("need exactly one input file per block")
@@ -325,9 +321,9 @@ def cmd_apply(args) -> int:
         if mat.rows != 1 or mat.cols != n_i:
             raise CliError(f"{path}: expected a 1x{n_i} matrix")
         words.append(BitVector(n_i, mat.row_words[0]))
-    y = ConversionMatrix(y_mat, tuple(blocks))
+    y = ConversionMatrix(y_mat, blocks)
     if args.gi:
-        inst = _instance_from_files(args.gi, tuple(blocks), args.gf)
+        inst = _instance_from_files(args.gi, args.gf, blocks)
         try:
             out = apply_conversion(inst, y, words)
         except ConversionError as exc:
@@ -431,8 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (CliError, CodeError, ConversionError, DimensionError, OSError,
-            SizeGuardError, bounds_mod.BoundsError, ValueError) as exc:
+    except (CliError, OSError, SizeGuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

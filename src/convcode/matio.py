@@ -1,7 +1,8 @@
 """Text serialization of binary matrices.
 
 Format (shared across the repo): first line ``ROWS COLS`` as ASCII
-decimals, then ROWS lines of exactly COLS characters from {0,1}.
+decimals, then ROWS lines of exactly COLS characters from {0,1}, where
+character j of a line is column j (bit j of the row word).
 Optional trailing comment lines start with ``#``; the ``#blocks`` comment
 carries block sizes for conversion matrices and transformed generators.
 """
@@ -25,8 +26,7 @@ def format_matrix(
     block_sep: str = ",",
 ) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for w in m.row_words:
-        lines.append("".join(str((w >> j) & 1) for j in range(m.cols)))
+    lines.extend(format(w, f"0{m.cols}b")[::-1] for w in m.row_words)
     if blocks is not None:
         lines.append("#blocks " + block_sep.join(str(b) for b in blocks))
     return "\n".join(lines) + "\n"
@@ -66,12 +66,12 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
         raise MatrixFormatError(
             f"expected {rows} row lines, found {len(row_lines)}"
         )
-    matrix_rows = []
     for ln in row_lines:
+        # Checked first: int(s, 2) alone also takes signs, "_", "0b" and
+        # non-ASCII digits.
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise MatrixFormatError(f"bad row line: {ln!r}")
-        matrix_rows.append([int(c) for c in ln])
-    return BitMatrix.from_rows(matrix_rows), blocks
+    return BitMatrix([int(ln[::-1], 2) for ln in row_lines], cols), blocks
 
 
 def read_matrix(path: Union[str, Path]) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:

@@ -97,11 +97,14 @@ _RM_CODES: Dict[Tuple[int, int], LinearCode] = {}
 
 
 def rm_code(r: int, m: int) -> LinearCode:
-    """RM(r, m), built once per (r, m); later calls return the same code."""
+    """RM(r, m), built once per (r, m), with its exact distances preset:
+    d = 2^(m-r) and, for r < m, d_dual = 2^(r+1) (the dual is RM(m-r-1, m))."""
     key = (r, m)
     if key not in _RM_CODES:
         code = from_generator(rm_generator(r, m))
-        code._d = 1 << (m - r)  # Reed-Muller distance is known exactly
+        code._d = 1 << (m - r)
+        if r < m:
+            code._d_dual = 1 << (r + 1)
         _RM_CODES[key] = code
     return _RM_CODES[key]
 

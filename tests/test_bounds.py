@@ -93,8 +93,10 @@ def test_read_floor_delta():
     # u_i = 1: delta = 0, floor = k_Ii = 2.
     assert read_lower_delta(p, 0, 1) == 2
     assert read_lower_delta(p, 0, 0) == 2
+    # u_i > n_Ii (a copied symbol): delta = 3 > k_Ii, floor 0.
+    assert read_lower_delta(p, 0, 4) == 0
     with pytest.raises(BoundsError):
-        read_lower_delta(p, 0, 4)
+        read_lower_delta(p, 0, -1)
 
 
 def test_read_floor_delta_clamped():
@@ -215,17 +217,13 @@ def test_audit_memo_matches_uncached(inst):
     cf = inst.final_code
     p = ParamSet(inst.n_initial, inst.k_initial, inst.n_final, inst.k_final,
                  min_distance(cf), dual_distance(cf))
+    # Also audit's totality: small_instances draws final codes with
+    # repeated and zero coordinates, and no report may raise.
     for _, report in enumerate_conversions(inst):
-        try:
-            expected = bounds._build_report(
-                p, report.unchanged_counts, report.read_counts
-            )
-        except BoundsError as exc:
-            with pytest.raises(BoundsError) as raised:
-                audit(p, report)
-            assert str(raised.value) == str(exc)
-        else:
-            assert audit(p, report) == expected
+        expected = bounds._build_report(
+            p, report.unchanged_counts, report.read_counts
+        )
+        assert audit(p, report) == expected
 
 
 def test_audit_memo_is_bounded_and_shared():
@@ -240,6 +238,18 @@ def test_audit_memo_is_bounded_and_shared():
 
 
 def test_audit_error_is_not_memoised():
+    # Four unchanged and two new symbols: six final coordinates, not n_F = 5.
+    costs = CostReport(
+        (frozenset({0, 1}), frozenset({2, 3})),
+        frozenset({4, 5}),
+        (frozenset({2}), frozenset({2})),
+    )
+    for _ in range(2):
+        with pytest.raises(BoundsError, match="does not cover n_F"):
+            audit(example_params(), costs)
+
+
+def test_audit_copied_symbol_makes_singleton_inapplicable():
     # Degenerate final code (repeated coordinate): one initial symbol
     # copied to two final positions gives |U_2| = 2 > n_I2 = 1.
     p = ParamSet((2, 1), (1, 1), 4, 2, 2, 2)
@@ -248,6 +258,12 @@ def test_audit_error_is_not_memoised():
         frozenset({3}),
         (frozenset({1}), frozenset()),
     )
-    for _ in range(2):
-        with pytest.raises(BoundsError, match="u_i must be between"):
-            audit(p, costs)
+    report = audit(p, costs)
+    sing2 = report.find("unchanged_upper_singleton", 1)
+    assert (sing2.value, sing2.applicable, sing2.satisfied) == \
+        (None, False, None)
+    assert report.find("unchanged_upper_singleton", 0).satisfied
+    # delta_2 = 2 - 2 + 1 = 1, so the floor is k_I2 - 1 = 0.
+    delta2 = report.find("read_lower_delta", 1)
+    assert delta2.value == 0 and delta2.satisfied
+    assert not report.violations

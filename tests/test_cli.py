@@ -1,8 +1,11 @@
 import json
 
-from convcode.cli import main
+import pytest
+
+from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
+from convcode.reedmuller import rm_code
 
 
 def test_rm_stdout(capsys):
@@ -281,3 +284,44 @@ def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["merge"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_report_exhaustive_scans_instead_of_reading_the_preset(
+    monkeypatch, capsys
+):
+    # A wrong preset on the shared RM(2, 4) must not pass as a scan.
+    monkeypatch.setattr(rm_code(2, 4), "_d", 3)
+    assert main(
+        ["report", "--m-min", "4", "--m-max", "4", "--format", "json"]
+    ) == 0
+    (rec,) = json.loads(capsys.readouterr().out)
+    assert (rec["params"]["d_F"], rec["params"]["d_F_dual"]) == (4, 8)
+    assert rec["distance_source"] == {
+        "d_F": "exhaustive", "d_F_dual": "exhaustive"
+    }
+
+
+# Stacked G_I rows (bit j is column j) of the worked example's two codes.
+GI_ROWS = (0b000101, 0b000110, 0b011000, 0b110000)
+
+
+@pytest.mark.parametrize(
+    "rows,blocks,message",
+    [
+        (GI_ROWS, (3, 2), "sum to the G_I width"),
+        (GI_ROWS, (-1, 7), "must be >= 1"),
+        (GI_ROWS, (2, 4), "not block diagonal"),   # the first row meets both
+        ((0b000101, 0b011000, 0b000110, 0b110000), (3, 3),
+         "not block diagonal"),                     # block rows interleaved
+        ((0b000101, 0b000110, 0b011000, 0), (3, 3),
+         "not block diagonal"),                     # a zero row
+        ((0b000101, 0b000101, 0b011000, 0b110000), (3, 3),
+         "bad generator block"),                    # dependent rows
+        (GI_ROWS, (6, 0), "must be >= 1"),
+        ((0b000101, 0b000110), (3, 3),
+         "bad generator block"),                    # no rows for block 2
+    ],
+)
+def test_split_blocks_errors(rows, blocks, message):
+    with pytest.raises(CliError, match=message):
+        _split_blocks(BitMatrix(rows, 6), blocks)

@@ -319,17 +319,96 @@ CLI_GOLDEN = {
 }
 
 
+# Further input files: codewords {x1} and {x2} of the worked example's
+# initial codes, a non-codeword {xbad} of the first one, and stacked G_I
+# files with no #blocks line ({gi:bare}) and with a row that crosses the
+# two blocks ({gi:dense}).
+EXTRA_FILES = {
+    "{x1}": "1 3\n101\n",
+    "{x2}": "1 3\n110\n",
+    "{xbad}": "1 3\n100\n",
+    "{gi:bare}": "4 6\n101000\n011000\n000110\n000011\n",
+    "{gi:dense}": "4 6\n101000\n011000\n000110\n100011\n#blocks 3,3\n",
+}
+
+# argv -> (exit code, sha256 of stdout, sha256 of the file written to
+# {out} or None when the command writes none).
+CLI_FILE_GOLDEN = {
+    "apply --y {y} --inputs {x1},{x2}": (
+        0, "711cb6b1ea1c66e008ea2ebcd2c3d0b0368f5ed62c8138d0114c559380e2f18a",
+        None),
+    "apply --y {y} --blocks 3,3 --inputs {x1},{x2} --out {out}": (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "711cb6b1ea1c66e008ea2ebcd2c3d0b0368f5ed62c8138d0114c559380e2f18a"),
+    "apply --y {y} --inputs {x1},{x2} --gi {gi} --gf {gf}": (
+        0, "711cb6b1ea1c66e008ea2ebcd2c3d0b0368f5ed62c8138d0114c559380e2f18a",
+        None),
+    "apply --y {y} --inputs {xbad},{x2} --gi {gi} --gf {gf}": (
+        1, "d0575b27d2bf5c182d019e1fa1576baa9b2b8b252b95fc653474d4cde2f878f1",
+        None),
+    "oracle --gi {gi} --gf {gf} --emit-y {out}": (
+        0, "f6f27f71dc2bc7e48181dad6a1d3e96cccdab3c9a11e167e99c7b426c3d30824",
+        "e9cb7dea0118bae4bdfe140033dfa6b8afc896308651cc649861767c67ddef14"),
+    "oracle --gi {gi:bare} --gf {gf}": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None),
+    "oracle --gi {gi:dense} --gf {gf}": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None),
+    "oracle --gi {gi} --blocks 2,4 --gf {gf}": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None),
+    "oracle --gi {gi} --blocks 3,2 --gf {gf}": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None),
+    "info {gf}": (
+        0, "fb1040a783cb0b2495afe3f2960b870fc9c0f61c2271e815e49adbfcd392262d",
+        None),
+    "bounds --nI 3,3 --kI 2,2 --nF 5 --kF 4 --dF 2 --dFdual 5": (
+        0, "9e1eb5e5a1084e00550c8701dd170c1d32a4c24aeae8c378674a39f30b17bbc3",
+        None),
+    "bounds --nI 3,3 --kI 2,2 --nF 5 --kF 4 --dF 2 --dFdual 5 --format json": (
+        0, "23d6fd0b413d85cba3d3098ed0075c8610f67d7d89a438101bd8e368995302a6",
+        None),
+    "rm --r 2 --m 4": (
+        0, "e3a4f9be24304b056482ea5e14ca8f8072e4c3d58097e22b10ebb666e3c77e86",
+        None),
+    "rm --r 2 --m 4 --out {out}": (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3a4f9be24304b056482ea5e14ca8f8072e4c3d58097e22b10ebb666e3c77e86"),
+    "report --m-min 3 --m-max 7": (
+        0, "ced5485b87c2fc91ee4a319e2b561e2b689cb6ed2f16ea06b58559e49dfc379e",
+        None),
+}
+
+
 def _cli_argv(cmd, files, tmp_path):
     gi, gf, y = files
-    names = {"{gi}": gi, "{gf}": gf, "{y}": y}
+    names = {"{gi}": gi, "{gf}": gf, "{y}": y, "{out}": tmp_path / "out.txt"}
     for name, mat in VERIFY_YS.items():
         path = tmp_path / f"y-{name}.txt"
         path.write_text(format_matrix(mat, blocks=(3, 3)))
         names[f"{{y:{name}}}"] = path
-    return [str(names.get(word, word)) for word in cmd.split()]
+    for name, text in EXTRA_FILES.items():
+        path = tmp_path / (name.strip("{}").replace(":", "-") + ".txt")
+        path.write_text(text)
+        names[name] = path
+    return [
+        ",".join(str(names.get(part, part)) for part in word.split(","))
+        for word in cmd.split()
+    ]
 
 
 @pytest.mark.parametrize("cmd", list(CLI_GOLDEN))
 def test_cli_stdout_golden(cmd, example_files, tmp_path, capsys):
     code = main(_cli_argv(cmd, example_files, tmp_path))
     assert (code, _sha(capsys.readouterr().out)) == CLI_GOLDEN[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(CLI_FILE_GOLDEN))
+def test_cli_stdout_and_file_golden(cmd, example_files, tmp_path, capsys):
+    code = main(_cli_argv(cmd, example_files, tmp_path))
+    out = tmp_path / "out.txt"
+    written = _sha(out.read_text()) if out.exists() else None
+    assert (code, _sha(capsys.readouterr().out), written) == \
+        CLI_FILE_GOLDEN[cmd]

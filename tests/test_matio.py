@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convcode.gf2 import BitMatrix
 from convcode.matio import (
@@ -81,3 +82,64 @@ def test_file_round_trip(tmp_path):
     back, blocks = read_matrix(path)
     assert back == m
     assert blocks == (3, 3)
+
+
+def format_per_bit(m):
+    """The per-bit formatter that format_matrix replaced: the reference."""
+    lines = [f"{m.rows} {m.cols}"]
+    for w in m.row_words:
+        lines.append("".join(str((w >> j) & 1) for j in range(m.cols)))
+    return "\n".join(lines) + "\n"
+
+
+def parse_row_per_bit(line, cols):
+    """The per-bit row parser that parse_matrix replaced: the reference.
+    Returns the row word, or None where it rejected the line."""
+    line = line.strip()
+    if len(line) != cols or set(line) - {"0", "1"}:
+        return None
+    return BitMatrix.from_rows([[int(c) for c in line]]).row_words[0]
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 200))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1),
+                          min_size=rows, max_size=rows))
+    return BitMatrix(words, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_round_trip_matches_per_bit_reference(m):
+    text = format_matrix(m)
+    assert text == format_per_bit(m)
+    parsed, blocks = parse_matrix(text)
+    assert parsed == m and blocks is None
+    lines = text.splitlines()[1:]
+    assert [parse_row_per_bit(ln, m.cols) for ln in lines] == list(m.row_words)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 6), st.text(alphabet="01+-_b x ", min_size=1,
+                                  max_size=8))
+def test_row_parse_matches_per_bit_reference(cols, line):
+    expected = parse_row_per_bit(line, cols)
+    text = f"1 {cols}\n{line}\n"
+    if expected is None:
+        with pytest.raises(MatrixFormatError):
+            parse_matrix(text)
+    else:
+        assert parse_matrix(text)[0].row_words == (expected,)
+
+
+# Rows that int(s, 2) alone would take (signs, underscores, a 0b prefix,
+# Unicode digits, a wrong length) or reject with a bare ValueError.
+@pytest.mark.parametrize(
+    "row",
+    ["+11", "-11", "1_1", "0b1", "1 1", "\u0661\u0660\u0661", "1011", "10"],
+)
+def test_parse_rejects_what_int_accepts(row):
+    with pytest.raises(MatrixFormatError):
+        parse_matrix(f"1 3\n{row}\n")

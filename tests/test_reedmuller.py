@@ -5,6 +5,7 @@ import pytest
 
 from convcode.codes import (
     dual,
+    dual_distance,
     from_generator,
     is_information_set,
     min_distance,
@@ -148,8 +149,10 @@ def test_rm_2_3_generator_rows():
 @pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (1, 4), (3, 4), (2, 5)])
 def test_rm_distance(r, m):
     c = rm_code(r, m)
-    c._d = None  # force the exhaustive scan past the preset cache
+    assert (c._d, c._d_dual) == (1 << (m - r), 1 << (r + 1))
+    c._d = c._d_dual = None  # force the exhaustive scans past the presets
     assert min_distance(c) == 1 << (m - r)
+    assert dual_distance(c) == 1 << (r + 1)
 
 
 def test_rm_dual_is_rm():
@@ -224,4 +227,5 @@ def test_transformed_generator_row_equivalent(r, m):
 
 def test_rm_code_presets_distance_cache():
     c = rm_code(2, 5)
-    assert c._d == 8
+    assert (c._d, c._d_dual) == (8, 8)
+    assert rm_code(3, 3)._d_dual is None  # the full space: its dual is zero
