@@ -230,9 +230,10 @@ def cmd_merge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
+    flag_blocks = _parse_int_list(args.blocks)
+    inst = _instance_from_files(args.gi, args.gf, flag_blocks)
     y_mat, y_blocks = _load_matrix(args.y)
-    y = ConversionMatrix(y_mat, _blocks(y_blocks, inst.n_initial))
+    y = ConversionMatrix(y_mat, _blocks(flag_blocks, y_blocks, inst.n_initial))
     try:
         report = classify_symbols(inst, y)
     except ConversionError:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import BitMatrix, BitVector, SizeGuardError, vstack
-from .codes import LinearCode, from_generator
+from .codes import LinearCode, _DegreeTest, from_generator
 
 MAX_M = 20
 
@@ -96,15 +96,40 @@ def rm_generator(r: int, m: int) -> BitMatrix:
 _RM_CODES: Dict[Tuple[int, int], LinearCode] = {}
 
 
+def _degree_test(r: int, m: int) -> _DegreeTest:
+    """Masks of the membership test for RM(r, m) (see codes.contains).
+
+    Butterfly step b adds each point with bit b clear onto the point with
+    it set (the binary Moebius transform, points to ANF coefficients in
+    the same order); the coefficient at point j belongs to the monomial
+    of the set bits of j, so RM(r, m) forbids those of weight > r.  The
+    weight masks grow one variable at a time: the points of weight <= w
+    among 2^(t+1) are those among 2^t, plus those of weight <= w-1
+    shifted up by 2^t.
+    """
+    full = (1 << (1 << m)) - 1
+    steps = tuple(
+        (full ^ _variable_mask(m - b, m), 1 << b) for b in range(m)
+    )
+    at_most = [1] * (r + 1)  # weight <= w among the first 2^t points
+    for t in range(m):
+        at_most = [at_most[0]] + [
+            at_most[w] | (at_most[w - 1] << (1 << t)) for w in range(1, r + 1)
+        ]
+    return steps, full ^ at_most[r]
+
+
 def rm_code(r: int, m: int) -> LinearCode:
     """RM(r, m), built once per (r, m), with its exact distances preset:
-    d = 2^(m-r) and, for r < m, d_dual = 2^(r+1) (the dual is RM(m-r-1, m))."""
+    d = 2^(m-r) and, for r < m, d_dual = 2^(r+1) (the dual is RM(m-r-1, m)),
+    and with the degree test that codes.contains uses for membership."""
     key = (r, m)
     if key not in _RM_CODES:
         code = from_generator(rm_generator(r, m))
         code._d = 1 << (m - r)
         if r < m:
             code._d_dual = 1 << (r + 1)
+        code._degree_test = _degree_test(r, m)
         _RM_CODES[key] = code
     return _RM_CODES[key]
 

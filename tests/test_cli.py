@@ -108,6 +108,22 @@ def test_verify_blocks_flag_overrides(example_files):
     ) == 0
 
 
+def test_verify_blocks_flag_overrides_y_file(example_files, tmp_path, capsys):
+    # As in apply, --blocks beats the Y file's #blocks line.
+    gi, gf, y = example_files
+    y_mat, _ = read_matrix(y)
+    y24 = tmp_path / "y24.txt"
+    y24.write_text(format_matrix(y_mat, blocks=(2, 4)))
+    assert "#blocks 2,4" in y24.read_text()
+    code = main(["verify", "--gi", str(gi), "--blocks", "3,3",
+                 "--gf", str(gf), "--y", str(y24)])
+    assert code == 0
+    assert "VALID conversion" in capsys.readouterr().out
+    # Without the flag the file's blocks still apply, and do not match.
+    assert main(["verify", "--gi", str(gi), "--gf", str(gf),
+                 "--y", str(y24)]) == 2
+
+
 def test_verify_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(

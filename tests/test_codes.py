@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import convcode as cc
 from convcode.codes import (
@@ -32,7 +32,7 @@ from convcode.gf2 import (
     rank,
     vec_mat,
 )
-from convcode.reedmuller import rm_code
+from convcode.reedmuller import rm_code, rm_generator
 
 from tests.conftest import GF_ROWS, GI1_ROWS, row_space_by_rref
 
@@ -338,6 +338,63 @@ def test_contains_repeated_on_memoised_rm_code():
     assert first[:5] == [True] * 5
     assert rm_code(2, 5) is code
     assert [contains(rm_code(2, 5), x) for x in words] == first
+
+
+_PRESET_FREE_RM = {}
+
+
+def preset_free_rm(r, m):
+    """RM(r, m) from its generator alone: no degree test is preset, so
+    contains re-encodes from the echelon form (the reference path)."""
+    if (r, m) not in _PRESET_FREE_RM:
+        _PRESET_FREE_RM[r, m] = from_generator(rm_generator(r, m))
+    return _PRESET_FREE_RM[r, m]
+
+
+@st.composite
+def rm_words(draw):
+    """(r, m, x) with 1 <= m <= 10, 0 <= r <= m and x an encoded codeword
+    of RM(r, m), a codeword with one flipped bit, or a random word."""
+    m = draw(st.integers(1, 10))
+    r = draw(st.integers(0, m))
+    c = preset_free_rm(r, m)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["codeword", "flipped", "random"]))
+    if kind == "random":
+        return r, m, BitVector(c.n, rng.getrandbits(c.n))
+    x = encode(c, BitVector(c.k, rng.getrandbits(c.k)))
+    if kind == "flipped":
+        x = x ^ BitVector(c.n, 1 << rng.randrange(c.n))
+    return r, m, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(rm_words())
+@example((0, 3, BitVector(8, 0xFF)))  # repetition code: all-ones
+@example((0, 3, BitVector(8, 0x7F)))
+@example((4, 4, BitVector(16, 0x1234)))  # the full space
+@example((3, 10, BitVector(1024, 1 << 1023)))
+def test_rm_degree_test_matches_echelon_and_rank(case):
+    r, m, x = case
+    c = rm_code(r, m)
+    assert c._degree_test is not None
+    plain = preset_free_rm(r, m)
+    assert plain._degree_test is None
+    expected = contains_by_rank(plain, x)
+    assert contains(c, x) == expected
+    assert contains(plain, x) == expected
+    for n in (c.n - 1, c.n + 1):
+        with pytest.raises(DimensionError):
+            contains(c, BitVector(n, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rm_degree_test_on_every_word(m):
+    for r in range(m + 1):
+        c, plain = rm_code(r, m), preset_free_rm(r, m)
+        for mask in range(1 << c.n):
+            x = BitVector(c.n, mask)
+            assert contains(c, x) == contains(plain, x)
 
 
 def test_systematic_generator_identity_on_set():

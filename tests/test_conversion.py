@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
-from convcode import conversion
+from convcode import codes, conversion
 from convcode.codes import contains, encode, random_code
 from convcode.conversion import (
     ConversionError,
@@ -514,24 +514,50 @@ def test_rm_merge_apply_matches_matrix(r, m):
             assert via_matrix[half + z] == x2[z]
 
 
-def test_apply_conversion_eliminates_nothing_once_warm(eliminations):
+def test_apply_conversion_eliminates_nothing_once_warm(
+    eliminations, example_instance, example_y
+):
     # Guards the data path by a count, not a time: after one warm-up call
     # has cached the initial codes' echelon forms, membership checks and
     # the conversion itself run without any Gaussian elimination.
-    inst, y, _ = rm_merge_procedure(4, 9)
+    inst, y = example_instance, example_y
     rng = random.Random(23)
-
-    def words():
-        return [encode(c, BitVector(c.k, rng.getrandbits(c.k)))
-                for c in inst.initial_codes]
-
     before = len(eliminations)
-    apply_conversion(inst, y, words())
+    apply_conversion(inst, y, random_codewords(inst, rng))
     warm = len(eliminations)
     assert warm > before  # the counter sees the warm-up's echelon forms
     for _ in range(10):
-        apply_conversion(inst, y, words())
+        apply_conversion(inst, y, random_codewords(inst, rng))
     assert len(eliminations) == warm
+
+
+def test_apply_conversion_on_rm_codes_eliminates_nothing(eliminations):
+    # RM codes answer membership with their preset degree test, so on the
+    # (4,9) merge every apply, the first one included, eliminates nothing.
+    inst, y, _ = rm_merge_procedure(4, 9)
+    rng = random.Random(23)
+    before = len(eliminations)
+    for _ in range(11):
+        apply_conversion(inst, y, random_codewords(inst, rng))
+    assert len(eliminations) == before
+    assert all(c._echelon is None for c in inst.initial_codes)
+
+
+def test_cold_rm_merge_skips_the_final_echelon(monkeypatch):
+    # Verifying the merge checks every product row against RM(4, 9) by its
+    # degree test, so the final code's echelon form is never computed.
+    seen = []
+    echelon = codes._echelon
+
+    def recording(c):
+        seen.append(c)
+        return echelon(c)
+
+    monkeypatch.setattr(codes, "_echelon", recording)
+    inst, _, _ = rm_merge_procedure(4, 9)
+    assert inst.final_code is rm_code(4, 9)
+    assert not any(c is inst.final_code for c in seen)
+    assert inst.final_code._echelon is None
 
 
 def test_rm_merge_apply_eliminates_nothing_once_warm(eliminations):
