@@ -45,7 +45,6 @@ from .codes import (
     zero_code,
 )
 from .reedmuller import (
-    degree_block_a,
     evaluate_monomial,
     low_weight_positions,
     monomial_basis,

@@ -29,7 +29,6 @@ from .gf2 import (
     BitVector,
     DimensionError,
     block_diag,
-    inverse,
     mat_mul,
     rank,
 )
@@ -39,11 +38,7 @@ from .codes import (
     first_information_set,
     systematic_generator,
 )
-from .reedmuller import (
-    degree_block_a,
-    low_weight_positions,
-    rm_code,
-)
+from .reedmuller import _systematic_rows, rm_code
 
 
 class ConversionError(ValueError):
@@ -377,38 +372,23 @@ def _build_rm_merge(
 ) -> Tuple[ConvertibleInstance, ConversionMatrix]:
     """Instance and matrix Y = [[I, T], [0, B]] of the RM merge, by rows.
 
-    With s1 the weight-<=r information set of the first code and inv1 the
-    inverse of its generator on s1, row s1[s] of T is the XOR of the
-    degree-r rows A_t with inv1[s, k1 - C(m-1, r) + t] = 1.  B is I when
-    reading the second code directly is no dearer than decoding it; else
-    it re-encodes that code from its symbols at the zero columns of A.
+    With M the Moebius transform on 2^(m-1) points, D_r the points of
+    weight r and e_p the unit word at p, row p of T is M(M(e_p) & D_r)
+    for p of weight <= r, else 0 (reedmuller._systematic_rows), so that
+    c1 . T = M(M(c1) & D_r).  B is I when reading the second code directly
+    is no dearer than decoding it; else its rows are the systematic ones
+    of that code on its weight-<=(r-1) points, the zero columns of T.
     """
     c1 = rm_code(r, m - 1)
     c2 = rm_code(r - 1, m - 1)
     inst = make_instance([c1, c2], rm_code(r, m))
 
     half = 1 << (m - 1)
-    a = degree_block_a(r, m)
-    first = c1.k - a.rows  # degree-r coefficients are the last message rows
-    s1 = low_weight_positions(r, m - 1)
-    inv1 = inverse(c1.generator.select_columns(s1))
-    t_rows = [0] * half
-    for s, pos in enumerate(s1):
-        coeffs = inv1.row_words[s] >> first
-        for t, a_row in enumerate(a.row_words):
-            if (coeffs >> t) & 1:
-                t_rows[pos] ^= a_row
-
+    t_rows = _systematic_rows(r, m - 1, low=r)
     if half - c2.k <= c2.k:
         b_rows = [1 << j for j in range(half)]
     else:
-        # The zero columns of A are the weight-<=(r-1) points: an
-        # information set of the second code, so its other symbols can
-        # be decoded.
-        zeros = low_weight_positions(r - 1, m - 1)
-        b_rows = [0] * half
-        for z, row in zip(zeros, systematic_generator(c2, zeros).row_words):
-            b_rows[z] = row
+        b_rows = _systematic_rows(r - 1, m - 1)
 
     words = [(1 << i) | (t << half) for i, t in enumerate(t_rows)]
     words += [b << half for b in b_rows]
@@ -425,11 +405,12 @@ def rm_merge_procedure(
 ) -> Tuple[ConvertibleInstance, ConversionMatrix, CostReport]:
     """The explicit merge RM(r, m-1) x RM(r-1, m-1) -> RM(r, m).
 
-    All first-code symbols stay unchanged in the left half; the
-    second-code symbols at the zero columns of the degree-r block stay
-    unchanged in the right half; each remaining right-half symbol is the
-    matching degree-r combination of the first codeword plus the
-    corresponding second-codeword symbol.
+    On codewords c1, c2 the output is c1 in the left half and
+    M(M(c1) & D_r) ^ c2 in the right half: M is the binary Moebius
+    transform on 2^(m-1) points and D_r masks the points of weight r, so
+    that is c2 plus the degree-r part of c1's polynomial, evaluated.  It
+    vanishes at the points of weight <= r-1, where c2's symbols stay
+    unchanged; every other right-half symbol is new.
 
     The triple is built and classified (so verified) on the first call
     per (r, m); later calls return the same (shared, immutable) triple.

@@ -1,12 +1,13 @@
 """Reed-Muller codes RM(r, m) by monomial evaluation.
 
 Builds the square-free monomial basis, the plain and row-transformed
-generator matrices, the Plotkin sum, and the degree-r evaluation block
-used by the merge construction.
+generator matrices, and the Plotkin sum.
 
 A monomial is evaluated on all points at once: each variable's
 evaluations form a periodic mask, and the monomial's row is the AND of
-the masks of its variables.
+the masks of its variables.  The binary Moebius transform between
+evaluations and algebraic-normal-form (ANF) coefficients gives both the
+membership test of RM(r, m) and the rows of the merge matrix.
 
 Conventions: evaluation points are listed in lexicographic order (point
 j is the big-endian binary expansion of j) and variable X_1 is the most
@@ -96,27 +97,57 @@ def rm_generator(r: int, m: int) -> BitMatrix:
 _RM_CODES: Dict[Tuple[int, int], LinearCode] = {}
 
 
-def _degree_test(r: int, m: int) -> _DegreeTest:
-    """Masks of the membership test for RM(r, m) (see codes.contains).
-
-    Butterfly step b adds each point with bit b clear onto the point with
-    it set (the binary Moebius transform, points to ANF coefficients in
-    the same order); the coefficient at point j belongs to the monomial
-    of the set bits of j, so RM(r, m) forbids those of weight > r.  The
-    weight masks grow one variable at a time: the points of weight <= w
-    among 2^(t+1) are those among 2^t, plus those of weight <= w-1
-    shifted up by 2^t.
-    """
-    full = (1 << (1 << m)) - 1
-    steps = tuple(
-        (full ^ _variable_mask(m - b, m), 1 << b) for b in range(m)
-    )
+def _weight_masks(r: int, m: int) -> List[int]:
+    """Masks of the points of weight <= w among 2^m, w = 0..r, grown one
+    variable at a time: those among 2^(t+1) are those among 2^t, plus
+    those of weight <= w-1 shifted up by 2^t."""
     at_most = [1] * (r + 1)  # weight <= w among the first 2^t points
     for t in range(m):
         at_most = [at_most[0]] + [
             at_most[w] | (at_most[w - 1] << (1 << t)) for w in range(1, r + 1)
         ]
-    return steps, full ^ at_most[r]
+    return at_most
+
+
+def _degree_test(r: int, m: int) -> _DegreeTest:
+    """Masks of the membership test for RM(r, m) (see codes.contains).
+
+    Butterfly step b adds each point with bit b clear onto the point with
+    it set (the binary Moebius transform M, points to ANF coefficients in
+    the same order, and its own inverse); the coefficient at point j
+    belongs to the monomial of the set bits of j, so RM(r, m) forbids
+    those of weight > r.
+    """
+    full = (1 << (1 << m)) - 1
+    steps = tuple(
+        (full ^ _variable_mask(m - b, m), 1 << b) for b in range(m)
+    )
+    return steps, full ^ _weight_masks(r, m)[r]
+
+
+def _systematic_rows(r: int, m: int, low: int = 0) -> List[int]:
+    """Rows, by point, of the systematic generator of RM(r, m) on its
+    weight-<=r points, cut to their ANF terms of degree >= low.
+
+    The row of p is 1 at p and 0 at the other weight-<=r points, so its
+    ANF coefficient at S, the XOR of its values at the points inside S,
+    is [p inside S] for |S| <= r, and 0 above.  M(e_p) is the mask of
+    the points containing p, so the row is M(M(e_p) & K), K the points
+    of weight low..r; rows of heavier points are 0.
+    """
+    steps, _ = rm_code(r, m)._degree_test
+    at_most = _weight_masks(r, m)
+    keep = at_most[r] ^ (at_most[low - 1] if low else 0)
+
+    def moebius(v: int) -> int:
+        for below, shift in steps:
+            v ^= (v & below) << shift
+        return v
+
+    rows = [0] * (1 << m)
+    for p in low_weight_positions(r, m):
+        rows[p] = moebius(moebius(1 << p) & keep)
+    return rows
 
 
 def rm_code(r: int, m: int) -> LinearCode:
@@ -145,22 +176,6 @@ def plotkin_sum(c: LinearCode, d: LinearCode) -> LinearCode:
     return from_generator(vstack(top, bottom))
 
 
-def degree_block_a(r: int, m: int) -> BitMatrix:
-    """Evaluations of the degree-exactly-r monomials in m-1 variables.
-
-    Rows are ordered lexicographically; the matrix has C(m-1, r) rows and
-    2^(m-1) columns and its zero columns sit at the points of Hamming
-    weight <= r-1.
-    """
-    if not 1 <= r <= m - 1:
-        raise ValueError("need 1 <= r <= m - 1")
-    words = [
-        evaluate_monomial(s, m - 1).mask
-        for s in combinations(range(1, m), r)
-    ]
-    return BitMatrix(words, 1 << (m - 1))
-
-
 def low_weight_positions(r: int, m: int) -> Tuple[int, ...]:
     """Positions of evaluation points of Hamming weight <= r.
 
@@ -168,6 +183,7 @@ def low_weight_positions(r: int, m: int) -> Tuple[int, ...]:
     evaluation matrix restricted to them is unitriangular under the
     containment order).
     """
+    _check_m(m)
     return tuple(j for j in range(1 << m) if j.bit_count() <= r)
 
 
@@ -187,11 +203,13 @@ def rm_transformed_generator(
     """
     if not 1 <= r <= m - 1:
         raise ValueError("need 1 <= r <= m - 1")
+    _check_m(m)
     half = 1 << (m - 1)
-    g_small = rm_generator(r - 1, m - 1)
-    a = degree_block_a(r, m)
-    top = BitMatrix(list(g_small.row_words), 2 * half)
-    mid = BitMatrix([w | (w << half) for w in a.row_words], 2 * half)
-    bottom = BitMatrix([w << half for w in g_small.row_words], 2 * half)
-    out = vstack(vstack(top, mid), bottom)
-    return out, (g_small.rows, a.rows, g_small.rows)
+    # Monomials are ordered by degree: the first rows of G_{RM(r, m-1)}
+    # are G_{RM(r-1, m-1)}, the rest the degree-r evaluations A.
+    g = rm_generator(r, m - 1).row_words
+    k = rm_dimension(r - 1, m - 1)
+    words = list(g[:k])
+    words += [w | (w << half) for w in g[k:]]
+    words += [w << half for w in g[:k]]
+    return BitMatrix(words, 2 * half), (k, len(g) - k, k)

@@ -1,11 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
 from convcode import codes, conversion
-from convcode.codes import contains, encode, random_code
+from convcode.codes import (
+    contains,
+    encode,
+    random_code,
+    systematic_generator,
+)
 from convcode.conversion import (
     ConversionError,
     ConversionMatrix,
@@ -24,13 +30,19 @@ from convcode.gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
+    inverse,
     mat_mul,
     rank,
     right_kernel_basis,
     vec_mat,
 )
 from convcode.oracle import enumerate_conversions
-from convcode.reedmuller import low_weight_positions, rm_code, rm_dimension
+from convcode.reedmuller import (
+    evaluate_monomial,
+    low_weight_positions,
+    rm_code,
+    rm_dimension,
+)
 
 from tests.conftest import (
     GI1_ROWS,
@@ -512,6 +524,97 @@ def test_rm_merge_apply_matches_matrix(r, m):
         assert via_matrix.mask & ((1 << half) - 1) == x1.mask
         for z in zeros:
             assert via_matrix[half + z] == x2[z]
+
+
+def moebius(values):
+    """The binary Moebius transform from its definition: entry j is the
+    XOR of the values at the points i whose set bits are a subset of j's
+    (evaluations to ANF coefficients, and back)."""
+    out = []
+    for j in range(len(values)):
+        acc, i = values[j], j
+        while i:
+            i = (i - 1) & j
+            acc ^= values[i]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "r,m", [(r, m) for m in range(2, 9) for r in range(1, m)]
+)
+def test_rm_merge_output_matches_anf_closed_form(r, m):
+    # The merge keeps c1 on the left and writes M(M(c1) & D_r) ^ c2 on the
+    # right: the degree-r part of c1's polynomial, evaluated, plus c2.
+    inst, _, _ = rm_merge_procedure(r, m)
+    c1, c2 = inst.initial_codes
+    half = 1 << (m - 1)
+    rng = random.Random(31)
+    for _ in range(10):
+        x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))
+        x2 = encode(c2, BitVector(c2.k, rng.getrandbits(c2.k)))
+        out = rm_merge_apply(r, m, x1, x2).to_bits()
+        degree_r = [
+            a if j.bit_count() == r else 0
+            for j, a in enumerate(moebius(x1.to_bits()))
+        ]
+        right = [u ^ v for u, v in zip(moebius(degree_r), x2.to_bits())]
+        assert out == x1.to_bits() + right
+
+
+def inverse_built_rm_merge_y(r, m):
+    """Y of the RM merge as it was built before the closed form: T from
+    the degree-r evaluations A and the inverse of the first generator on
+    its weight-<=r points, B from a systematic generator.  The reference
+    for conversion._build_rm_merge."""
+    c1 = rm_code(r, m - 1)
+    c2 = rm_code(r - 1, m - 1)
+    half = 1 << (m - 1)
+    a = [
+        evaluate_monomial(s, m - 1).mask for s in combinations(range(1, m), r)
+    ]
+    first = c1.k - len(a)  # degree-r coefficients are the last message rows
+    s1 = low_weight_positions(r, m - 1)
+    inv1 = inverse(c1.generator.select_columns(s1))
+    t_rows = [0] * half
+    for s, pos in enumerate(s1):
+        coeffs = inv1.row_words[s] >> first
+        for t, a_row in enumerate(a):
+            if (coeffs >> t) & 1:
+                t_rows[pos] ^= a_row
+    if half - c2.k <= c2.k:
+        b_rows = [1 << j for j in range(half)]
+    else:
+        zeros = low_weight_positions(r - 1, m - 1)
+        b_rows = [0] * half
+        for z, row in zip(zeros, systematic_generator(c2, zeros).row_words):
+            b_rows[z] = row
+    words = [(1 << i) | (t << half) for i, t in enumerate(t_rows)]
+    words += [b << half for b in b_rows]
+    return BitMatrix(words, 2 * half)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_rm_merge_matrix_matches_inverse_built_reference(m):
+    for r in range(1, m):
+        _, y = conversion._build_rm_merge(r, m)
+        assert y.y == inverse_built_rm_merge_y(r, m), (r, m)
+
+
+@pytest.mark.parametrize("r,m", [(2, 5), (4, 9), (3, 4)])
+def test_rm_merge_build_eliminates_nothing(eliminations, r, m):
+    # Y is a closed form over the Moebius transform, so once the three
+    # codes exist, building it runs no Gaussian elimination: neither where
+    # B re-encodes the second code, (2,5) and (4,9), nor where B = I, (3,4).
+    c2 = rm_code(r - 1, m - 1)
+    rm_code(r, m - 1)
+    rm_code(r, m)
+    assert (2 * c2.k < c2.n) == ((r, m) != (3, 4))  # B = I iff not
+    before = len(eliminations)
+    inst, y = conversion._build_rm_merge(r, m)
+    assert len(eliminations) == before
+    assert verify_conversion(inst, y)
+    assert len(eliminations) > before  # the counter sees the rank
 
 
 def test_apply_conversion_eliminates_nothing_once_warm(

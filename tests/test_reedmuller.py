@@ -11,9 +11,8 @@ from convcode.codes import (
     min_distance,
     same_code,
 )
-from convcode.gf2 import SizeGuardError, rank
+from convcode.gf2 import BitMatrix, SizeGuardError, rank
 from convcode.reedmuller import (
-    degree_block_a,
     evaluate_monomial,
     low_weight_positions,
     monomial_basis,
@@ -49,8 +48,10 @@ GUARDS = [
     (rm_generator, (0, 0), SizeGuardError),
     (rm_generator, (5, 2), ValueError),
     (rm_code, (1, 21), SizeGuardError),
-    (degree_block_a, (1, 22), SizeGuardError),
-    (degree_block_a, (0, 5), ValueError),
+    (rm_transformed_generator, (1, 22), SizeGuardError),
+    (rm_transformed_generator, (1, 21), SizeGuardError),
+    (rm_transformed_generator, (0, 5), ValueError),
+    (low_weight_positions, (1, 21), SizeGuardError),
     (evaluate_monomial, ((), 21), SizeGuardError),
     (evaluate_monomial, ((), 0), SizeGuardError),
     (evaluate_monomial, ((4,), 3), ValueError),
@@ -118,11 +119,14 @@ def test_monomial_masks_match_pointwise_reference(m):
             ref[s] for s in monomial_basis(r, m)
         ]
         assert rm_code(r, m).generator == g
-    # degree_block_a(r, m + 1) evaluates in m variables: this m.
+    # The middle block [A A] of rm_transformed_generator(r, m + 1) holds
+    # the degree-r evaluations in m variables (this m) in both halves.
     for r in range(1, m + 1):
-        assert list(degree_block_a(r, m + 1).row_words) == [
-            ref[s] for s in combinations(range(1, m + 1), r)
-        ]
+        g, (b1, b2, _) = rm_transformed_generator(r, m + 1)
+        assert [
+            (w & ((1 << (1 << m)) - 1), w >> (1 << m))
+            for w in g.row_words[b1:b1 + b2]
+        ] == [(ref[s], ref[s]) for s in combinations(range(1, m + 1), r)]
 
 
 def test_evaluate_monomial_rejects_bad_index():
@@ -170,9 +174,15 @@ def test_plotkin_recursion(r, m):
 
 @pytest.mark.parametrize("r,m", [(1, 2), (2, 4), (2, 5), (3, 6)])
 def test_degree_block_shape_and_zero_columns(r, m):
-    a = degree_block_a(r, m)
+    # The degree-r block A, the left half of the middle row block of the
+    # transformed generator.
+    g, (b1, b2, _) = rm_transformed_generator(r, m)
+    half = 1 << (m - 1)
+    a = BitMatrix(
+        [w & ((1 << half) - 1) for w in g.row_words[b1:b1 + b2]], half
+    )
     assert a.rows == math.comb(m - 1, r)
-    assert a.cols == 1 << (m - 1)
+    assert g.cols == 2 * half
     expected = tuple(
         j for j in range(1 << (m - 1)) if j.bit_count() <= r - 1
     )
@@ -220,7 +230,6 @@ def test_transformed_generator_row_equivalent(r, m):
     assert all(w == 0 for w in right[:b1])
     assert all(w == 0 for w in left[b1 + b2:])
     assert left[b1:b1 + b2] == right[b1:b1 + b2]
-    from convcode.gf2 import BitMatrix
     top_left = BitMatrix(left[: b1 + b2], half)
     assert same_code(from_generator(top_left), rm_code(r, m - 1))
 
