@@ -193,7 +193,7 @@ def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
         raise CodeError("shortening set must be nonempty")
     if c.is_zero:
         return zero_code(len(s))
-    complement = [j for j in range(c.n) if j not in set(s)]
+    complement = sorted(set(range(c.n)).difference(s))
     if not complement:
         return c
     # Messages u with (u . G) vanishing outside s.

@@ -8,11 +8,12 @@ generate the final code.  Columns of Y of weight 1 mark final symbols
 inherited unchanged from an initial symbol; heavier columns mark new
 symbols, and their support rows are the symbols that must be read.
 
-Applying a conversion runs a plan compiled once per matrix: unchanged
-symbols are masked and shifted out of the stacked input, and new
-symbols are looked up 4 input bits at a time in tables over the read
-rows only, so apply reads exactly the R sets that classify_symbols
-reports.
+One split of Y's columns, into weight 1 and weight >= 2, serves both
+uses of Y: classify_symbols walks Y's rows with it, and apply runs a
+plan compiled from it once per matrix.  Unchanged symbols are masked
+and shifted out of the stacked input, and new symbols are looked up 4
+input bits at a time in tables over the read rows only, so apply reads
+exactly the R sets that classify_symbols reports, by construction.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 -> RM(r, m) and its recursive multi-code chain.
@@ -21,7 +22,8 @@ Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress, count, islice
 from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import (
@@ -86,22 +88,6 @@ class ConvertibleInstance:
         """Block-diagonal stack of the initial generators."""
         return block_diag([c.generator for c in self.initial_codes])
 
-    def owner_of(self, row: int) -> Tuple[int, int]:
-        """Map a stacked-coordinate row to (code index, local coordinate)."""
-        if not 0 <= row < self.total_initial_length:
-            raise IndexError(row)
-        return self._row_owner[row]
-
-    @cached_property
-    def _row_owner(self) -> Tuple[Tuple[int, int], ...]:
-        """(code index, local coordinate) of every stacked row, in row
-        order; built on first use."""
-        return tuple(
-            (i, local)
-            for i, n in enumerate(self.n_initial)
-            for local in range(n)
-        )
-
 
 @dataclass(frozen=True)
 class ConversionMatrix:
@@ -126,27 +112,34 @@ _Plan = Tuple[
 ]
 
 
+def _column_split(rows: Sequence[int]) -> Tuple[int, int]:
+    """(single, multi): masks of the columns of weight 1 and >= 2 of the
+    matrix with these rows.  The one place that splits Y's columns: a
+    single column is unchanged, any other is new, and a row is read iff
+    it meets multi."""
+    once = multi = 0
+    for w in rows:
+        multi |= once & w
+        once |= w
+    return once & ~multi, multi
+
+
 def _compile_plan(y: BitMatrix) -> _Plan:
     """Tables that compute x . y for a fixed y, for any y.
 
-    A weight-1 column j with support row i copies input bit i to output
-    bit j.  Copies with the same offset i - j share one source mask, kept
-    as (mask, shift) with shift = align - (i - j) >= 0, so the copied
-    bits are the OR of (x & mask) << shift, shifted right by align.
-    Columns of weight 0 stay 0.  The columns of weight >= 2 are the XOR
-    of the rows x selects, restricted to those columns; only the read
-    rows (the union of their supports) have a nonzero restriction.  Each
-    window (base, table) covers rows base..base+3, base a multiple of 4
-    holding a read row, and table[v] is the XOR of the restricted rows
-    base + t for the set bits t of v (Four Russians on a fixed matrix).
-    Column weights come from two running ORs over the rows, so no
-    transpose is needed.
+    The columns are split as classify_symbols splits them.  A weight-1
+    column j with support row i copies input bit i to output bit j.
+    Copies with the same offset i - j share one source mask, kept as
+    (mask, shift) with shift = align - (i - j) >= 0, so the copied bits
+    are the OR of (x & mask) << shift, shifted right by align.  Columns
+    of weight 0 stay 0.  The columns of weight >= 2 are the XOR of the
+    rows x selects, restricted to those columns; only the read rows have
+    a nonzero restriction.  Each window (base, table) covers rows
+    base..base+3, base a multiple of 4 holding a read row, and table[v]
+    is the XOR of the restricted rows base + t for the set bits t of v
+    (Four Russians on a fixed matrix).
     """
-    once = twice = 0  # columns of weight >= 1 and of weight >= 2
-    for w in y.row_words:
-        twice |= once & w
-        once |= w
-    single = once & ~twice
+    single, multi = _column_split(y.row_words)
     offsets: Dict[int, int] = {}
     for i, w in enumerate(y.row_words):
         w &= single
@@ -156,7 +149,7 @@ def _compile_plan(y: BitMatrix) -> _Plan:
             w ^= 1 << j
     align = max([0, *offsets])
     copies = tuple((mask, align - off) for off, mask in offsets.items())
-    rows = [w & twice for w in y.row_words] + [0] * 3
+    rows = [w & multi for w in y.row_words] + [0] * 3
     windows = []
     for base in range(0, y.rows, 4):
         if any(rows[base:base + 4]):
@@ -257,43 +250,42 @@ def classify_symbols(
     A final coordinate is unchanged iff its Y column has weight 1; the
     single support row attributes it to an initial code.  Support rows of
     heavier columns become read symbols of their owning codes.  Y is
-    verified first (rank and row space); the columns then come from one
-    transpose of Y.
+    verified first, then its rows are classified by its apply plan's
+    column split, so apply reads exactly the R sets reported here.
     """
     if not verify_conversion(inst, y):
         raise ConversionError("matrix is not a valid conversion for instance")
-    return _classify_columns(inst, y.y.transpose().row_words)
+    return _classify_rows(inst, y.y.row_words)
 
 
-def _classify_columns(
-    inst: ConvertibleInstance, col_masks: Sequence[int]
+@lru_cache(maxsize=256)
+def _bit_set(mask: int) -> frozenset:
+    """Positions of the set bits of mask (shared: reports repeat masks)."""
+    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+
+
+def _classify_rows(
+    inst: ConvertibleInstance, rows: Sequence[int]
 ) -> CostReport:
-    """Cost report of the conversion with these Y columns, unverified.
+    """Cost report of the conversion with these Y rows, unverified.
 
-    The one classifier: callers must already know that the columns form
-    a valid conversion matrix for inst.
+    The one classifier: callers must already know that the rows form a
+    valid conversion matrix for inst.  A code's unchanged coordinates are
+    the single columns its rows meet; its reads are its rows meeting multi.
     """
-    owner = inst._row_owner
-    unchanged: List[set] = [set() for _ in range(inst.lam)]
-    reads: List[set] = [set() for _ in range(inst.lam)]
-    new: set = set()
-    read_rows = 0
-    for j, col in enumerate(col_masks):
-        if col and not col & (col - 1):  # weight 1
-            unchanged[owner[col.bit_length() - 1][0]].add(j)
-        else:
-            new.add(j)
-            read_rows |= col
-    while read_rows:
-        low = read_rows & -read_rows
-        i, local = owner[low.bit_length() - 1]
-        reads[i].add(local)
-        read_rows ^= low
-    return CostReport(
-        tuple(frozenset(u) for u in unchanged),
-        frozenset(new),
-        tuple(frozenset(r) for r in reads),
-    )
+    single, multi = _column_split(rows)
+    unchanged, reads = [], []
+    words = iter(rows)
+    for n in inst.n_initial:
+        kept = read = 0
+        for local, w in enumerate(islice(words, n)):
+            kept |= w
+            if w & multi:
+                read |= 1 << local
+        unchanged.append(_bit_set(kept & single))
+        reads.append(_bit_set(read))
+    new = _bit_set(~single & ((1 << inst.n_final) - 1))
+    return CostReport(tuple(unchanged), new, tuple(reads))
 
 
 def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
@@ -449,11 +441,10 @@ def rm_merge_chain(
     RM(r, m-depth), RM(r-1, m-depth), RM(r-1, m-depth+1), ...,
     RM(r-1, m-1) and final code RM(r, m); the composed conversion matrix
     is the product of the per-stage matrices lifted by identity blocks.
+    Domain: 1 <= depth <= r <= m - depth, where every stage is a merge.
     """
-    if depth < 1:
-        raise ConversionError("depth must be >= 1")
-    if r < depth or m - 1 < depth:
-        raise ConversionError("need r >= depth and m - 1 >= depth")
+    if not 1 <= depth <= r <= m - depth:
+        raise ConversionError("need 1 <= depth <= r <= m - depth")
     # Innermost stage merges two leaves into RM(r, m - depth + 1); each
     # later stage adds the next RM(r-1, out_m - 1) leaf.
     stage, y_stage, _ = rm_merge_procedure(r, m - depth + 1)

@@ -148,9 +148,8 @@ class BitMatrix:
         """Column j packed into an integer (bit i = row i).
 
         A bit-by-bit convenience for tests and interactive use; no path
-        in the package calls it (classification reads all columns from
-        one transpose).  It stays because `perfbench/tracer.py` wraps
-        it by name.
+        in the package calls it (classification reads Y by rows).  It
+        stays because `perfbench/tracer.py` wraps it by name.
         """
         if not 0 <= j < self.cols:
             raise IndexError(j)

@@ -35,7 +35,7 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
-    _classify_columns,
+    _classify_rows,
     classify_symbols,
 )
 
@@ -88,15 +88,20 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
     return BitMatrix.from_columns(cols, g.cols)
 
 
+# Per invertible M: the rows of M . G_F and the coset of each Y column.
+_Parts = Iterator[Tuple[Tuple[int, ...], List[List[int]]]]
+
+
 def _search_space(
     inst: ConvertibleInstance, lim: SearchLimits
-) -> Tuple[BitMatrix, Iterator[Tuple[Tuple[int, ...], List[List[int]]]]]:
+) -> Tuple[BitMatrix, Optional[float], _Parts]:
     """The one candidate space of both searches; set-up done eagerly.
 
-    Returns G_I and a generator that checks the time budget, then yields,
-    for each invertible M in enumeration order, the rows of M . G_F and,
-    per final column, the coset of valid Y columns: a particular solution
-    of G_I . Y = M . G_F XOR each kernel combination of G_I.
+    Returns G_I, the time_budget's deadline (None if unlimited) that each
+    walk checks per step, and a generator that yields, for each invertible
+    M in enumeration order, the rows of M . G_F and, per final column, the
+    coset of valid Y columns: a particular solution of G_I . Y = M . G_F
+    XOR each kernel combination of G_I.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
@@ -109,15 +114,13 @@ def _search_space(
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
 
-    def parts() -> Iterator[Tuple[Tuple[int, ...], List[List[int]]]]:
+    def parts() -> _Parts:
         for m in enumerate_invertible(inst.k_final, limit=None):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SizeGuardError("time budget exhausted")
             target = mat_mul(m, g_final)
             part = mat_mul(e, target).transpose().row_words
             yield target.row_words, [[pc ^ kc for kc in combos] for pc in part]
 
-    return g_stack, parts()
+    return g_stack, deadline, parts()
 
 
 def enumerate_conversions(
@@ -130,20 +133,22 @@ def enumerate_conversions(
     checked without elimination: G_I . Y must equal M . G_F for the
     current M, else ConversionError is raised.  As M is invertible, that
     equality implies what verify_conversion checks (rank k_F and the
-    final code's row space).  The report then comes from the candidate's
-    columns directly, by the same classifier as classify_symbols.
+    final code's row space).  The report then comes from the rows of the
+    Y built from the chosen columns, by classify_symbols' classifier.  A
+    time budget in lim is checked before each candidate.
     """
-    g_stack, parts = _search_space(inst, lim)
+    g_stack, deadline, parts = _search_space(inst, lim)
     total_rows = inst.total_initial_length
     blocks = inst.n_initial
     for target, cosets in parts:
         for choice_masks in product(*cosets):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SizeGuardError("time budget exhausted")
             y = BitMatrix.from_columns(choice_masks, total_rows)
             if mat_mul(g_stack, y).row_words != target:
                 raise ConversionError("enumerated matrix is not a conversion")
-            yield ConversionMatrix(y, blocks), _classify_columns(
-                inst, choice_masks
-            )
+            report = _classify_rows(inst, y.row_words)
+            yield ConversionMatrix(y, blocks), report
 
 
 def min_access_cost(
@@ -155,9 +160,10 @@ def min_access_cost(
     walks exhaustively, pruned only where even the cheapest completion
     costs strictly more than the best found, so every tie is visited.
     Ties are broken by write cost, then by the lexicographic row-major
-    bit string of Y, so results are deterministic.
+    bit string of Y, so results are deterministic.  A time budget in lim
+    is checked at every node of the walk.
     """
-    _, parts = _search_space(inst, lim)
+    _, deadline, parts = _search_space(inst, lim)
     n_final = inst.n_final
     total_rows = inst.total_initial_length
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
@@ -167,6 +173,8 @@ def min_access_cost(
     def descend(j: int, writes: int, read_mask: int) -> None:
         # Walks cosets[j:] of the current M, set by the loop below.
         nonlocal best_key, best_cols
+        if deadline is not None and time.monotonic() > deadline:
+            raise SizeGuardError("time budget exhausted")
         cost_floor = writes + read_mask.bit_count() + suffix_floor[j]
         if best_key is not None and cost_floor > best_key[0]:
             return

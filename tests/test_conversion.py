@@ -63,8 +63,8 @@ def test_make_instance_checks_dimension_sum(example_codes):
     assert inst.n_final == 5 and inst.k_final == 4
     assert inst.total_initial_length == 6
     assert inst.block_starts() == (0, 3)
-    assert inst.owner_of(0) == (0, 0)
-    assert inst.owner_of(4) == (1, 1)
+    assert owner_by_blocks(inst, 0) == (0, 0)
+    assert owner_by_blocks(inst, 4) == (1, 1)
 
 
 def test_stacked_generator_block_diagonal(example_instance):
@@ -123,7 +123,8 @@ def test_classify_rejects_invalid(example_instance):
 
 
 def owner_by_blocks(inst, row):
-    """Row ownership by a scan of the block starts (the old owner_of)."""
+    """(code index, local coordinate) of a stacked row, by a scan of the
+    block starts."""
     for i, start in enumerate(inst.block_starts()):
         if start <= row < start + inst.n_initial[i]:
             return i, row - start
@@ -158,20 +159,6 @@ def classify_by_owner(inst, y):
 
 def report_sets(report):
     return report.unchanged_per_code, report.new_symbols, report.read_per_code
-
-
-def test_owner_of_matches_block_scan():
-    rng = random.Random(5)
-    codes = [random_code(n, 1, rng) for n in (3, 1, 4, 2)]
-    inst = make_instance(codes, random_code(6, 4, rng))
-    for row in range(inst.total_initial_length):
-        assert inst.owner_of(row) == owner_by_blocks(inst, row)
-    assert inst._row_owner is inst._row_owner  # built once
-    for row in (-1, inst.total_initial_length):
-        with pytest.raises(IndexError):
-            owner_by_blocks(inst, row)
-        with pytest.raises(IndexError):
-            inst.owner_of(row)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,13 +381,13 @@ def plan_access(inst, y):
         touched |= mask
         for i in range(mask.bit_length()):
             if (mask >> i) & 1:
-                unchanged[inst.owner_of(i)[0]].add(i - (align - shift))
+                unchanged[owner_by_blocks(inst, i)[0]].add(i - (align - shift))
     for base, table in windows:
         assert any(table)  # every window holds a read row
         for t in range(4):
             if table[1 << t]:
                 touched |= 1 << (base + t)
-                code, local = inst.owner_of(base + t)
+                code, local = owner_by_blocks(inst, base + t)
                 reads[code].add(local)
     return (tuple(map(frozenset, unchanged)), tuple(map(frozenset, reads)),
             touched)
@@ -426,6 +413,25 @@ def test_plan_on_every_enumerated_conversion(inst):
             # A touched row is a copy source or a read row: flipping it
             # changes some output symbol; any other row is never read.
             assert (flipped != out) == bool((touched >> i) & 1)
+
+
+def test_classify_symbols_transposes_nothing(monkeypatch):
+    # Classification reads Y by rows with the apply plan's column split,
+    # so it never builds Y's columns.
+    cases = [rm_merge_procedure(4, 9)[:2], rm_merge_chain(3, 8, 2)[:2]]
+    calls = []
+    transpose = BitMatrix.transpose
+
+    def counting(self):
+        calls.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(BitMatrix, "transpose", counting)
+    for inst, y in cases:
+        classify_symbols(inst, y)
+    assert calls == []
+    cases[0][1].y.transpose()
+    assert len(calls) == 1  # the counter sees a transpose
 
 
 def test_plan_compiles_once_per_matrix(monkeypatch, example_instance,
@@ -731,3 +737,23 @@ def test_rm_merge_chain_rejects_bad_depth():
         rm_merge_chain(1, 4, depth=2)
     with pytest.raises(ConversionError):
         rm_merge_chain(3, 3, depth=3)
+    # r >= depth and m - 1 >= depth, but the innermost stage would merge
+    # into RM(r, m - depth + 1) with r > m - depth.
+    for r, m, depth in [(2, 3, 2), (3, 4, 3)]:
+        with pytest.raises(ConversionError, match="depth <= r <= m - depth"):
+            rm_merge_chain(r, m, depth)
+
+
+def test_rm_merge_chain_domain_is_its_guard():
+    # Inside 1 <= depth <= r <= m - depth every chain builds; outside it
+    # the chain's own guard refuses, never a stage's.
+    for m in range(1, 8):
+        for r in range(m + 1):
+            for depth in range(m + 1):
+                if 1 <= depth <= r <= m - depth:
+                    inst, y, _ = rm_merge_chain(r, m, depth)
+                    assert inst.lam == depth + 1
+                    assert inst.final_code is rm_code(r, m)
+                else:
+                    with pytest.raises(ConversionError, match="m - depth"):
+                        rm_merge_chain(r, m, depth)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,38 @@ def test_time_budget(example_instance):
         min_access_cost(example_instance, SearchLimits(time_budget=0.0))
 
 
+def one_m_instance():
+    # The [4,1] code 1111 merged into the [8,1] code 11111111: one
+    # invertible M, kernel dim 3 and 2^24 candidates, inside every cap.
+    inst = make_instance(
+        [from_generator(BitMatrix([0b1111], 4))],
+        from_generator(BitMatrix([0xFF], 8)),
+    )
+    assert gl2_order(inst.k_final) == 1
+    assert candidate_count(inst) == 1 << 24
+    return inst
+
+
+def test_time_budget_holds_inside_one_m():
+    # All 2^24 candidates share one M, so a budget checked only between
+    # Ms would let this walk run for minutes.
+    lim = SearchLimits(time_budget=0.1)
+    t = time.monotonic()
+    with pytest.raises(SizeGuardError, match="time budget"):
+        for _ in enumerate_conversions(one_m_instance(), lim):
+            assert time.monotonic() - t < 5.0
+
+
+def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
+    # The fake clock reads 0 for the deadline and for one more reading,
+    # then is far past the deadline: only a check inside the depth-first
+    # walk of the single M can see that.
+    readings = iter([0.0, 0.0])
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
+    with pytest.raises(SizeGuardError, match="time budget"):
+        min_access_cost(one_m_instance(), SearchLimits(time_budget=1.0))
+
+
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         SearchLimits(max_k_final=0)
@@ -166,7 +199,7 @@ def test_enumerate_checks_every_candidate(monkeypatch):
     search_space = oracle._search_space
 
     def corrupted(inst, lim):
-        g_stack, parts = search_space(inst, lim)
+        g_stack, deadline, parts = search_space(inst, lim)
 
         def wrong():
             for target, cosets in parts:
@@ -174,7 +207,7 @@ def test_enumerate_checks_every_candidate(monkeypatch):
                 cosets[1] = [c ^ 1 for c in cosets[1]]
                 yield target, cosets
 
-        return g_stack, wrong()
+        return g_stack, deadline, wrong()
 
     monkeypatch.setattr(oracle, "_search_space", corrupted)
     yielded = []
