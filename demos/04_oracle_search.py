@@ -1,9 +1,11 @@
 """Exhaustive search for the cheapest conversion of small instances.
 
-Every valid conversion matrix factors as a right inverse of the final
-generator times an invertible k_F x k_F matrix, plus per-column kernel
-cosets.  The oracle walks that space exactly once per matrix, prunes
-with an admissible cost floor, and returns the minimum access cost.
+Every valid conversion matrix Y solves G_I . Y = M . G_F for exactly
+one invertible k_F x k_F matrix M: Y is a right inverse of the stacked
+initial generator G_I times M . G_F, plus per-column cosets of the
+right kernel of G_I.  The oracle walks that space exactly once per
+matrix, prunes with an admissible cost floor, and returns the minimum
+access cost.
 """
 
 import random

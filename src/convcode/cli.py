@@ -175,14 +175,11 @@ def _write_out(path: Optional[str], text: str) -> None:
 
 
 def cmd_rm(args) -> int:
-    r, m = args.r, args.m
-    if not (0 <= r <= m and m >= 1) or (args.transformed and not 1 <= r <= m - 1):
-        raise CliError(f"invalid Reed-Muller parameters r={r}, m={m}")
     if args.transformed:
-        mat, row_blocks = rm_transformed_generator(r, m)
+        mat, row_blocks = rm_transformed_generator(args.r, args.m)
         text = matio.format_matrix(mat, blocks=row_blocks, block_sep=" ")
     else:
-        text = matio.format_matrix(rm_generator(r, m))
+        text = matio.format_matrix(rm_generator(args.r, args.m))
     _write_out(args.out, text)
     return OK
 
@@ -212,8 +209,6 @@ def _merge_audit(r: int, m: int, source: str):
 
 def cmd_merge(args) -> int:
     r, m = args.r, args.m
-    if not 1 <= r <= m - 1:
-        raise CliError(f"merge needs 1 <= r <= m-1, got r={r}, m={m}")
     inst, y, costs, p, bound_report, _ = _merge_audit(r, m, "formula")
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
@@ -311,6 +306,8 @@ def cmd_oracle(args) -> int:
 def cmd_apply(args) -> int:
     if args.gi and not args.gf:
         raise CliError("--gi requires --gf for membership checking")
+    if args.gf and not args.gi:
+        raise CliError("--gf requires --gi for membership checking")
     y_mat, y_blocks = _load_matrix(args.y)
     blocks = _blocks(_parse_int_list(args.blocks), y_blocks)
     input_paths = [p for p in args.inputs.split(",") if p]

@@ -5,8 +5,8 @@ Gray-code enumeration, information sets, encoding, and decoding from a
 coordinate subset.  Codes are immutable except for two lazily filled
 caches, the minimum distances and the reduced echelon form of the
 generator; each is filled idempotently on first use.  A code built by
-reedmuller.rm_code also carries a preset degree test, which contains
-uses instead of the echelon form.
+reedmuller.rm_code also carries a preset membership test, which
+contains uses instead of the echelon form.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .gf2 import (
     BitVector,
     DimensionError,
     SizeGuardError,
+    _moebius,
     inverse,
     mat_mul,
     rank,
@@ -32,9 +33,6 @@ DEFAULT_K_LIMIT = 24
 
 # Pivot columns of rref(generator), their mask, and pivot -> reduced row.
 _Echelon = Tuple[Tuple[int, ...], int, Dict[int, int]]
-# Butterfly steps (low mask, shift) to ANF coefficients, and the mask of
-# the coefficients a codeword must not have.
-_DegreeTest = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
 class CodeError(ValueError):
@@ -52,7 +50,7 @@ class LinearCode:
     filled idempotently: ``_d`` and ``_d_dual`` (the distances) and
     ``_echelon`` (pivots and reduced rows of the generator's RREF).
     ``_degree_test`` is None except on codes built by rm_code, which
-    preset it (see contains).
+    preset it to a membership test (steps, high) (see contains).
     """
 
     __slots__ = (
@@ -79,7 +77,7 @@ class LinearCode:
         self._d: Optional[int] = None
         self._d_dual: Optional[int] = None
         self._echelon: Optional[_Echelon] = None
-        self._degree_test: Optional[_DegreeTest] = None
+        self._degree_test: Optional[tuple] = None
 
     @property
     def is_zero(self) -> bool:
@@ -266,12 +264,10 @@ def decode_from_positions(
 
 
 def contains(c: LinearCode, x: BitVector) -> bool:
-    """Membership of x in the code, by a degree test or re-encoding.
+    """Membership of x in the code, by a preset test or re-encoding.
 
-    On a code with a preset degree test (RM(r, m) from rm_code), x is
-    read as the evaluations of a Boolean function; m butterfly steps
-    turn it into that function's algebraic-normal-form coefficients, and
-    x is a codeword iff no monomial of degree > r has a coefficient.
+    On a code with a preset test (steps, high) (RM(r, m) from rm_code),
+    x is a codeword iff gf2._moebius(x, steps) has no bit in high.
 
     Otherwise a codeword is fixed by its symbols at the pivots of the
     reduced echelon generator, so x is a codeword iff it equals the XOR
@@ -282,10 +278,7 @@ def contains(c: LinearCode, x: BitVector) -> bool:
         raise DimensionError("vector length must equal the block length")
     if c._degree_test is not None:
         steps, high = c._degree_test
-        v = x.mask
-        for low, shift in steps:
-            v ^= (v & low) << shift
-        return not v & high
+        return not _moebius(x.mask, steps) & high
     if c.is_zero:
         return x.mask == 0
     _, pivot_mask, rows = _echelon(c)

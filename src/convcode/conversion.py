@@ -40,7 +40,7 @@ from .codes import (
     first_information_set,
     systematic_generator,
 )
-from .reedmuller import _systematic_rows, rm_code
+from .reedmuller import _check_bits, _check_m, _systematic_rows, rm_code
 
 
 class ConversionError(ValueError):
@@ -227,8 +227,9 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
 
     Row-space equality, not literal matrix equality: a valid conversion
     may land on any generator choice of the final code.  With rank k_F,
-    the rows span the final code iff each is a codeword; contains tests
-    each against the final code's cached echelon form.
+    the rows span the final code iff each is a codeword, as contains
+    tests: by the final code's preset test if it has one (an RM code),
+    else against its cached echelon form.
     """
     if y.blocks != inst.n_initial:
         raise DimensionError("conversion-matrix blocks do not match instance")
@@ -406,11 +407,15 @@ def rm_merge_procedure(
 
     The triple is built and classified (so verified) on the first call
     per (r, m); later calls return the same (shared, immutable) triple.
+    Refuses (SizeGuardError) m past reedmuller.MAX_M and a 2^m x 2^m
+    matrix Y past reedmuller.MAX_BITS before building anything.
     """
     if not 1 <= r <= m - 1:
         raise ConversionError("need 1 <= r <= m - 1")
     key = (r, m)
     if key not in _RM_MERGES:
+        _check_m(m)
+        _check_bits(1 << m, m)
         inst, y = _build_rm_merge(r, m)
         _RM_MERGES[key] = (inst, y, classify_symbols(inst, y))
     return _RM_MERGES[key]

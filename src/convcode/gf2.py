@@ -212,6 +212,16 @@ def _transpose_words(words: Sequence[int], width: int) -> List[int]:
     return out
 
 
+def _moebius(v: int, steps: Sequence[Tuple[int, int]]) -> int:
+    """The binary Moebius transform M(v) on 2^m points, by its m steps
+    (low, 2^b): each adds the points with bit b clear (mask low) onto
+    those with it set, so bit j of M(v) is the XOR of v's bits at the
+    points inside j (as bit sets).  M is its own inverse."""
+    for low, shift in steps:
+        v ^= (v & low) << shift
+    return v
+
+
 def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.cols:
         raise DimensionError("vstack needs equal column counts")

@@ -1,13 +1,10 @@
-"""Reed-Muller codes RM(r, m) by monomial evaluation.
+"""Reed-Muller codes RM(r, m) from the binary Moebius transform.
 
 Builds the square-free monomial basis, the plain and row-transformed
-generator matrices, and the Plotkin sum.
-
-A monomial is evaluated on all points at once: each variable's
-evaluations form a periodic mask, and the monomial's row is the AND of
-the masks of its variables.  The binary Moebius transform between
-evaluations and algebraic-normal-form (ANF) coefficients gives both the
-membership test of RM(r, m) and the rows of the merge matrix.
+generator matrices, and the Plotkin sum.  One map, the Moebius
+transform M between evaluations and algebraic-normal-form (ANF)
+coefficients (gf2._moebius over _butterflies), gives the generator
+rows, the membership test of RM(r, m) and the rows of the merge matrix.
 
 Conventions: evaluation points are listed in lexicographic order (point
 j is the big-endian binary expansion of j) and variable X_1 is the most
@@ -21,15 +18,24 @@ import math
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .gf2 import BitMatrix, BitVector, SizeGuardError, vstack
-from .codes import LinearCode, _DegreeTest, from_generator
+from .gf2 import BitMatrix, BitVector, SizeGuardError, _moebius, vstack
+from .codes import LinearCode, from_generator
 
 MAX_M = 20
+# Bits of the largest matrix built: a generator of k rows of 2^m bits,
+# or the 2^m x 2^m matrix of the merge into RM(r, m).
+MAX_BITS = 1 << 28
 
 
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
         raise SizeGuardError(f"m must be in [1, {MAX_M}]")
+
+
+def _check_bits(rows: int, m: int) -> None:
+    """Refuse rows x 2^m bits past MAX_BITS (m already checked)."""
+    if rows << m > MAX_BITS:
+        raise SizeGuardError(f"{rows} rows of 2^{m} bits exceed {MAX_BITS}")
 
 
 def monomial_basis(r: int, m: int) -> Tuple[Tuple[int, ...], ...]:
@@ -50,48 +56,51 @@ def rm_dimension(r: int, m: int) -> int:
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
-def _variable_mask(i: int, m: int) -> int:
-    """Evaluations of X_i at all 2^m points, as a mask.
+def _butterflies(m: int) -> Tuple[Tuple[int, int], ...]:
+    """The m steps (low, 2^b) of the Moebius transform M on 2^m points.
 
-    Point j has X_i = bit m-i of j, so the mask is 2^(m-i) zeros followed
-    by 2^(m-i) ones, repeated by doubling to 2^m bits.
+    low masks the points with bit b clear, grown one variable at a time:
+    on 2^(t+1) points the masks on 2^t repeat, and bit t is clear on the
+    first 2^t.  On evaluations, bit j of M(v) is the ANF coefficient of
+    the monomial of j's set bits, and M(e_p), e_p the unit word at p,
+    masks the points containing p: the evaluations of p's monomial.
     """
-    block = 1 << (m - i)
-    mask = ((1 << block) - 1) << block
-    width = 2 * block
-    while width < 1 << m:
-        mask |= mask << width
-        width *= 2
-    return mask
+    lows: List[int] = []
+    for t in range(m):
+        lows = [low | low << (1 << t) for low in lows] + [(1 << (1 << t)) - 1]
+    return tuple((low, 1 << b) for b, low in enumerate(lows))
 
 
 def evaluate_monomial(s: Sequence[int], m: int) -> BitVector:
     """Evaluations of the monomial prod_{i in s} X_i at all 2^m points.
 
-    The points are in lexicographic order.  The result is the AND of the
-    variable masks of s (see _variable_mask), so it costs a few
-    whole-word operations per variable instead of a pass over the
-    points.  The empty monomial evaluates to the all-ones vector.
+    The points are in lexicographic order.  The result is M(e_p), p the
+    monomial's point (see _butterflies), so it costs m whole-word steps
+    instead of a pass over the points.  The empty monomial evaluates to
+    the all-ones vector.
     """
     _check_m(m)
     s = tuple(s)
     for i in s:
         if not 1 <= i <= m:
             raise ValueError(f"variable index {i} outside [1, {m}]")
-    n = 1 << m
-    mask = (1 << n) - 1
-    for i in s:
-        mask &= _variable_mask(i, m)
-    return BitVector(n, mask)
+    p = sum(1 << (m - i) for i in set(s))  # X_i is bit m-i of a point
+    return BitVector(1 << m, _moebius(1 << p, _butterflies(m)))
 
 
 def rm_generator(r: int, m: int) -> BitMatrix:
-    """Generator of RM(r, m): one evaluation row per basis monomial."""
+    """Generator of RM(r, m): one evaluation row per basis monomial.
+
+    Refuses (SizeGuardError) m outside [1, MAX_M] and a generator of
+    more than MAX_BITS bits, before building any row.
+    """
     if not (0 <= r <= m):
         raise ValueError("need 0 <= r <= m")
     _check_m(m)
-    words = [evaluate_monomial(s, m).mask for s in monomial_basis(r, m)]
-    return BitMatrix(words, 1 << m)
+    _check_bits(rm_dimension(r, m), m)
+    steps = _butterflies(m)
+    points = (sum(1 << (m - i) for i in s) for s in monomial_basis(r, m))
+    return BitMatrix([_moebius(1 << p, steps) for p in points], 1 << m)
 
 
 _RM_CODES: Dict[Tuple[int, int], LinearCode] = {}
@@ -109,22 +118,6 @@ def _weight_masks(r: int, m: int) -> List[int]:
     return at_most
 
 
-def _degree_test(r: int, m: int) -> _DegreeTest:
-    """Masks of the membership test for RM(r, m) (see codes.contains).
-
-    Butterfly step b adds each point with bit b clear onto the point with
-    it set (the binary Moebius transform M, points to ANF coefficients in
-    the same order, and its own inverse); the coefficient at point j
-    belongs to the monomial of the set bits of j, so RM(r, m) forbids
-    those of weight > r.
-    """
-    full = (1 << (1 << m)) - 1
-    steps = tuple(
-        (full ^ _variable_mask(m - b, m), 1 << b) for b in range(m)
-    )
-    return steps, full ^ _weight_masks(r, m)[r]
-
-
 def _systematic_rows(r: int, m: int, low: int = 0) -> List[int]:
     """Rows, by point, of the systematic generator of RM(r, m) on its
     weight-<=r points, cut to their ANF terms of degree >= low.
@@ -135,32 +128,28 @@ def _systematic_rows(r: int, m: int, low: int = 0) -> List[int]:
     the points containing p, so the row is M(M(e_p) & K), K the points
     of weight low..r; rows of heavier points are 0.
     """
-    steps, _ = rm_code(r, m)._degree_test
+    steps = _butterflies(m)
     at_most = _weight_masks(r, m)
     keep = at_most[r] ^ (at_most[low - 1] if low else 0)
-
-    def moebius(v: int) -> int:
-        for below, shift in steps:
-            v ^= (v & below) << shift
-        return v
-
     rows = [0] * (1 << m)
     for p in low_weight_positions(r, m):
-        rows[p] = moebius(moebius(1 << p) & keep)
+        rows[p] = _moebius(_moebius(1 << p, steps) & keep, steps)
     return rows
 
 
 def rm_code(r: int, m: int) -> LinearCode:
     """RM(r, m), built once per (r, m), with its exact distances preset:
     d = 2^(m-r) and, for r < m, d_dual = 2^(r+1) (the dual is RM(m-r-1, m)),
-    and with the degree test that codes.contains uses for membership."""
+    and with the membership test (steps, high) of codes.contains: no ANF
+    coefficient at high, the points of weight > r (monomials of degree > r)."""
     key = (r, m)
     if key not in _RM_CODES:
         code = from_generator(rm_generator(r, m))
         code._d = 1 << (m - r)
         if r < m:
             code._d_dual = 1 << (r + 1)
-        code._degree_test = _degree_test(r, m)
+        high = ((1 << code.n) - 1) ^ _weight_masks(r, m)[r]
+        code._degree_test = (_butterflies(m), high)
         _RM_CODES[key] = code
     return _RM_CODES[key]
 
@@ -199,11 +188,15 @@ def rm_transformed_generator(
         [ 0                 G_{RM(r-1, m-1)} ]
 
     together with the three row-block sizes.  The first two blocks stack
-    to a generator of RM(r, m-1) on the left half.
+    to a generator of RM(r, m-1) on the left half.  The matrix is
+    exactly G_I . Y of the merge rm_merge_procedure(r, m) (the Plotkin
+    form): a monomial row g of RM(r, m-1) becomes (g, 0) below degree r
+    and (g, g) at degree r, and a row g2 of RM(r-1, m-1) becomes (0, g2).
     """
     if not 1 <= r <= m - 1:
         raise ValueError("need 1 <= r <= m - 1")
     _check_m(m)
+    _check_bits(rm_dimension(r, m), m)
     half = 1 << (m - 1)
     # Monomials are ordered by degree: the first rows of G_{RM(r, m-1)}
     # are G_{RM(r-1, m-1)}, the rest the degree-r evaluations A.

@@ -277,6 +277,24 @@ def test_apply_gi_without_gf_exits_2(example_files, tmp_path, capsys):
     assert "--gi requires --gf" in capsys.readouterr().err
 
 
+def test_apply_gf_without_gi_exits_2(example_files, tmp_path, capsys):
+    # Without --gi there is nothing to check membership against, so --gf
+    # alone is refused rather than ignored: the first input below is no
+    # codeword, and with --gi the same command reports it invalid.
+    _, gf, y = example_files
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 3\n100\n")
+    x2.write_text("1 3\n110\n")
+    code = main(
+        ["apply", "--y", str(y), "--inputs", f"{x1},{x2}", "--gf", str(gf)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--gf requires --gi" in captured.err
+
+
 def test_apply_wrong_input_count(example_files, tmp_path):
     _, _, y = example_files
     x1 = tmp_path / "x1.txt"

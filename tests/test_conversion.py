@@ -30,6 +30,7 @@ from convcode.gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
+    SizeGuardError,
     inverse,
     mat_mul,
     rank,
@@ -42,6 +43,7 @@ from convcode.reedmuller import (
     low_weight_positions,
     rm_code,
     rm_dimension,
+    rm_transformed_generator,
 )
 
 from tests.conftest import (
@@ -503,6 +505,32 @@ def test_rm_merge_procedure_rejects_bad_params():
         rm_merge_procedure(0, 3)
     with pytest.raises(ConversionError):
         rm_merge_procedure(3, 3)
+
+
+def test_rm_merge_procedure_refuses_past_bit_budget(monkeypatch):
+    # Y of the merge into RM(1, 20) holds 2^19 rows of up to 2^20 bits
+    # (about 16 GiB as Python ints): refused before anything is built,
+    # also as a chain stage.
+    def unbuilt(r, m):
+        raise AssertionError("the merge was built")
+
+    monkeypatch.setattr(conversion, "_build_rm_merge", unbuilt)
+    for r, m in [(1, 20), (18, 20), (7, 15)]:
+        with pytest.raises(SizeGuardError):
+            rm_merge_procedure(r, m)
+    with pytest.raises(SizeGuardError):
+        rm_merge_chain(2, 20, 2)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_rm_merge_product_is_the_transformed_generator(m):
+    # G_I . Y is the Plotkin form row for row: a monomial g of RM(r, m-1)
+    # gives (g, 0) below degree r and (g, g) at degree r, and a row g2 of
+    # RM(r-1, m-1) gives (0, g2); this is what `rm --transformed` prints.
+    for r in range(1, m):
+        inst, y, _ = rm_merge_procedure(r, m)
+        product = mat_mul(inst.stacked_generator(), y.y)
+        assert product == rm_transformed_generator(r, m)[0], (r, m)
 
 
 def test_rm_merge_apply_tiny():

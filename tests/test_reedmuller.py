@@ -11,6 +11,7 @@ from convcode.codes import (
     min_distance,
     same_code,
 )
+from convcode import reedmuller
 from convcode.gf2 import BitMatrix, SizeGuardError, rank
 from convcode.reedmuller import (
     evaluate_monomial,
@@ -70,6 +71,27 @@ def test_rm_builder_guards(builder, args, error):
         with pytest.raises(error) as info:
             builder(*args)
         assert info.type is error
+
+
+def test_rm_builders_refuse_past_bit_budget(monkeypatch):
+    # RM(10, 20) has 616,666 rows of 2^20 bits (about 75 GiB): refused
+    # before the monomial basis is even listed.
+    def unlisted(r, m):
+        raise AssertionError("the monomial basis was listed")
+
+    monkeypatch.setattr(reedmuller, "monomial_basis", unlisted)
+    for builder in (rm_generator, rm_code, rm_transformed_generator):
+        with pytest.raises(SizeGuardError):
+            builder(10, 20)
+
+
+def test_systematic_rows_build_no_code():
+    # The merge matrix's rows come from the transform alone: building
+    # them builds no RM code (no generator, no rank).
+    assert reedmuller._RM_CODES == {}
+    rows = reedmuller._systematic_rows(4, 9, low=4)
+    assert len(rows) == 1 << 9
+    assert reedmuller._RM_CODES == {}
 
 
 def test_monomial_order_degree_then_lex():
