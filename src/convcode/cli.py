@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from . import matio
@@ -165,22 +165,22 @@ def _code_distances(code: LinearCode) -> Tuple[Optional[int], Optional[int]]:
     return d, d_dual
 
 
-def _write_out(path: Optional[str], text: str) -> None:
-    """Write text to the --out path, or to stdout when none is given."""
+def _write_out(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write the lines to the --out path, or to stdout when none is given."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def cmd_rm(args) -> int:
     if args.transformed:
         mat, row_blocks = rm_transformed_generator(args.r, args.m)
-        text = matio.format_matrix(mat, blocks=row_blocks, block_sep=" ")
+        lines = matio._matrix_lines(mat, blocks=row_blocks, block_sep=" ")
     else:
-        text = matio.format_matrix(rm_generator(args.r, args.m))
-    _write_out(args.out, text)
+        lines = matio._matrix_lines(rm_generator(args.r, args.m))
+    _write_out(args.out, lines)
     return OK
 
 
@@ -295,11 +295,11 @@ def cmd_oracle(args) -> int:
     inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
     lim = SearchLimits(max_k_final=args.max_kf)
     y, report = min_access_cost(inst, lim)
+    if args.emit_y:
+        matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
     print(f"optimal access cost: {report.access_cost}")
     for line in _format_cost_text(report):
         print(line)
-    if args.emit_y:
-        matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
     return OK
 
 
@@ -329,7 +329,7 @@ def cmd_apply(args) -> int:
             return FAIL
     else:
         out = _run_plan(y, words)
-    _write_out(args.out, matio.format_matrix(BitMatrix([out.mask], out.n)))
+    _write_out(args.out, matio._matrix_lines(BitMatrix([out.mask], out.n)))
     return OK
 
 

@@ -12,27 +12,27 @@ contains uses instead of the echelon form.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
     SizeGuardError,
+    _combine,
     _moebius,
     inverse,
     mat_mul,
     rank,
     rref,
-    solve,
     right_kernel_basis,
     vec_mat,
 )
 
 DEFAULT_K_LIMIT = 24
 
-# Pivot columns of rref(generator), their mask, and pivot -> reduced row.
-_Echelon = Tuple[Tuple[int, ...], int, Dict[int, int]]
+# Pivot columns of rref(generator), their mask, reduced rows by pivot column.
+_Echelon = Tuple[Tuple[int, ...], int, List[int]]
 
 
 class CodeError(ValueError):
@@ -225,8 +225,10 @@ def _echelon(c: LinearCode) -> _Echelon:
     """
     if c._echelon is None:
         reduced, pivots = rref(c.generator)
-        mask = sum(1 << p for p in pivots)
-        c._echelon = (pivots, mask, dict(zip(pivots, reduced.row_words)))
+        rows = [0] * c.n
+        for p, w in zip(pivots, reduced.row_words):
+            rows[p] = w
+        c._echelon = (pivots, sum(1 << p for p in pivots), rows)
     return c._echelon
 
 
@@ -254,13 +256,23 @@ def decode_from_positions(
     s = _check_coords(c.n, s)
     if vals.n != len(s):
         raise DimensionError("values length must equal |S|")
-    if len(s) != c.k or not is_information_set(c, s):
+    # u . G_S = vals  <=>  u = vals . G_S^-1
+    return vec_mat(vals, _inverse_on(c, s))
+
+
+def _inverse_on(c: LinearCode, s: Tuple[int, ...]) -> BitMatrix:
+    """Inverse of the generator's columns at the checked, sorted set s.
+
+    The one information-set inverse; raises CodeError unless s is one.
+    """
+    if len(s) != c.k:
         raise CodeError("S is not an information set")
-    sub = c.generator.select_columns(s)
-    # u . sub = vals  <=>  sub^T . u = vals
-    u = solve(sub.transpose(), vals)
-    assert u is not None
-    return u
+    if c.is_zero:
+        raise CodeError("the zero code has no information set")
+    try:
+        return inverse(c.generator.select_columns(s))
+    except ValueError:
+        raise CodeError("S is not an information set") from None
 
 
 def contains(c: LinearCode, x: BitVector) -> bool:
@@ -282,13 +294,7 @@ def contains(c: LinearCode, x: BitVector) -> bool:
     if c.is_zero:
         return x.mask == 0
     _, pivot_mask, rows = _echelon(c)
-    acc = 0
-    t = x.mask & pivot_mask
-    while t:
-        p = t.bit_length() - 1
-        acc ^= rows[p]
-        t ^= 1 << p
-    return acc == x.mask
+    return _combine(x.mask & pivot_mask, rows) == x.mask
 
 
 def systematic_generator(c: LinearCode, s: Sequence[int]) -> BitMatrix:
@@ -296,11 +302,7 @@ def systematic_generator(c: LinearCode, s: Sequence[int]) -> BitMatrix:
 
     Row t corresponds to the t-th element of sorted(s).
     """
-    s = _check_coords(c.n, s)
-    if len(s) != c.k or not is_information_set(c, s):
-        raise CodeError("S is not an information set")
-    sub = c.generator.select_columns(s)
-    return mat_mul(inverse(sub), c.generator)
+    return mat_mul(_inverse_on(c, _check_coords(c.n, s)), c.generator)
 
 
 def sampled_min_weight(
@@ -313,6 +315,8 @@ def sampled_min_weight(
     """
     if c.is_zero:
         raise CodeError("the zero code has no nonzero codeword")
+    if trials < 1:
+        raise CodeError("need trials >= 1")
     rng = random.Random(seed)
     rows = c.generator.row_words
     k = c.k
@@ -321,14 +325,7 @@ def sampled_min_weight(
         u = rng.getrandbits(k)
         while u == 0:
             u = rng.getrandbits(k)
-        cw = 0
-        t = u
-        while t:
-            cw ^= rows[(t & -t).bit_length() - 1]
-            t &= t - 1
-        w = cw.bit_count()
-        if w < best:
-            best = w
+        best = min(best, _combine(u, rows).bit_count())
     return best
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
@@ -33,13 +33,9 @@ from .gf2 import (
     block_diag,
     mat_mul,
     rank,
+    rref,
 )
-from .codes import (
-    LinearCode,
-    contains,
-    first_information_set,
-    systematic_generator,
-)
+from .codes import LinearCode, contains, first_information_set
 from .reedmuller import _check_bits, _check_m, _systematic_rows, rm_code
 
 
@@ -293,22 +289,21 @@ def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
     """Decode-and-re-encode conversion: read an information set of each
     initial code, keep those k_F symbols in place on an information set
     of the final code, and write the remaining n_F - k_F symbols.
+
+    The rows of rref(G_F) are the final code's systematic generator on its
+    first information set, so the s-th kept symbol's Y row is row s.
     """
     starts = inst.block_starts()
-    kept_rows: List[int] = []  # stacked coordinates of the kept symbols
-    for i, c in enumerate(inst.initial_codes):
-        for j in first_information_set(c):
-            kept_rows.append(starts[i] + j)
-    s_final = first_information_set(inst.final_code)
-    sys_gen = systematic_generator(inst.final_code, s_final)
-    # Final coordinate q is a combination of the kept symbols with the
-    # coefficients of sys_gen; Y row kept_rows[s] is row s of sys_gen.
-    n_total = inst.total_initial_length
-    words = [0] * n_total
-    for s, row in enumerate(kept_rows):
-        words[row] = sys_gen.row_words[s]
-    y = BitMatrix(words, inst.n_final)
-    return ConversionMatrix(y, inst.n_initial)
+    kept_rows = [  # stacked coordinates of the kept symbols
+        starts[i] + j
+        for i, c in enumerate(inst.initial_codes)
+        for j in first_information_set(c)
+    ]
+    reduced, _ = rref(inst.final_code.generator)
+    words = [0] * inst.total_initial_length
+    for row, w in zip(kept_rows, reduced.row_words):
+        words[row] = w
+    return ConversionMatrix(BitMatrix(words, inst.n_final), inst.n_initial)
 
 
 def _stack_codewords(codewords: Sequence[BitVector]) -> BitVector:

@@ -5,10 +5,14 @@ column j, so a row elimination step is one word-parallel XOR regardless
 of the matrix width.  All values are immutable after construction, and
 every bit of a row word lies below the column count.
 
-Elimination (rank, rref, solve, inverse, kernels) reduces each row only
-by the pivots it hits, so its work grows with the XORs it performs, not
-with rows x pivots: sparse, nearly echelon matrices such as Reed-Muller
-generators reduce in a few list lookups per row.
+Each kernel has one implementation.  _combine (XOR the rows picked by a
+mask) serves mat_mul, vec_mat, _eliminate, codes.contains,
+codes.sampled_min_weight and the oracle's particular solutions; _reduce
+(insert a row into a pivot-indexed basis) serves _eliminate and
+enumerate_invertible; _eliminate serves rank, rref, solve, inverse and
+the kernels, and reduces each row only by the pivots it hits, so sparse,
+nearly echelon matrices such as Reed-Muller generators reduce in a few
+list lookups per row.  The information-set inverse is codes._inverse_on.
 """
 
 from __future__ import annotations
@@ -241,6 +245,31 @@ def block_diag(blocks: Sequence[BitMatrix]) -> BitMatrix:
     return BitMatrix(words, total_cols)
 
 
+def _combine(mask: int, rows: Sequence[int]) -> int:
+    """XOR of rows[i] over the set bits i of mask, highest bit first (the
+    cheapest bit to find and clear)."""
+    acc = 0
+    while mask:
+        i = mask.bit_length() - 1
+        acc ^= rows[i]
+        mask ^= 1 << i
+    return acc
+
+
+def _reduce(v: int, basis: Sequence[int]) -> int:
+    """v with basis[p] XORed in while its lowest set bit p has a basis row.
+
+    basis is indexed by pivot column (0 where none); the result is 0 or a
+    word whose lowest set bit is a free pivot column.
+    """
+    while v:
+        b = basis[(v & -v).bit_length() - 1]
+        if not b:
+            return v
+        v ^= b
+    return 0
+
+
 def _eliminate(words: List[int], cols: int, reduce_above: bool) -> List[int]:
     """In-place Gaussian elimination; returns the ascending pivot columns.
 
@@ -249,40 +278,27 @@ def _eliminate(words: List[int], cols: int, reduce_above: bool) -> List[int]:
     pivot, then zero rows.  With reduce_above it is the (unique) reduced
     row echelon form.  Every bit of every word must lie below cols.
 
-    Each row is inserted into a basis indexed by pivot column: while the
-    row's lowest set bit already has a basis row, that row is XORed in,
-    else the row is stored there.  With reduce_above, one pass from the
-    highest pivot down then clears the other pivot bits of each row.  So
-    the cost is one lowest-bit lookup per row plus one per XOR performed,
-    not a bit test of every row for every pivot; sparse, nearly echelon
-    matrices such as Reed-Muller generators need few XORs.
+    Each row is inserted into a basis indexed by pivot column by _reduce
+    and stored at its lowest set bit.  With reduce_above, one pass from
+    the highest pivot down then clears the other pivot bits of each row.
+    So the cost is one lowest-bit lookup per row plus one per XOR
+    performed, not a bit test of every row for every pivot.
     """
     basis = [0] * cols
     pivots = []
     for v in words:
-        while v:
+        v = _reduce(v, basis)
+        if v:
             p = (v & -v).bit_length() - 1
-            b = basis[p]
-            if not b:
-                basis[p] = v
-                pivots.append(p)
-                break
-            v ^= b
+            basis[p] = v
+            pivots.append(p)
     pivots.sort()
     if reduce_above:
-        mask = 0
-        for p in pivots:
-            mask |= 1 << p
+        mask = sum(1 << p for p in pivots)
         for p in reversed(pivots):
             # Rows of higher pivots are reduced already, so XORing one in
             # clears its pivot bit here and sets no other pivot bit.
-            v = basis[p]
-            t = v & mask ^ (1 << p)
-            while t:
-                q = t.bit_length() - 1
-                v ^= basis[q]
-                t ^= 1 << q
-            basis[p] = v
+            basis[p] ^= _combine(basis[p] & mask ^ (1 << p), basis)
     words[:] = [basis[p] for p in pivots] + [0] * (len(words) - len(pivots))
     return pivots
 
@@ -307,16 +323,7 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
     brow = b.row_words
-    words = []
-    for w in a.row_words:
-        acc = 0
-        t = w
-        while t:
-            i = (t & -t).bit_length() - 1
-            acc ^= brow[i]
-            t &= t - 1
-        words.append(acc)
-    return BitMatrix(words, b.cols)
+    return BitMatrix([_combine(w, brow) for w in a.row_words], b.cols)
 
 
 def mat_vec(a: BitMatrix, x: BitVector) -> BitVector:
@@ -333,13 +340,7 @@ def vec_mat(x: BitVector, a: BitMatrix) -> BitVector:
     """Product x . a (row vector on the left)."""
     if x.n != a.rows:
         raise DimensionError("vector/matrix size mismatch")
-    acc = 0
-    t = x.mask
-    while t:
-        i = (t & -t).bit_length() - 1
-        acc ^= a.row_words[i]
-        t &= t - 1
-    return BitVector(a.cols, acc)
+    return BitVector(a.cols, _combine(x.mask, a.row_words))
 
 
 def solve(a: BitMatrix, b: BitVector) -> Optional[BitVector]:
@@ -397,13 +398,6 @@ def gl2_order(k: int) -> int:
     return total
 
 
-def _bit_reverse(v: int, width: int) -> int:
-    out = 0
-    for i in range(width):
-        out |= ((v >> i) & 1) << (width - 1 - i)
-    return out
-
-
 def enumerate_invertible(
     k: int, limit: Optional[int] = 10**8
 ) -> Iterator[BitMatrix]:
@@ -422,32 +416,23 @@ def enumerate_invertible(
         )
     # Candidate rows in lexicographic bit-string order: column 0 is the
     # leftmost character, so sort by the bit-reversed integer value.
-    candidates = [_bit_reverse(w, k) for w in range(1, 1 << k)]
-
+    candidates = [int(format(w, f"0{k}b")[::-1], 2) for w in range(1, 1 << k)]
     chosen: List[int] = []
-    pivot: dict[int, int] = {}  # lowest set bit -> reduced row (xor basis)
-
-    def reduce_row(v: int) -> int:
-        while v:
-            low = v & -v
-            if low not in pivot:
-                return v
-            v ^= pivot[low]
-        return 0
+    basis = [0] * k  # pivot column -> reduced row of the chosen rows
 
     def descend() -> Iterator[BitMatrix]:
         if len(chosen) == k:
             yield BitMatrix(list(chosen), k)
             return
         for v in candidates:
-            red = reduce_row(v)
-            if red == 0:
+            red = _reduce(v, basis)
+            if not red:
                 continue
-            key = red & -red
+            p = (red & -red).bit_length() - 1
             chosen.append(v)
-            pivot[key] = red
+            basis[p] = red
             yield from descend()
             chosen.pop()
-            del pivot[key]
+            basis[p] = 0
 
     return descend()

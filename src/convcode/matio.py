@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .gf2 import BitMatrix
 
@@ -20,16 +20,26 @@ class MatrixFormatError(ValueError):
     """Malformed matrix text."""
 
 
+def _matrix_lines(
+    m: BitMatrix,
+    blocks: Optional[Tuple[int, ...]] = None,
+    block_sep: str = ",",
+) -> Iterator[str]:
+    """The matrix text one newline-terminated line at a time, so a writer
+    holds one row of text, not the whole text."""
+    yield f"{m.rows} {m.cols}\n"
+    for w in m.row_words:
+        yield format(w, f"0{m.cols}b")[::-1] + "\n"
+    if blocks is not None:
+        yield "#blocks " + block_sep.join(str(b) for b in blocks) + "\n"
+
+
 def format_matrix(
     m: BitMatrix,
     blocks: Optional[Tuple[int, ...]] = None,
     block_sep: str = ",",
 ) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(format(w, f"0{m.cols}b")[::-1] for w in m.row_words)
-    if blocks is not None:
-        lines.append("#blocks " + block_sep.join(str(b) for b in blocks))
-    return "\n".join(lines) + "\n"
+    return "".join(_matrix_lines(m, blocks, block_sep))
 
 
 def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
@@ -84,4 +94,5 @@ def write_matrix(
     blocks: Optional[Tuple[int, ...]] = None,
     block_sep: str = ",",
 ) -> None:
-    Path(path).write_text(format_matrix(m, blocks=blocks, block_sep=block_sep))
+    with open(path, "w") as fh:
+        fh.writelines(_matrix_lines(m, blocks, block_sep))

@@ -21,14 +21,15 @@ from typing import Iterator, List, Optional, Tuple
 
 from .gf2 import (
     BitMatrix,
-    BitVector,
     SizeGuardError,
+    _combine,
     _transpose_words,
     enumerate_invertible,
     gl2_order,
+    inverse,
     mat_mul,
     right_kernel_basis,
-    solve,
+    rref,
 )
 from .conversion import (
     ConversionError,
@@ -54,6 +55,8 @@ class SearchLimits:
     def __post_init__(self):
         if min(self.max_k_final, self.max_kernel_dim, self.max_n_final) < 1:
             raise ValueError("limits must be positive")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be >= 0 seconds or None")
 
 
 def candidate_count(inst: ConvertibleInstance) -> int:
@@ -78,14 +81,15 @@ def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> None:
 
 
 def _right_inverse(g: BitMatrix) -> BitMatrix:
-    """Some E with G . E = I for a full-row-rank G (free variables zero)."""
-    cols = []
-    for i in range(g.rows):
-        x = solve(g, BitVector(g.rows, 1 << i))
-        if x is None:
-            raise ConversionError("stacked generator must have full row rank")
-        cols.append(x.mask)
-    return BitMatrix.from_columns(cols, g.cols)
+    """Some E with G . E = I for a full-row-rank G (free variables zero):
+    the inverse of G's pivot columns on the pivot rows, zero elsewhere."""
+    pivots = rref(g)[1]
+    if len(pivots) != g.rows:
+        raise ConversionError("stacked generator must have full row rank")
+    words = [0] * g.cols
+    for p, w in zip(pivots, inverse(g.select_columns(pivots)).row_words):
+        words[p] = w
+    return BitMatrix(words, g.rows)
 
 
 # Per invertible M: the rows of M . G_F and the coset of each Y column.
@@ -106,7 +110,7 @@ def _search_space(
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
     g_final = inst.final_code.generator
-    e = _right_inverse(g_stack)
+    e_cols = _right_inverse(g_stack).transpose().row_words
     combos = [0]
     for v in right_kernel_basis(g_stack):
         combos += [c ^ v.mask for c in combos]
@@ -116,9 +120,11 @@ def _search_space(
 
     def parts() -> _Parts:
         for m in enumerate_invertible(inst.k_final, limit=None):
-            target = mat_mul(m, g_final)
-            part = mat_mul(e, target).transpose().row_words
-            yield target.row_words, [[pc ^ kc for kc in combos] for pc in part]
+            target = mat_mul(m, g_final).row_words
+            # Column j of E . target: E's columns picked by target's column j.
+            part = [_combine(c, e_cols)
+                    for c in _transpose_words(target, inst.n_final)]
+            yield target, [[pc ^ kc for kc in combos] for pc in part]
 
     return g_stack, deadline, parts()
 

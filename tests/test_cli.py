@@ -1,11 +1,13 @@
 import json
+import sys
 
 import pytest
 
+from convcode import cli
 from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
-from convcode.reedmuller import rm_code
+from convcode.reedmuller import rm_code, rm_generator, rm_transformed_generator
 
 
 def test_rm_stdout(capsys):
@@ -209,6 +211,21 @@ def test_oracle_example(example_files, tmp_path, capsys):
     ) == 0
 
 
+def test_oracle_unwritable_emit_y_prints_nothing(example_files, tmp_path,
+                                                 capsys):
+    # Y is written before the result is printed, as merge does, so a bad
+    # --emit-y path fails the command before any of it reaches stdout.
+    gi, gf, _ = example_files
+    missing = str(tmp_path / "no-such-dir" / "y.txt")
+    code = main(
+        ["oracle", "--gi", str(gi), "--gf", str(gf), "--emit-y", missing]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no-such-dir" in captured.err
+
+
 def test_oracle_respects_max_kf(example_files, capsys):
     gi, gf, _ = example_files
     assert main(
@@ -359,3 +376,49 @@ GI_ROWS = (0b000101, 0b000110, 0b011000, 0b110000)
 def test_split_blocks_errors(rows, blocks, message):
     with pytest.raises(CliError, match=message):
         _split_blocks(BitMatrix(rows, 6), blocks)
+
+
+class WriteRecorder:
+    """A text sink that keeps each write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_matrix_text_is_written_one_row_at_a_time(monkeypatch):
+    # The text is 2^m + 1 characters a row; no write may hold more, so a
+    # writer never builds the whole text (stdout and --out alike).
+    g = rm_generator(2, 10)
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["rm", "--r", "2", "--m", "10"]) == 0
+    assert "".join(out.writes) == format_matrix(g)
+    assert max(map(len, out.writes)) == g.cols + 1
+
+    files = {}
+
+    def recording_open(path, mode="r"):
+        assert mode == "w"
+        return files.setdefault(path, WriteRecorder())
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["rm", "--r", "2", "--m", "10", "--transformed",
+                 "--out", "g.txt"]) == 0
+    mat, blocks = rm_transformed_generator(2, 10)
+    writes = files["g.txt"].writes
+    assert "".join(writes) == format_matrix(mat, blocks, block_sep=" ")
+    assert max(map(len, writes)) == mat.cols + 1

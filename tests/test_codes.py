@@ -28,8 +28,10 @@ from convcode.gf2 import (
     BitVector,
     DimensionError,
     SizeGuardError,
+    inverse,
     mat_mul,
     rank,
+    solve,
     vec_mat,
 )
 from convcode.reedmuller import rm_code, rm_generator
@@ -414,7 +416,60 @@ def test_sampled_min_weight_upper_bounds_distance():
     assert sampled_min_weight(c, trials=2000, seed=1) == 3
 
 
+def test_sampled_min_weight_needs_a_trial():
+    # With no trial there is no sample, and n + 1 is no codeword weight.
+    for trials in (0, -1):
+        with pytest.raises(CodeError, match="trials"):
+            sampled_min_weight(rm_code(1, 3), trials=trials)
+
+
 def test_random_code_shape():
     c = random_code(10, 4, random.Random(2))
     assert c.n == 10 and c.k == 4
     assert cc.rank(c.generator) == 4
+
+
+# References for the information-set inverse: the rank test followed by
+# a solve of the transposed columns, and by an inverse, that
+# decode_from_positions and systematic_generator ran before
+# codes._inverse_on.
+
+def decode_by_solve(c, s, vals):
+    s = sorted(s)
+    if len(s) != c.k or not is_information_set(c, s):
+        raise CodeError("S is not an information set")
+    u = solve(c.generator.select_columns(s).transpose(), vals)
+    assert u is not None
+    return u
+
+
+def systematic_by_inverse(c, s):
+    s = sorted(s)
+    if len(s) != c.k or not is_information_set(c, s):
+        raise CodeError("S is not an information set")
+    return mat_mul(inverse(c.generator.select_columns(s)), c.generator)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CodeError:
+        return CodeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_information_set_inverse_matches_solve_and_inverse(n, seed):
+    rng = random.Random(seed)
+    c = random_code(n, rng.randint(1, n), rng)
+    for _ in range(4):
+        size = c.k if rng.random() < 0.9 else rng.randint(1, n)
+        s = rng.sample(range(n), size)
+        vals = BitVector(size, rng.getrandbits(size))
+        want = outcome(decode_by_solve, c, s, vals)
+        assert outcome(decode_from_positions, c, s, vals) == want
+        want = outcome(systematic_by_inverse, c, s)
+        assert outcome(systematic_generator, c, s) == want
+        assert (want is CodeError) == (
+            size != c.k or not is_information_set(c, s)
+        )

@@ -9,6 +9,7 @@ from convcode import codes, conversion
 from convcode.codes import (
     contains,
     encode,
+    first_information_set,
     random_code,
     systematic_generator,
 )
@@ -221,6 +222,35 @@ def verify_by_rref(inst, y):
 def test_verify_conversion_matches_rref_reference(inst, data):
     y = perturbed_default(inst, data)
     assert verify_conversion(inst, y) == verify_by_rref(inst, y)
+
+
+def default_by_systematic_generator(inst):
+    """default_conversion as built before it read rref(G_F): Y row of the
+    s-th kept symbol is row s of the final code's systematic generator on
+    its first information set."""
+    final = inst.final_code
+    sys_gen = systematic_generator(final, first_information_set(final))
+    starts = inst.block_starts()
+    kept = [starts[i] + j for i, c in enumerate(inst.initial_codes)
+            for j in first_information_set(c)]
+    words = [0] * inst.total_initial_length
+    for s, row in enumerate(kept):
+        words[row] = sys_gen.row_words[s]
+    return BitMatrix(words, inst.n_final)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+def test_default_conversion_is_the_systematic_generator(inst):
+    assert default_conversion(inst).y == default_by_systematic_generator(inst)
+
+
+def test_default_conversion_is_the_systematic_generator_on_rm_merges():
+    for r, m in [(1, 3), (2, 4), (3, 6)]:
+        inst, _, _ = rm_merge_procedure(r, m)
+        y = default_conversion(inst)
+        assert y.y == default_by_systematic_generator(inst)
+        assert verify_conversion(inst, y)
 
 
 def test_default_conversion_example(example_instance):

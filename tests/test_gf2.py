@@ -20,6 +20,7 @@ from convcode.gf2 import (
     right_kernel_basis,
     rref,
     solve,
+    vec_mat,
 )
 from convcode.reedmuller import rm_generator
 from tests.conftest import GI1_ROWS, GI2_ROWS
@@ -408,3 +409,82 @@ def test_eliminate_matches_column_scan_on_rm_matrices(m):
         assert_eliminates_like_column_scan(
             list(product.row_words), product.cols
         )
+
+
+# References for the shared kernels: the row-combination loops that
+# mat_mul and vec_mat ran inline, and the enumeration that kept its own
+# dict of reduced rows keyed by lowest set bit, before gf2._combine and
+# gf2._reduce replaced them.
+
+def mat_mul_by_rows(a, b):
+    words = []
+    for w in a.row_words:
+        acc = 0
+        t = w
+        while t:
+            acc ^= b.row_words[(t & -t).bit_length() - 1]
+            t &= t - 1
+        words.append(acc)
+    return BitMatrix(words, b.cols)
+
+
+def vec_mat_by_rows(x, a):
+    acc = 0
+    t = x.mask
+    while t:
+        acc ^= a.row_words[(t & -t).bit_length() - 1]
+        t &= t - 1
+    return BitVector(a.cols, acc)
+
+
+def enumerate_invertible_by_dict(k):
+    candidates = []
+    for w in range(1, 1 << k):
+        out = 0
+        for i in range(k):
+            out |= ((w >> i) & 1) << (k - 1 - i)
+        candidates.append(out)
+    chosen, pivot = [], {}
+
+    def reduce_row(v):
+        while v:
+            low = v & -v
+            if low not in pivot:
+                return v
+            v ^= pivot[low]
+        return 0
+
+    def descend():
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for v in candidates:
+            red = reduce_row(v)
+            if red == 0:
+                continue
+            key = red & -red
+            chosen.append(v)
+            pivot[key] = red
+            yield from descend()
+            chosen.pop()
+            del pivot[key]
+
+    return descend()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 70), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+def test_products_match_row_loops(rows, inner, cols, seed):
+    rng = random.Random(seed)
+    a = BitMatrix([rng.getrandbits(inner) for _ in range(rows)], inner)
+    b = BitMatrix([rng.getrandbits(cols) for _ in range(inner)], cols)
+    assert mat_mul(a, b) == mat_mul_by_rows(a, b)
+    x = BitVector(inner, rng.getrandbits(inner))
+    assert vec_mat(x, b) == vec_mat_by_rows(x, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumerate_invertible_matches_dict_reference_order(k):
+    got = [m.row_words for m in enumerate_invertible(k)]
+    assert got == list(enumerate_invertible_by_dict(k))

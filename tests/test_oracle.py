@@ -14,7 +14,15 @@ from convcode.conversion import (
     make_instance,
     verify_conversion,
 )
-from convcode.gf2 import BitMatrix, SizeGuardError, gl2_order
+from convcode.gf2 import (
+    BitMatrix,
+    BitVector,
+    SizeGuardError,
+    block_diag,
+    gl2_order,
+    mat_mul,
+    solve,
+)
 from convcode.oracle import (
     SearchLimits,
     candidate_count,
@@ -154,6 +162,16 @@ def test_time_budget(example_instance):
         min_access_cost(example_instance, SearchLimits(time_budget=0.0))
 
 
+def test_time_budget_must_be_a_nonnegative_number():
+    # time.monotonic() > nan is never true, so a NaN budget would switch
+    # the guard off; it is refused like a negative one.
+    for budget in (float("nan"), -1.0, -1e-9):
+        with pytest.raises(ValueError, match="time_budget"):
+            SearchLimits(time_budget=budget)
+    assert SearchLimits(time_budget=0.0).time_budget == 0.0
+    assert SearchLimits(time_budget=None).time_budget is None
+
+
 def one_m_instance():
     # The [4,1] code 1111 merged into the [8,1] code 11111111: one
     # invertible M, kernel dim 3 and 2^24 candidates, inside every cap.
@@ -228,3 +246,33 @@ def test_enumerate_eliminates_only_in_set_up(eliminations):
     rest = sum(1 for _ in stream)
     assert rest + 1 == candidate_count(inst)
     assert len(eliminations) == set_up
+
+
+def right_inverse_by_solve(g):
+    """The k canonical solve solutions that oracle._right_inverse stacked
+    before it inverted G's pivot columns: the reference it is checked
+    against."""
+    cols = [solve(g, BitVector(g.rows, 1 << i)).mask for i in range(g.rows)]
+    return BitMatrix.from_columns(cols, g.cols)
+
+
+def assert_right_inverse_matches_solve(g):
+    e = oracle._right_inverse(g)
+    assert e == right_inverse_by_solve(g)
+    assert mat_mul(g, e) == BitMatrix.identity(g.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances())
+def test_right_inverse_matches_solve_on_small_instances(inst):
+    assert_right_inverse_matches_solve(inst.stacked_generator())
+
+
+def test_right_inverse_matches_solve_on_block_diagonal_stacks():
+    rng = random.Random(31)
+    for _ in range(300):
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(1, 9)
+            blocks.append(random_code(n, rng.randint(1, n), rng).generator)
+        assert_right_inverse_matches_solve(block_diag(blocks))
