@@ -35,9 +35,9 @@ print("  costs:", report.to_record())
 print(f"  (all {c1.n} symbols of the first code and "
       f"{len(report.unchanged_per_code[1])} of the second stay in place)")
 
-# rm_merge_apply runs the merge's conversion matrix, so it agrees with
-# apply_conversion on every input and lands in RM(r, m).  The symbols a
-# conversion reads are the R sets that classify_symbols reports.
+# rm_merge_apply is apply_conversion with the merge's matrix, so the two
+# agree on every input and land in RM(r, m).  Both run the merge's ANF
+# map, which gives x . Y on codewords; the costs above are Y's.
 rng = random.Random(7)
 for _ in range(3):
     x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))

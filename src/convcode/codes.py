@@ -250,7 +250,11 @@ def encode(c: LinearCode, u: BitVector) -> BitVector:
 def decode_from_positions(
     c: LinearCode, s: Sequence[int], vals: BitVector
 ) -> BitVector:
-    """The unique message whose codeword agrees with vals on s."""
+    """The unique message whose codeword agrees with vals on s.
+
+    vals[t] is the symbol at the t-th element of sorted(s), whatever the
+    order of s, as in systematic_generator.
+    """
     if c.is_zero:
         raise CodeError("the zero code cannot be decoded")
     s = _check_coords(c.n, s)

@@ -12,24 +12,29 @@ One split of Y's columns, into weight 1 and weight >= 2, serves both
 uses of Y: classify_symbols walks Y's rows with it, and apply runs a
 plan compiled from it once per matrix.  Unchanged symbols are masked
 and shifted out of the stacked input, and new symbols are looked up 4
-input bits at a time in tables over the read rows only, so apply reads
-exactly the R sets that classify_symbols reports, by construction.
+input bits at a time in tables over the read rows only, so the plan
+reads exactly the R sets that classify_symbols reports, by construction.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
--> RM(r, m) and its recursive multi-code chain.
+-> RM(r, m) and its recursive multi-code chain.  Their Y carries a
+preset map in the algebraic-normal-form (ANF) domain, which apply runs
+instead of the plan: it checks each input and converts it in the same
+Moebius transforms.  The cost model stays Y's, as classify_symbols
+reports it; on codewords the preset computes the same values as x . Y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
+    _moebius,
     block_diag,
     mat_mul,
     rank,
@@ -87,10 +92,15 @@ class ConvertibleInstance:
 
 @dataclass(frozen=True)
 class ConversionMatrix:
-    """Matrix Y of a linear conversion, with initial block sizes."""
+    """Matrix Y of a linear conversion, with initial block sizes.
+
+    _anf is None except on the Y of an RM merge or chain, which presets
+    the map that apply_conversion runs on that instance (see _run_anf).
+    """
 
     y: BitMatrix
     blocks: Tuple[int, ...]
+    _anf: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.y.rows != sum(self.blocks):
@@ -248,7 +258,7 @@ def classify_symbols(
     single support row attributes it to an initial code.  Support rows of
     heavier columns become read symbols of their owning codes.  Y is
     verified first, then its rows are classified by its apply plan's
-    column split, so apply reads exactly the R sets reported here.
+    column split, so the plan reads exactly the R sets reported here.
     """
     if not verify_conversion(inst, y):
         raise ConversionError("matrix is not a valid conversion for instance")
@@ -334,6 +344,46 @@ def _run_plan(y: ConversionMatrix, codewords: Sequence[BitVector]) -> BitVector:
     return BitVector(y.y.cols, out)
 
 
+def _anf_preset(inst: ConvertibleInstance) -> tuple:
+    """The ANF map of the RM merge or chain on inst, from its codes'
+    degree tests (see _run_anf): the codes, one (n, steps, high, keep,
+    shift) per leaf, and the final code's steps and length.  Computes no
+    transform: keep is the complement of a later leaf's high mask."""
+    first, *rest = inst.initial_codes
+    leaves = [(first.n, *first._degree_test, 0, 0)]
+    for c in rest:
+        steps, high = c._degree_test
+        leaves.append((c.n, steps, high, ((1 << c.n) - 1) ^ high, c.n))
+    final = inst.final_code
+    return inst.initial_codes, tuple(leaves), final._degree_test[0], final.n
+
+
+def _run_anf(anf: tuple, codewords: Sequence[BitVector]) -> BitVector:
+    """Check and convert the inputs of an RM merge or chain in the ANF
+    domain.
+
+    The merge of c1 in RM(r, m-1) and c2 in RM(r-1, m-1) outputs c1 on
+    the left and c2 plus the degree-r part of c1's polynomial on the
+    right, so the output's ANF is a = A(c1) on the left and
+    (A(c1) & keep) ^ A(c2) on the right, keep the points of weight
+    <= r-1 (A the Moebius transform).  A chain folds each later leaf in
+    the same way, and one transform of a over the final code's steps
+    gives the output.  Each A(x) is also the input's membership test,
+    raising ConversionError if it has a bit in the leaf's high mask: a
+    merge costs 3 transforms and a chain lambda + 1.
+    """
+    _, leaves, steps, n_out = anf
+    a = 0
+    for x, (n, leaf_steps, high, keep, shift) in zip(codewords, leaves):
+        if x.n != n:
+            raise DimensionError("vector length must equal the block length")
+        b = _moebius(x.mask, leaf_steps)
+        if b & high:
+            raise ConversionError("input is not a codeword of its code")
+        a |= ((a & keep) ^ b) << shift
+    return BitVector(n_out, _moebius(a, steps))
+
+
 def apply_conversion(
     inst: ConvertibleInstance,
     y: ConversionMatrix,
@@ -341,14 +391,20 @@ def apply_conversion(
 ) -> BitVector:
     """Run the conversion on one codeword per initial code.
 
-    Each input is checked to be a codeword of its initial code; then Y's
-    compiled plan (built on the first apply of this matrix) copies the
-    unchanged symbols and computes the new ones from the read rows, so
-    the stacked symbols it reads are exactly the U sources and R sets
-    that classify_symbols reports.
+    Each input is checked to be a codeword of its initial code, and a
+    non-codeword raises ConversionError.  On the Y of an RM merge or
+    chain, applied to an instance of the very codes it was built from,
+    the check and the conversion are one ANF map (_run_anf).  Any other
+    Y or instance runs Y's compiled plan (built on the first apply of
+    this matrix) after the checks.  Both give x . Y on codewords; the
+    access costs are Y's, as classify_symbols reports them.
     """
     if len(codewords) != inst.lam:
         raise ConversionError("need exactly one codeword per initial code")
+    anf = y._anf
+    # LinearCode compares by identity: the codes must be the preset's own.
+    if anf is not None and anf[0] == inst.initial_codes:
+        return _run_anf(anf, codewords)
     for c, x in zip(inst.initial_codes, codewords):
         if not contains(c, x):
             raise ConversionError("input is not a codeword of its code")
@@ -380,7 +436,8 @@ def _build_rm_merge(
 
     words = [(1 << i) | (t << half) for i, t in enumerate(t_rows)]
     words += [b << half for b in b_rows]
-    return inst, ConversionMatrix(BitMatrix(words, 2 * half), inst.n_initial)
+    y = BitMatrix(words, 2 * half)
+    return inst, ConversionMatrix(y, inst.n_initial, _anf=_anf_preset(inst))
 
 
 _RM_MERGES: Dict[
@@ -422,11 +479,10 @@ def rm_merge_apply(
     """Run the Reed-Muller merge on one codeword of each initial code.
 
     One apply_conversion with the matrix emitted by rm_merge_procedure, so
-    it runs that matrix's compiled plan and reads exactly the read sets
-    that classify_symbols reports for it.  The matrix is built and
-    verified on the first call per (r, m) and its plan compiled on the
-    first apply, so a later call costs the membership checks and the
-    plan.
+    it runs that matrix's preset ANF map: three Moebius transforms check
+    both inputs and give the output, equal to x . Y on codewords.  The
+    access costs are Y's, as classify_symbols reports them.  The matrix
+    is built and verified on the first call per (r, m).
     """
     inst, y, _ = rm_merge_procedure(r, m)
     return apply_conversion(inst, y, (c1_word, c2_word))
@@ -441,6 +497,9 @@ def rm_merge_chain(
     RM(r, m-depth), RM(r-1, m-depth), RM(r-1, m-depth+1), ...,
     RM(r-1, m-1) and final code RM(r, m); the composed conversion matrix
     is the product of the per-stage matrices lifted by identity blocks.
+    Its preset ANF map runs every stage at once on codewords, in
+    lambda + 1 Moebius transforms (see _run_anf); the access costs are
+    the composed matrix's, as classify_symbols reports them.
     Domain: 1 <= depth <= r <= m - depth, where every stage is a merge.
     """
     if not 1 <= depth <= r <= m - depth:
@@ -456,5 +515,5 @@ def rm_merge_chain(
         composed = mat_mul(lift, y_stage.y)
         leaves.append(stage.initial_codes[1])
     inst = make_instance(leaves, stage.final_code)
-    y = ConversionMatrix(composed, inst.n_initial)
+    y = ConversionMatrix(composed, inst.n_initial, _anf=_anf_preset(inst))
     return inst, y, classify_symbols(inst, y)

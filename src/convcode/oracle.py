@@ -53,7 +53,8 @@ class SearchLimits:
     time_budget: Optional[float] = None  # seconds, None = unlimited
 
     def __post_init__(self):
-        if min(self.max_k_final, self.max_kernel_dim, self.max_n_final) < 1:
+        caps = (self.max_k_final, self.max_kernel_dim, self.max_n_final)
+        if not all(v >= 1 for v in caps):  # also refuses a NaN cap
             raise ValueError("limits must be positive")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError("time_budget must be >= 0 seconds or None")

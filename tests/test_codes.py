@@ -249,6 +249,21 @@ def test_decode_from_non_systematic_positions():
     assert decode_from_positions(c, s, vals) == u
 
 
+def test_decode_reads_values_in_sorted_position_order():
+    # vals[t] is the symbol at the t-th element of sorted(s), however s is
+    # ordered: a reversed s decodes from the same vals.
+    c = hamming74()
+    s = [5, 4, 3, 2]
+    for msg in range(16):
+        u = BitVector(4, msg)
+        cw = encode(c, u)
+        vals = BitVector.from_bits([cw[p] for p in sorted(s)])
+        assert decode_from_positions(c, s, vals) == u
+        as_given = BitVector.from_bits([cw[p] for p in s])
+        if as_given != vals:
+            assert decode_from_positions(c, s, as_given) != u
+
+
 def test_decode_rejects_non_information_set():
     with pytest.raises(CodeError):
         decode_from_positions(

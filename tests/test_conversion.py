@@ -10,6 +10,7 @@ from convcode.codes import (
     contains,
     encode,
     first_information_set,
+    from_generator,
     random_code,
     systematic_generator,
 )
@@ -484,10 +485,14 @@ def test_plan_compiles_once_per_matrix(monkeypatch, example_instance,
     for inst, y in cases:
         for _ in range(10):
             apply_conversion(inst, y, random_codewords(inst, rng))
-    assert builds == [y.y for _, y in cases]
     for _ in range(10):
         rm_merge_apply(3, 6, *random_codewords(merge[0], rng))
-    assert len(builds) == len(cases)  # rm_merge_apply reuses the merge's
+    # Merge and chain applies run their preset ANF map: no plan at all.
+    assert builds == [example_y.y]
+    for inst, y in cases[1:]:
+        for _ in range(10):
+            _run_plan(y, random_codewords(inst, rng))
+    assert builds == [y.y for _, y in cases]  # still once per matrix
 
 
 def test_warm_apply_still_checks_its_inputs(example_instance, example_y):
@@ -580,7 +585,7 @@ def test_rm_merge_apply_matches_matrix(r, m):
     for _ in range(25):
         x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))
         x2 = encode(c2, BitVector(c2.k, rng.getrandbits(c2.k)))
-        via_matrix = apply_conversion(inst, y, [x1, x2])
+        via_matrix = _run_plan(y, [x1, x2])
         assert rm_merge_apply(r, m, x1, x2) == via_matrix
         # rm_merge_apply runs this same Y (pinned by tests/test_golden.py);
         # the checks below hold for any correct merge, whatever its Y.
@@ -765,6 +770,74 @@ def test_rm_merge_apply_rejects_non_codewords():
     ok2 = encode(c2, BitVector(c2.k, 0))
     with pytest.raises(ConversionError):
         rm_merge_apply(2, 4, bad, ok2)
+
+
+def rm_merges_and_chains():
+    """(instance, Y) of every RM merge with m <= 10 and every chain with
+    m <= 9."""
+    cases = [rm_merge_procedure(r, m)[:2]
+             for m in range(2, 11) for r in range(1, m)]
+    cases += [rm_merge_chain(r, m, depth)[:2]
+              for m in range(2, 10) for depth in range(1, m)
+              for r in range(depth, m - depth + 1)]
+    return cases
+
+
+def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
+    # The preset ANF map is the reference's x . Y on codewords, and it
+    # rejects inputs as the plan path's membership checks do.
+    cases = rm_merges_and_chains()
+    assert len(cases) == 45 + 70
+    fused = []
+    run_anf = conversion._run_anf
+
+    def counting(anf, codewords):
+        fused.append(1)
+        return run_anf(anf, codewords)
+
+    monkeypatch.setattr(conversion, "_run_anf", counting)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rng):
+        for inst, y in cases:
+            words = random_codewords(inst, rng)
+            before = len(fused)
+            out = apply_conversion(inst, y, words)
+            assert len(fused) == before + 1
+            assert out == _run_plan(y, words)
+            assert out == vec_mat(_stack_codewords(words), y.y)
+            for i, (c, x) in enumerate(zip(inst.initial_codes, words)):
+                bad = list(words)
+                if c.k < c.n:  # then d >= 2: a flipped codeword is none
+                    bad[i] = x ^ BitVector(c.n, 1 << rng.randrange(c.n))
+                    with pytest.raises(ConversionError):
+                        apply_conversion(inst, y, bad)
+                bad[i] = BitVector(c.n + rng.choice([-1, 1]), 0)
+                with pytest.raises(DimensionError):
+                    apply_conversion(inst, y, bad)
+            for count in (words[:-1], words + words[:1]):
+                with pytest.raises(ConversionError, match="one codeword"):
+                    apply_conversion(inst, y, count)
+        # Equal codes that are not the preset's own objects take the plan,
+        # and their membership checks still reject non-codewords.
+        inst, y = rng.choice(cases)
+        copies = make_instance(
+            [from_generator(c.generator) for c in inst.initial_codes],
+            inst.final_code,
+        )
+        words = random_codewords(inst, rng)
+        before = len(fused)
+        assert apply_conversion(copies, y, words) == _run_plan(y, words)
+        i = rng.randrange(inst.lam)
+        c = inst.initial_codes[i]
+        if c.k < c.n:
+            words[i] = words[i] ^ BitVector(c.n, 1 << rng.randrange(c.n))
+            with pytest.raises(ConversionError):
+                apply_conversion(copies, y, words)
+        assert len(fused) == before
+
+    check()
 
 
 def test_rm_merge_chain_2_4():

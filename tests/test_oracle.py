@@ -209,6 +209,15 @@ def test_limits_must_be_positive():
         SearchLimits(max_k_final=0)
 
 
+@pytest.mark.parametrize("cap", ["max_k_final", "max_kernel_dim",
+                                 "max_n_final"])
+def test_nan_limit_is_refused(cap):
+    # Every comparison with NaN is false, so a NaN cap would switch its
+    # guard off instead of bounding the search.
+    with pytest.raises(ValueError):
+        SearchLimits(**{cap: float("nan")})
+
+
 def test_enumerate_checks_every_candidate(monkeypatch):
     # Add e_0 to every member of the coset of column 1.  G_I . e_0 is
     # column 0 of G_I, which is nonzero, so G_I . Y != M . G_F and the
