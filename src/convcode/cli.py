@@ -241,15 +241,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
+    if args.m_min > args.m_max:
+        raise CliError("empty range: --m-min must be <= --m-max")
+    records = []
     for m in range(args.m_min, args.m_max + 1):
         if m < 4:
             print(f"warning: skipping m={m} (analysis assumes m = r+2 >= 4)",
                   file=sys.stderr)
             continue
-        rows.append((m, m - 2))
-    records = []
-    for m, r in rows:
+        r = m - 2
         _, _, costs, p, bound_report, distance_source = _merge_audit(
             r, m, "exhaustive"
         )

@@ -16,11 +16,16 @@ input bits at a time in tables over the read rows only, so the plan
 reads exactly the R sets that classify_symbols reports, by construction.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
--> RM(r, m) and its recursive multi-code chain.  Their Y carries a
-preset map in the algebraic-normal-form (ANF) domain, which apply runs
-instead of the plan: it checks each input and converts it in the same
-Moebius transforms.  The cost model stays Y's, as classify_symbols
-reports it; on codewords the preset computes the same values as x . Y.
+-> RM(r, m) and its recursive multi-code chain.  One builder makes the Y
+of both by rows (a merge is the chain of depth 1), and one memo holds
+one verified (instance, Y, report) triple per (r, m, depth).  Since
+every RM generator row is the Moebius transform of a unit word,
+verify_conversion takes G_I . Y on RM codes by row butterflies instead
+of a matrix product.  The Y of a merge or chain carries a preset map in
+the algebraic-normal-form (ANF) domain, which apply runs instead of the
+plan: it checks each input and converts it in the same Moebius
+transforms.  The cost model stays Y's, as classify_symbols reports it;
+on codewords the preset computes the same values as x . Y.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
+    _combine,
     _moebius,
     block_diag,
     mat_mul,
@@ -41,7 +47,8 @@ from .gf2 import (
     rref,
 )
 from .codes import LinearCode, contains, first_information_set
-from .reedmuller import _check_bits, _check_m, _systematic_rows, rm_code
+from .reedmuller import (_check_bits, _check_m, _systematic_rows,
+                         _weight_masks, rm_code)
 
 
 class ConversionError(ValueError):
@@ -235,18 +242,44 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
     may land on any generator choice of the final code.  With rank k_F,
     the rows span the final code iff each is a codeword, as contains
     tests: by the final code's preset test if it has one (an RM code),
-    else against its cached echelon form.
+    else against its cached echelon form.  The product is exact for any
+    Y, and takes row butterflies instead of mat_mul when every initial
+    code is an RM code (see _product).
     """
     if y.blocks != inst.n_initial:
         raise DimensionError("conversion-matrix blocks do not match instance")
     if y.y.cols != inst.n_final:
         raise DimensionError("conversion-matrix width must be n_F")
-    product = mat_mul(inst.stacked_generator(), y.y)
+    product = _product(inst, y.y)
     if rank(product) != inst.k_final:
         return False
     return all(
         contains(inst.final_code, product.row(i)) for i in range(product.rows)
     )
+
+
+def _product(inst: ConvertibleInstance, y: BitMatrix) -> BitMatrix:
+    """G_I . Y, equal to mat_mul row for row: by row butterflies when
+    every initial code is an RM code from rm_code, else by mat_mul.
+
+    A generator row of RM(r, m) is M(e_p), the mask of the points
+    containing its monomial's point p, so its product row is the XOR of
+    Y's rows at the supersets of p.  m butterfly passes over a block's
+    rows, ys[q] ^= ys[q | b] for q with bit b clear, leave that superset
+    sum at ys[p], and p is the generator row's lowest set bit.
+    """
+    if not all(c._degree_test for c in inst.initial_codes):
+        return mat_mul(inst.stacked_generator(), y)
+    out = []
+    words = iter(y.row_words)
+    for c in inst.initial_codes:
+        ys = list(islice(words, c.n))
+        for _, bit in c._degree_test[0]:
+            for q in range(c.n):
+                if not q & bit:
+                    ys[q] ^= ys[q | bit]
+        out += [ys[(g & -g).bit_length() - 1] for g in c.generator.row_words]
+    return BitMatrix(out, y.cols)
 
 
 def classify_symbols(
@@ -412,42 +445,48 @@ def apply_conversion(
 
 
 def _build_rm_merge(
-    r: int, m: int
+    r: int, m: int, depth: int = 1
 ) -> Tuple[ConvertibleInstance, ConversionMatrix]:
-    """Instance and matrix Y = [[I, T], [0, B]] of the RM merge, by rows.
+    """Instance and matrix Y of chain (r, m, depth), by rows; depth 1 is
+    the merge RM(r, m-1) x RM(r-1, m-1) -> RM(r, m).
 
-    With M the Moebius transform on 2^(m-1) points, D_r the points of
+    The merge into RM(r, s) has Y = [[I, T], [0, B]] on h = 2^(s-1)
+    points.  With M the Moebius transform on h points, D_r the points of
     weight r and e_p the unit word at p, row p of T is M(M(e_p) & D_r)
     for p of weight <= r, else 0 (reedmuller._systematic_rows), so that
     c1 . T = M(M(c1) & D_r).  B is I when reading the second code directly
     is no dearer than decoding it; else its rows are the systematic ones
     of that code on its weight-<=(r-1) points, the zero columns of T.
+
+    The rows start as the identity on the first leaf, RM(r, m-depth).
+    Each stage s = m-depth+1, ..., m multiplies them by its merge: a row
+    w becomes w | (w . T) << h, and w . T reads only w's bits at the
+    points of weight <= r.  Then B's rows, shifted by h, are appended
+    for the stage's leaf RM(r-1, s-1).  That is the product of the
+    per-stage merges lifted by identity blocks, without forming it.
     """
-    c1 = rm_code(r, m - 1)
-    c2 = rm_code(r - 1, m - 1)
-    inst = make_instance([c1, c2], rm_code(r, m))
-
-    half = 1 << (m - 1)
-    t_rows = _systematic_rows(r, m - 1, low=r)
-    if half - c2.k <= c2.k:
-        b_rows = [1 << j for j in range(half)]
-    else:
-        b_rows = _systematic_rows(r - 1, m - 1)
-
-    words = [(1 << i) | (t << half) for i, t in enumerate(t_rows)]
-    words += [b << half for b in b_rows]
-    y = BitMatrix(words, 2 * half)
+    leaves = [rm_code(r, m - depth)]
+    words = [1 << i for i in range(leaves[0].n)]
+    for s in range(m - depth + 1, m + 1):
+        half = 1 << (s - 1)
+        leaves.append(rm_code(r - 1, s - 1))
+        low = _weight_masks(r, s - 1)[r]
+        t_rows = _systematic_rows(r, s - 1, low=r)
+        words = [w | _combine(w & low, t_rows) << half for w in words]
+        if half <= 2 * leaves[-1].k:
+            words += [1 << (half + j) for j in range(half)]
+        else:
+            words += [b << half for b in _systematic_rows(r - 1, s - 1)]
+    inst = make_instance(leaves, rm_code(r, m))
+    y = BitMatrix(words, 1 << m)
     return inst, ConversionMatrix(y, inst.n_initial, _anf=_anf_preset(inst))
 
 
-_RM_MERGES: Dict[
-    Tuple[int, int], Tuple[ConvertibleInstance, ConversionMatrix, CostReport]
-] = {}
+_RmTriple = Tuple[ConvertibleInstance, ConversionMatrix, CostReport]
+_RM_MERGES: Dict[Tuple[int, int, int], _RmTriple] = {}
 
 
-def rm_merge_procedure(
-    r: int, m: int
-) -> Tuple[ConvertibleInstance, ConversionMatrix, CostReport]:
+def rm_merge_procedure(r: int, m: int) -> _RmTriple:
     """The explicit merge RM(r, m-1) x RM(r-1, m-1) -> RM(r, m).
 
     On codewords c1, c2 the output is c1 in the left half and
@@ -457,20 +496,15 @@ def rm_merge_procedure(
     vanishes at the points of weight <= r-1, where c2's symbols stay
     unchanged; every other right-half symbol is new.
 
-    The triple is built and classified (so verified) on the first call
-    per (r, m); later calls return the same (shared, immutable) triple.
-    Refuses (SizeGuardError) m past reedmuller.MAX_M and a 2^m x 2^m
-    matrix Y past reedmuller.MAX_BITS before building anything.
+    This is the depth-1 chain: one builder makes both by rows, and one
+    memo holds both, so this returns the (shared, immutable) triple of
+    rm_merge_chain(r, m, 1), built and classified (so verified) on the
+    first call.  Refuses (SizeGuardError) m past reedmuller.MAX_M and a
+    2^m x 2^m matrix Y past reedmuller.MAX_BITS before building anything.
     """
     if not 1 <= r <= m - 1:
         raise ConversionError("need 1 <= r <= m - 1")
-    key = (r, m)
-    if key not in _RM_MERGES:
-        _check_m(m)
-        _check_bits(1 << m, m)
-        inst, y = _build_rm_merge(r, m)
-        _RM_MERGES[key] = (inst, y, classify_symbols(inst, y))
-    return _RM_MERGES[key]
+    return rm_merge_chain(r, m, 1)
 
 
 def rm_merge_apply(
@@ -488,32 +522,28 @@ def rm_merge_apply(
     return apply_conversion(inst, y, (c1_word, c2_word))
 
 
-def rm_merge_chain(
-    r: int, m: int, depth: int
-) -> Tuple[ConvertibleInstance, ConversionMatrix, CostReport]:
+def rm_merge_chain(r: int, m: int, depth: int) -> _RmTriple:
     """Recursive merge chain: re-split the first initial code depth times.
 
     Produces a lambda = depth + 1 instance with initial codes
     RM(r, m-depth), RM(r-1, m-depth), RM(r-1, m-depth+1), ...,
-    RM(r-1, m-1) and final code RM(r, m); the composed conversion matrix
-    is the product of the per-stage matrices lifted by identity blocks.
-    Its preset ANF map runs every stage at once on codewords, in
-    lambda + 1 Moebius transforms (see _run_anf); the access costs are
-    the composed matrix's, as classify_symbols reports them.
+    RM(r-1, m-1) and final code RM(r, m).  Its conversion matrix equals
+    the product of the per-stage merges lifted by identity blocks, but is
+    built by rows, stage by stage, with no matrix product (see
+    _build_rm_merge).  Its preset ANF map runs every stage at once on
+    codewords, in lambda + 1 Moebius transforms (see _run_anf); the
+    access costs are the matrix's, as classify_symbols reports them.
+    The triple is built and classified (so verified) on the first call
+    per (r, m, depth), and depth 1 is rm_merge_procedure(r, m)'s entry.
+    Refuses (SizeGuardError) as rm_merge_procedure does, at the final m.
     Domain: 1 <= depth <= r <= m - depth, where every stage is a merge.
     """
     if not 1 <= depth <= r <= m - depth:
         raise ConversionError("need 1 <= depth <= r <= m - depth")
-    # Innermost stage merges two leaves into RM(r, m - depth + 1); each
-    # later stage adds the next RM(r-1, out_m - 1) leaf.
-    stage, y_stage, _ = rm_merge_procedure(r, m - depth + 1)
-    leaves = list(stage.initial_codes)
-    composed = y_stage.y
-    for out_m in range(m - depth + 2, m + 1):
-        stage, y_stage, _ = rm_merge_procedure(r, out_m)
-        lift = block_diag([composed, BitMatrix.identity(1 << (out_m - 1))])
-        composed = mat_mul(lift, y_stage.y)
-        leaves.append(stage.initial_codes[1])
-    inst = make_instance(leaves, stage.final_code)
-    y = ConversionMatrix(composed, inst.n_initial, _anf=_anf_preset(inst))
-    return inst, y, classify_symbols(inst, y)
+    key = (r, m, depth)
+    if key not in _RM_MERGES:
+        _check_m(m)
+        _check_bits(1 << m, m)
+        inst, y = _build_rm_merge(r, m, depth)
+        _RM_MERGES[key] = (inst, y, classify_symbols(inst, y))
+    return _RM_MERGES[key]

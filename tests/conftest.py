@@ -12,9 +12,9 @@ from convcode.oracle import candidate_count
 
 @pytest.fixture(autouse=True)
 def fresh_rm_codes():
-    # rm_code shares one LinearCode per (r, m), and the RM merge shares one
-    # (instance, matrix, report) triple per (r, m); a test that resets a
-    # distance cache must not leak that into the next test.
+    # rm_code shares one LinearCode per (r, m), and the RM merges and chains
+    # share one (instance, matrix, report) triple per (r, m, depth); a test
+    # that resets a distance cache must not leak that into the next test.
     reedmuller._RM_CODES.clear()
     conversion._RM_MERGES.clear()
     yield

@@ -148,6 +148,16 @@ def test_report_json(capsys):
     }
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_refuses_an_empty_range(capsys, fmt):
+    assert main(
+        ["report", "--m-min", "5", "--m-max", "4", "--format", fmt]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_report_skips_small_m(capsys):
     assert main(["report", "--m-min", "3", "--m-max", "4"]) == 0
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convcode as cc
-from convcode import codes, conversion
+from convcode import codes, conversion, reedmuller
 from convcode.codes import (
     contains,
     encode,
@@ -33,6 +33,7 @@ from convcode.gf2 import (
     BitVector,
     DimensionError,
     SizeGuardError,
+    block_diag,
     inverse,
     mat_mul,
     rank,
@@ -545,8 +546,8 @@ def test_rm_merge_procedure_rejects_bad_params():
 def test_rm_merge_procedure_refuses_past_bit_budget(monkeypatch):
     # Y of the merge into RM(1, 20) holds 2^19 rows of up to 2^20 bits
     # (about 16 GiB as Python ints): refused before anything is built,
-    # also as a chain stage.
-    def unbuilt(r, m):
+    # also as a chain, and nothing is memoised.
+    def unbuilt(*args):
         raise AssertionError("the merge was built")
 
     monkeypatch.setattr(conversion, "_build_rm_merge", unbuilt)
@@ -555,6 +556,8 @@ def test_rm_merge_procedure_refuses_past_bit_budget(monkeypatch):
             rm_merge_procedure(r, m)
     with pytest.raises(SizeGuardError):
         rm_merge_chain(2, 20, 2)
+    assert conversion._RM_MERGES == {}
+    assert reedmuller._RM_CODES == {}  # not even a leaf code
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -888,3 +891,154 @@ def test_rm_merge_chain_domain_is_its_guard():
                 else:
                     with pytest.raises(ConversionError, match="m - depth"):
                         rm_merge_chain(r, m, depth)
+
+
+def composed_rm_chain_y(r, m, depth, stages):
+    """Y of chain (r, m, depth) as it was built before the by-rows builder:
+    the product of the per-stage merge matrices, each later stage's input
+    lifted by an identity block for its new leaf.  stages(r, s) gives the
+    Y of the merge into RM(r, s).  The reference for
+    conversion._build_rm_merge."""
+    composed = stages(r, m - depth + 1)
+    for out_m in range(m - depth + 2, m + 1):
+        lift = block_diag([composed, BitMatrix.identity(1 << (out_m - 1))])
+        composed = mat_mul(lift, stages(r, out_m))
+    return composed
+
+
+def test_rm_chain_by_rows_matches_composed_product():
+    # Every (r, m, depth) with m <= 9, merges (depth 1) included, against
+    # the lift-and-multiply product of the inverse-built stage matrices.
+    stage_ys = {}
+
+    def stages(r, s):
+        if (r, s) not in stage_ys:
+            stage_ys[r, s] = inverse_built_rm_merge_y(r, s)
+        return stage_ys[r, s]
+
+    chains = [(r, m, depth) for m in range(2, 10) for depth in range(1, m)
+              for r in range(depth, m - depth + 1)]
+    assert len(chains) == 70
+    for r, m, depth in chains:
+        inst, y = conversion._build_rm_merge(r, m, depth)
+        assert y.y == composed_rm_chain_y(r, m, depth, stages), (r, m, depth)
+        leaves = [rm_code(r, m - depth)]
+        leaves += [rm_code(r - 1, s) for s in range(m - depth, m)]
+        assert inst.initial_codes == tuple(leaves)
+        assert inst.final_code is rm_code(r, m)
+        assert y.blocks == inst.n_initial
+        assert y._anf == conversion._anf_preset(inst)
+
+
+def test_rm_product_matches_mat_mul_on_rm_merges_and_chains(monkeypatch):
+    # On every merge with m <= 10 and every chain with m <= 9, the row
+    # butterflies give G_I . Y exactly, row order included, without
+    # mat_mul; equal codes that are not RM code objects take mat_mul.
+    cases = rm_merges_and_chains()
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(conversion, "mat_mul", counting)
+    for inst, y in cases:
+        product = conversion._product(inst, y.y)
+        assert product == mat_mul(inst.stacked_generator(), y.y)
+        assert product.rows == inst.k_final
+    assert calls == []
+    inst, y = cases[-1]
+    copies = make_instance(
+        [from_generator(c.generator) for c in inst.initial_codes],
+        inst.final_code,
+    )
+    assert conversion._product(copies, y.y) == conversion._product(inst, y.y)
+    assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 6),
+       st.sampled_from(["random", "kernel", "kernel+flip"]),
+       st.randoms(use_true_random=False))
+def test_rm_product_and_verify_match_mat_mul_on_any_y(m, r, kind, rng):
+    # Over RM merge instances, on random Y, on the merge Y plus right-kernel
+    # vectors of G_I in its columns (still valid), and on that with one
+    # flipped bit: the butterfly product equals mat_mul, and
+    # verify_conversion answers as the mat_mul-and-RREF reference does.
+    r = min(r, m - 1)
+    inst, y0, _ = rm_merge_procedure(r, m)
+    n = inst.n_final
+    if kind == "random":
+        cols = [rng.getrandbits(n) for _ in range(n)]
+    else:
+        kernel = [v.mask for v in right_kernel_basis(inst.stacked_generator())]
+        cols = [y0.y.column_mask(j) for j in range(n)]
+        for j in range(n):
+            for v in kernel:
+                cols[j] ^= v * rng.getrandbits(1)
+        if kind == "kernel+flip":
+            cols[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    y = ConversionMatrix(BitMatrix.from_columns(cols, n), y0.blocks)
+    assert conversion._product(inst, y.y) == mat_mul(
+        inst.stacked_generator(), y.y
+    )
+    expected = verify_by_rref(inst, y)
+    assert verify_conversion(inst, y) == expected
+    if kind != "random":  # a random Y of a small merge can be valid
+        assert expected == (kind == "kernel")
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_verify_conversion_rejects_every_flip_of_a_merge(m):
+    # Flipping entry (i, j) of a merge Y adds e_j to every product row
+    # whose generator row has a 1 at i; the all-ones row of each RM code
+    # has, and e_j is no codeword, so every single flip breaks the merge.
+    for r in range(1, m):
+        inst, y, _ = rm_merge_procedure(r, m)
+        words = y.y.row_words
+        for i in range(y.y.rows):
+            for j in range(y.y.cols):
+                flipped = list(words)
+                flipped[i] ^= 1 << j
+                bad = ConversionMatrix(BitMatrix(flipped, y.y.cols), y.blocks)
+                assert not verify_conversion(inst, bad), (r, m, i, j)
+                assert not verify_by_rref(inst, bad)
+
+
+def test_rm_merges_and_chains_build_without_block_diag_or_mat_mul(
+    monkeypatch,
+):
+    # Built by rows and verified by row butterflies: a cold merge or chain
+    # forms no block-diagonal stack and multiplies no matrices.
+    def forbidden(*args):
+        raise AssertionError("block_diag or mat_mul was called")
+
+    monkeypatch.setattr(conversion, "block_diag", forbidden)
+    monkeypatch.setattr(conversion, "mat_mul", forbidden)
+    for chain in [(4, 9, 1), (3, 8, 2), (3, 7, 3), (2, 6, 2)]:
+        inst, y, report = rm_merge_chain(*chain)
+        assert verify_conversion(inst, y)
+        assert classify_symbols(inst, y) == report
+
+
+def test_rm_merge_memo_is_one_entry_per_chain():
+    # One memo: a second call returns the identical triple, and a merge is
+    # the chain of depth 1.  A chain memoises itself only, not its stages.
+    chain = rm_merge_chain(3, 8, 2)
+    assert rm_merge_chain(3, 8, 2) is chain
+    assert set(conversion._RM_MERGES) == {(3, 8, 2)}
+    merge = rm_merge_procedure(3, 8)
+    assert rm_merge_chain(3, 8, 1) is merge
+    assert rm_merge_procedure(3, 8) is merge
+    assert set(conversion._RM_MERGES) == {(3, 8, 2), (3, 8, 1)}
+
+
+@pytest.mark.parametrize("run", [1, 2])
+def test_fresh_rm_codes_empties_the_memo(run):
+    # Each run starts from empty memos and fills them: the autouse fixture
+    # cleared what the test before left behind.
+    assert conversion._RM_MERGES == {}
+    assert reedmuller._RM_CODES == {}
+    rm_merge_chain(2, 5, 2)
+    rm_merge_procedure(2, 4)
+    assert set(conversion._RM_MERGES) == {(2, 5, 2), (2, 4, 1)}
