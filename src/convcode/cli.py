@@ -28,7 +28,7 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
-    _run_plan,
+    _run_matrix,
     apply_conversion,
     classify_symbols,
     make_instance,
@@ -310,6 +310,7 @@ def cmd_apply(args) -> int:
         raise CliError("--gf requires --gi for membership checking")
     y_mat, y_blocks = _load_matrix(args.y)
     blocks = _blocks(_parse_int_list(args.blocks), y_blocks)
+    y = ConversionMatrix(y_mat, blocks)
     input_paths = [p for p in args.inputs.split(",") if p]
     if len(input_paths) != len(blocks):
         raise CliError("need exactly one input file per block")
@@ -319,7 +320,6 @@ def cmd_apply(args) -> int:
         if mat.rows != 1 or mat.cols != n_i:
             raise CliError(f"{path}: expected a 1x{n_i} matrix")
         words.append(BitVector(n_i, mat.row_words[0]))
-    y = ConversionMatrix(y_mat, blocks)
     if args.gi:
         inst = _instance_from_files(args.gi, args.gf, blocks)
         try:
@@ -328,7 +328,7 @@ def cmd_apply(args) -> int:
             print(f"INVALID input: {exc}")
             return FAIL
     else:
-        out = _run_plan(y, words)
+        out = _run_matrix(y, words)
     _write_out(args.out, matio._matrix_lines(BitMatrix([out.mask], out.n)))
     return OK
 

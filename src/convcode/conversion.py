@@ -8,12 +8,9 @@ generate the final code.  Columns of Y of weight 1 mark final symbols
 inherited unchanged from an initial symbol; heavier columns mark new
 symbols, and their support rows are the symbols that must be read.
 
-One split of Y's columns, into weight 1 and weight >= 2, serves both
-uses of Y: classify_symbols walks Y's rows with it, and apply runs a
-plan compiled from it once per matrix.  Unchanged symbols are masked
-and shifted out of the stacked input, and new symbols are looked up 4
-input bits at a time in tables over the read rows only, so the plan
-reads exactly the R sets that classify_symbols reports, by construction.
+classify_symbols splits Y's columns into weight 1 and weight >= 2 in
+one walk over Y's rows.  apply checks the inputs and computes x . Y on
+the stacked input with gf2.vec_mat, for any Y.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 -> RM(r, m) and its recursive multi-code chain.  One builder makes the Y
@@ -22,8 +19,8 @@ one verified (instance, Y, report) triple per (r, m, depth).  Since
 every RM generator row is the Moebius transform of a unit word,
 verify_conversion takes G_I . Y on RM codes by row butterflies instead
 of a matrix product.  The Y of a merge or chain carries a preset map in
-the algebraic-normal-form (ANF) domain, which apply runs instead of the
-plan: it checks each input and converts it in the same Moebius
+the algebraic-normal-form (ANF) domain, which apply runs instead of
+vec_mat: it checks each input and converts it in the same Moebius
 transforms.  The cost model stays Y's, as classify_symbols reports it;
 on codewords the preset computes the same values as x . Y.
 """
@@ -31,7 +28,7 @@ on codewords the preset computes the same values as x . Y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, count, islice
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -45,6 +42,7 @@ from .gf2 import (
     mat_mul,
     rank,
     rref,
+    vec_mat,
 )
 from .codes import LinearCode, contains, first_information_set
 from .reedmuller import (_check_bits, _check_m, _systematic_rows,
@@ -99,7 +97,8 @@ class ConvertibleInstance:
 
 @dataclass(frozen=True)
 class ConversionMatrix:
-    """Matrix Y of a linear conversion, with initial block sizes.
+    """Matrix Y of a linear conversion, with initial block sizes: each
+    at least 1, summing to Y's row count.
 
     _anf is None except on the Y of an RM merge or chain, which presets
     the map that apply_conversion runs on that instance (see _run_anf).
@@ -110,67 +109,10 @@ class ConversionMatrix:
     _anf: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.blocks and min(self.blocks) < 1:
+            raise DimensionError("block sizes must be >= 1")
         if self.y.rows != sum(self.blocks):
             raise DimensionError("block sizes must sum to the row count")
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        """Compiled apply plan of y; built on first apply."""
-        return _compile_plan(self.y)
-
-
-# (copies, align, windows): see _compile_plan.
-_Plan = Tuple[
-    Tuple[Tuple[int, int], ...], int, Tuple[Tuple[int, Tuple[int, ...]], ...]
-]
-
-
-def _column_split(rows: Sequence[int]) -> Tuple[int, int]:
-    """(single, multi): masks of the columns of weight 1 and >= 2 of the
-    matrix with these rows.  The one place that splits Y's columns: a
-    single column is unchanged, any other is new, and a row is read iff
-    it meets multi."""
-    once = multi = 0
-    for w in rows:
-        multi |= once & w
-        once |= w
-    return once & ~multi, multi
-
-
-def _compile_plan(y: BitMatrix) -> _Plan:
-    """Tables that compute x . y for a fixed y, for any y.
-
-    The columns are split as classify_symbols splits them.  A weight-1
-    column j with support row i copies input bit i to output bit j.
-    Copies with the same offset i - j share one source mask, kept as
-    (mask, shift) with shift = align - (i - j) >= 0, so the copied bits
-    are the OR of (x & mask) << shift, shifted right by align.  Columns
-    of weight 0 stay 0.  The columns of weight >= 2 are the XOR of the
-    rows x selects, restricted to those columns; only the read rows have
-    a nonzero restriction.  Each window (base, table) covers rows
-    base..base+3, base a multiple of 4 holding a read row, and table[v]
-    is the XOR of the restricted rows base + t for the set bits t of v
-    (Four Russians on a fixed matrix).
-    """
-    single, multi = _column_split(y.row_words)
-    offsets: Dict[int, int] = {}
-    for i, w in enumerate(y.row_words):
-        w &= single
-        while w:
-            j = w.bit_length() - 1
-            offsets[i - j] = offsets.get(i - j, 0) | 1 << i
-            w ^= 1 << j
-    align = max([0, *offsets])
-    copies = tuple((mask, align - off) for off, mask in offsets.items())
-    rows = [w & multi for w in y.row_words] + [0] * 3
-    windows = []
-    for base in range(0, y.rows, 4):
-        if any(rows[base:base + 4]):
-            table = [0]
-            for t in range(4):
-                table += [v ^ rows[base + t] for v in table]
-            windows.append((base, tuple(table)))
-    return copies, align, tuple(windows)
 
 
 @dataclass(frozen=True)
@@ -246,16 +188,22 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
     Y, and takes row butterflies instead of mat_mul when every initial
     code is an RM code (see _product).
     """
-    if y.blocks != inst.n_initial:
-        raise DimensionError("conversion-matrix blocks do not match instance")
-    if y.y.cols != inst.n_final:
-        raise DimensionError("conversion-matrix width must be n_F")
+    _check_shape(inst, y)
     product = _product(inst, y.y)
     if rank(product) != inst.k_final:
         return False
     return all(
         contains(inst.final_code, product.row(i)) for i in range(product.rows)
     )
+
+
+def _check_shape(inst: ConvertibleInstance, y: ConversionMatrix) -> None:
+    """Raise DimensionError unless Y's blocks are inst's initial lengths
+    and its width is n_F."""
+    if y.blocks != inst.n_initial:
+        raise DimensionError("conversion-matrix blocks do not match instance")
+    if y.y.cols != inst.n_final:
+        raise DimensionError("conversion-matrix width must be n_F")
 
 
 def _product(inst: ConvertibleInstance, y: BitMatrix) -> BitMatrix:
@@ -290,8 +238,7 @@ def classify_symbols(
     A final coordinate is unchanged iff its Y column has weight 1; the
     single support row attributes it to an initial code.  Support rows of
     heavier columns become read symbols of their owning codes.  Y is
-    verified first, then its rows are classified by its apply plan's
-    column split, so the plan reads exactly the R sets reported here.
+    verified first, then classified by rows (_classify_rows).
     """
     if not verify_conversion(inst, y):
         raise ConversionError("matrix is not a valid conversion for instance")
@@ -310,10 +257,16 @@ def _classify_rows(
     """Cost report of the conversion with these Y rows, unverified.
 
     The one classifier: callers must already know that the rows form a
-    valid conversion matrix for inst.  A code's unchanged coordinates are
-    the single columns its rows meet; its reads are its rows meeting multi.
+    valid conversion matrix for inst.  One pass over the rows splits the
+    columns into single (weight 1: unchanged) and multi (weight >= 2:
+    new).  A code's unchanged coordinates are the single columns its rows
+    meet; its reads are its rows meeting multi.
     """
-    single, multi = _column_split(rows)
+    once = multi = 0
+    for w in rows:
+        multi |= once & w
+        once |= w
+    single = once & ~multi
     unchanged, reads = [], []
     words = iter(rows)
     for n in inst.n_initial:
@@ -359,22 +312,12 @@ def _stack_codewords(codewords: Sequence[BitVector]) -> BitVector:
     return BitVector(shift, mask)
 
 
-def _run_plan(y: ConversionMatrix, codewords: Sequence[BitVector]) -> BitVector:
-    """x . Y for the stacked codewords x, by Y's compiled plan; equal to
-    vec_mat(x, y.y).  Reads only the unchanged sources and the read rows;
-    checks no code membership."""
-    stacked = _stack_codewords(codewords)
-    if stacked.n != y.y.rows:
-        raise DimensionError("vector/matrix size mismatch")
-    copies, align, windows = y._plan
-    x = stacked.mask
-    acc = 0
-    for mask, shift in copies:
-        acc |= (x & mask) << shift
-    out = acc >> align
-    for base, table in windows:
-        out ^= table[(x >> base) & 15]
-    return BitVector(y.y.cols, out)
+def _run_matrix(
+    y: ConversionMatrix, codewords: Sequence[BitVector]
+) -> BitVector:
+    """x . Y for the stacked codewords x, by vec_mat, for any Y; checks
+    no code membership."""
+    return vec_mat(_stack_codewords(codewords), y.y)
 
 
 def _anf_preset(inst: ConvertibleInstance) -> tuple:
@@ -428,9 +371,9 @@ def apply_conversion(
     non-codeword raises ConversionError.  On the Y of an RM merge or
     chain, applied to an instance of the very codes it was built from,
     the check and the conversion are one ANF map (_run_anf).  Any other
-    Y or instance runs Y's compiled plan (built on the first apply of
-    this matrix) after the checks.  Both give x . Y on codewords; the
-    access costs are Y's, as classify_symbols reports them.
+    Y or instance must have inst's shape (else DimensionError), and
+    after the checks runs vec_mat (_run_matrix).  Both give x . Y on
+    codewords; the access costs are Y's, as classify_symbols reports them.
     """
     if len(codewords) != inst.lam:
         raise ConversionError("need exactly one codeword per initial code")
@@ -438,10 +381,11 @@ def apply_conversion(
     # LinearCode compares by identity: the codes must be the preset's own.
     if anf is not None and anf[0] == inst.initial_codes:
         return _run_anf(anf, codewords)
+    _check_shape(inst, y)
     for c, x in zip(inst.initial_codes, codewords):
         if not contains(c, x):
             raise ConversionError("input is not a codeword of its code")
-    return _run_plan(y, codewords)
+    return _run_matrix(y, codewords)
 
 
 def _build_rm_merge(

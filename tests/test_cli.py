@@ -329,6 +329,38 @@ def test_apply_wrong_input_count(example_files, tmp_path):
     assert main(["apply", "--y", str(y), "--inputs", str(x1)]) == 2
 
 
+def test_apply_y_width_not_n_f_exits_2(example_files, tmp_path, capsys):
+    # A 7-symbol G_F with the same codewords' 5-column Y: the width
+    # mismatch is refused, not applied.
+    gi, _, y = example_files
+    gf7 = tmp_path / "gf7.txt"
+    gf7.write_text("4 7\n1000100\n0100100\n0010100\n0001100\n")
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 3\n101\n")
+    x2.write_text("1 3\n110\n")
+    code = main(
+        ["apply", "--y", str(y), "--inputs", f"{x1},{x2}",
+         "--gi", str(gi), "--gf", str(gf7)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "width must be n_F" in captured.err
+
+
+def test_apply_block_below_1_exits_2(example_files, tmp_path, capsys):
+    _, _, y = example_files
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 0\n")
+    x2.write_text("1 6\n101110\n")
+    code = main(["apply", "--y", str(y), "--inputs", f"{x1},{x2}",
+                 "--blocks", "0,6"])
+    assert code == 2
+    assert "block sizes must be >= 1" in capsys.readouterr().err
+
+
 def test_info(example_files, capsys):
     _, gf, _ = example_files
     assert main(["info", str(gf)]) == 0

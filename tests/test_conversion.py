@@ -17,7 +17,7 @@ from convcode.codes import (
 from convcode.conversion import (
     ConversionError,
     ConversionMatrix,
-    _run_plan,
+    _run_matrix,
     _stack_codewords,
     apply_conversion,
     classify_symbols,
@@ -323,54 +323,6 @@ def random_codewords(inst, rng):
             for c in inst.initial_codes]
 
 
-def boundary_words(n):
-    """Words of length n with single bits just below, at and at the top
-    of every 4-bit window boundary, and every all-low and all-high run
-    that starts or ends at one."""
-    full = (1 << n) - 1
-    words = {0, full}
-    for b in range(0, n + 4, 4):
-        words.update(1 << i for i in (b - 1, b, b + 3) if 0 <= i < n)
-        low = (1 << min(b, n)) - 1
-        words.update((low, full ^ low))
-    return sorted(words)
-
-
-def assert_plan_matches_vec_mat(y, rng, random_words=8):
-    """The compiled plan of y gives vec_mat's x . Y on the boundary words
-    and on random words, for any y."""
-    n = y.y.rows
-    xs = boundary_words(n) + [rng.getrandbits(n) for _ in range(random_words)]
-    for x in xs:
-        v = BitVector(n, x)
-        assert _run_plan(y, [v]) == vec_mat(v, y.y)
-
-
-def test_plan_matches_vec_mat_on_random_matrices():
-    # Not conversions: columns of weight 0, copies of one source row into
-    # several positions at positive and negative offsets, sparse and
-    # dense columns, in shapes on both sides of a window boundary.
-    rng = random.Random(31)
-    for _ in range(300):
-        rows, cols = rng.randint(1, 70), rng.randint(1, 70)
-        sources = [rng.randrange(rows) for _ in range(3)]
-        masks = []
-        for _ in range(cols):
-            kind = rng.choice(["zero", "copy", "repeat", "sparse", "dense"])
-            if kind == "zero":
-                masks.append(0)
-            elif kind == "copy":
-                masks.append(1 << rng.randrange(rows))
-            elif kind == "repeat":
-                masks.append(1 << rng.choice(sources))
-            elif kind == "sparse":
-                masks.append(sum({1 << rng.randrange(rows) for _ in range(3)}))
-            else:
-                masks.append(rng.getrandbits(rows))
-        y = BitMatrix.from_columns(masks, rows)
-        assert_plan_matches_vec_mat(ConversionMatrix(y, (rows,)), rng)
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_instances(), st.data())
 def test_apply_conversion_matches_vec_mat_valid_or_not(inst, data):
@@ -385,73 +337,29 @@ def test_apply_conversion_matches_vec_mat_valid_or_not(inst, data):
         )
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_plan_matches_vec_mat_on_rm_merges(m):
-    rng = random.Random(m)
-    for r in range(1, m):
-        _, y, _ = rm_merge_procedure(r, m)
-        assert_plan_matches_vec_mat(y, rng)
-        copies, align, _ = y._plan
-        # The merge keeps every unchanged symbol at its stacked position.
-        assert align == 0 and [shift for _, shift in copies] == [0]
-
-
-@pytest.mark.parametrize("chain", [(2, 4, 2), (3, 8, 2), (3, 7, 3)])
-def test_plan_matches_vec_mat_on_rm_chains(chain):
-    _, y, _ = rm_merge_chain(*chain)
-    assert_plan_matches_vec_mat(y, random.Random(sum(chain)))
-
-
-def plan_access(inst, y):
-    """Per code, the final positions the plan of y copies into and the
-    local rows it reads, plus the mask of every stacked row it touches.
-    Row base + t of a window is read iff its table entry 1 << t, the row
-    restricted to the new symbols, is nonzero."""
-    copies, align, windows = y._plan
-    unchanged = [set() for _ in range(inst.lam)]
-    reads = [set() for _ in range(inst.lam)]
-    touched = 0
-    for mask, shift in copies:
-        touched |= mask
-        for i in range(mask.bit_length()):
-            if (mask >> i) & 1:
-                unchanged[owner_by_blocks(inst, i)[0]].add(i - (align - shift))
-    for base, table in windows:
-        assert any(table)  # every window holds a read row
-        for t in range(4):
-            if table[1 << t]:
-                touched |= 1 << (base + t)
-                code, local = owner_by_blocks(inst, base + t)
-                reads[code].add(local)
-    return (tuple(map(frozenset, unchanged)), tuple(map(frozenset, reads)),
-            touched)
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_instances(max_candidates=1536))
 def test_plan_on_every_enumerated_conversion(inst):
-    # The plan computes x . Y and touches exactly the U sources and R sets
-    # that classify_symbols reports.
+    # The generic executor's output depends on stacked row i iff
+    # classify_symbols reports it as a U source or an R row.
     rng = random.Random(inst.n_final)
     n = inst.total_initial_length
     for y, _ in enumerate_conversions(inst):
-        assert_plan_matches_vec_mat(y, rng, random_words=2)
         report = classify_symbols(inst, y)
-        unchanged, reads, touched = plan_access(inst, y)
-        assert unchanged == report.unchanged_per_code
-        assert reads == report.read_per_code
+        kept = sum(1 << j for u in report.unchanged_per_code for j in u)
+        touched = sum(1 << i for i, w in enumerate(y.y.row_words) if w & kept)
+        for start, reads in zip(inst.block_starts(), report.read_per_code):
+            touched |= sum(1 << (start + j) for j in reads)
         x = rng.getrandbits(n)
-        out = _run_plan(y, [BitVector(n, x)])
+        out = _run_matrix(y, [BitVector(n, x)])
         for i in range(n):
-            flipped = _run_plan(y, [BitVector(n, x ^ (1 << i))])
-            # A touched row is a copy source or a read row: flipping it
-            # changes some output symbol; any other row is never read.
+            flipped = _run_matrix(y, [BitVector(n, x ^ (1 << i))])
             assert (flipped != out) == bool((touched >> i) & 1)
 
 
 def test_classify_symbols_transposes_nothing(monkeypatch):
-    # Classification reads Y by rows with the apply plan's column split,
-    # so it never builds Y's columns.
+    # Classification splits Y's columns in one walk over its rows, so it
+    # never builds Y's columns.
     cases = [rm_merge_procedure(4, 9)[:2], rm_merge_chain(3, 8, 2)[:2]]
     calls = []
     transpose = BitMatrix.transpose
@@ -468,38 +376,10 @@ def test_classify_symbols_transposes_nothing(monkeypatch):
     assert len(calls) == 1  # the counter sees a transpose
 
 
-def test_plan_compiles_once_per_matrix(monkeypatch, example_instance,
-                                       example_y):
-    builds = []
-    compile_plan = conversion._compile_plan
-
-    def counting(y):
-        builds.append(y)
-        return compile_plan(y)
-
-    monkeypatch.setattr(conversion, "_compile_plan", counting)
-    merge = rm_merge_procedure(3, 6)
-    chain = rm_merge_chain(2, 5, 2)
-    assert builds == []  # building and classifying a merge compiles nothing
-    rng = random.Random(37)
-    cases = [(example_instance, example_y), merge[:2], chain[:2]]
-    for inst, y in cases:
-        for _ in range(10):
-            apply_conversion(inst, y, random_codewords(inst, rng))
-    for _ in range(10):
-        rm_merge_apply(3, 6, *random_codewords(merge[0], rng))
-    # Merge and chain applies run their preset ANF map: no plan at all.
-    assert builds == [example_y.y]
-    for inst, y in cases[1:]:
-        for _ in range(10):
-            _run_plan(y, random_codewords(inst, rng))
-    assert builds == [y.y for _, y in cases]  # still once per matrix
-
-
 def test_warm_apply_still_checks_its_inputs(example_instance, example_y):
     c1, c2 = example_instance.initial_codes
     x1, x2 = encode(c1, BitVector(2, 1)), encode(c2, BitVector(2, 3))
-    apply_conversion(example_instance, example_y, [x1, x2])  # compiles
+    apply_conversion(example_instance, example_y, [x1, x2])
     with pytest.raises(ConversionError):
         apply_conversion(
             example_instance, example_y, [x1 ^ BitVector(3, 1), x2]
@@ -509,7 +389,27 @@ def test_warm_apply_still_checks_its_inputs(example_instance, example_y):
     with pytest.raises(DimensionError):
         apply_conversion(example_instance, tall, [x1, x2])
     with pytest.raises(DimensionError):
-        _run_plan(example_y, [x1])
+        _run_matrix(example_y, [x1])
+
+
+def test_apply_conversion_checks_y_shape(example_instance, example_y):
+    # A Y whose width is not n_F or whose blocks are not n_I is refused
+    # as verify_conversion refuses it, not applied as the matrix it is.
+    c1, c2 = example_instance.initial_codes
+    words = [encode(c1, BitVector(2, 1)), encode(c2, BitVector(2, 3))]
+    wide = ConversionMatrix(BitMatrix(example_y.y.row_words, 9), (3, 3))
+    resplit = ConversionMatrix(example_y.y, (4, 2))
+    for y in (wide, resplit):
+        with pytest.raises(DimensionError):
+            verify_conversion(example_instance, y)
+        with pytest.raises(DimensionError):
+            apply_conversion(example_instance, y, words)
+
+
+@pytest.mark.parametrize("blocks", [(0, 6), (-1, 7), (6, 0)])
+def test_conversion_matrix_refuses_blocks_below_1(blocks):
+    with pytest.raises(DimensionError, match=">= 1"):
+        ConversionMatrix(BitMatrix.identity(6), blocks)
 
 
 def test_rm_merge_2_4_costs():
@@ -588,7 +488,7 @@ def test_rm_merge_apply_matches_matrix(r, m):
     for _ in range(25):
         x1 = encode(c1, BitVector(c1.k, rng.getrandbits(c1.k)))
         x2 = encode(c2, BitVector(c2.k, rng.getrandbits(c2.k)))
-        via_matrix = _run_plan(y, [x1, x2])
+        via_matrix = vec_mat(_stack_codewords([x1, x2]), y.y)
         assert rm_merge_apply(r, m, x1, x2) == via_matrix
         # rm_merge_apply runs this same Y (pinned by tests/test_golden.py);
         # the checks below hold for any correct merge, whatever its Y.
@@ -788,7 +688,7 @@ def rm_merges_and_chains():
 
 def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
     # The preset ANF map is the reference's x . Y on codewords, and it
-    # rejects inputs as the plan path's membership checks do.
+    # rejects inputs as the generic path's membership checks do.
     cases = rm_merges_and_chains()
     assert len(cases) == 45 + 70
     fused = []
@@ -808,7 +708,6 @@ def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
             before = len(fused)
             out = apply_conversion(inst, y, words)
             assert len(fused) == before + 1
-            assert out == _run_plan(y, words)
             assert out == vec_mat(_stack_codewords(words), y.y)
             for i, (c, x) in enumerate(zip(inst.initial_codes, words)):
                 bad = list(words)
@@ -822,8 +721,9 @@ def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
             for count in (words[:-1], words + words[:1]):
                 with pytest.raises(ConversionError, match="one codeword"):
                     apply_conversion(inst, y, count)
-        # Equal codes that are not the preset's own objects take the plan,
-        # and their membership checks still reject non-codewords.
+        # Equal codes that are not the preset's own objects take the
+        # generic path, and their membership checks still reject
+        # non-codewords.
         inst, y = rng.choice(cases)
         copies = make_instance(
             [from_generator(c.generator) for c in inst.initial_codes],
@@ -831,7 +731,9 @@ def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
         )
         words = random_codewords(inst, rng)
         before = len(fused)
-        assert apply_conversion(copies, y, words) == _run_plan(y, words)
+        assert apply_conversion(copies, y, words) == vec_mat(
+            _stack_codewords(words), y.y
+        )
         i = rng.randrange(inst.lam)
         c = inst.initial_codes[i]
         if c.k < c.n:
