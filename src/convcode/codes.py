@@ -1,10 +1,11 @@
 """Linear block codes over GF(2) and the structural operations on them.
 
-Covers duals, puncturing, shortening, exact minimum distance by
-Gray-code enumeration, information sets, encoding, and decoding from a
-coordinate subset.  Codes are immutable except for two lazily filled
-caches, the minimum distances and the reduced echelon form of the
-generator; each is filled idempotently on first use.  A code built by
+Covers duals, puncturing, shortening, exact minimum distance (all 2^k
+codewords weighed up to 2^13 at a time in bit-sliced counters),
+information sets, encoding, and decoding from a coordinate subset.
+Codes are immutable except for two lazily filled caches, the minimum
+distances and the reduced echelon form of the generator; each is
+filled idempotently on first use.  A code built by
 reedmuller.rm_code also carries a preset membership test, which
 contains uses instead of the echelon form.
 """
@@ -12,15 +13,18 @@ contains uses instead of the echelon form.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
     SizeGuardError,
+    _butterflies,
     _combine,
     _moebius,
+    _transpose_words,
     inverse,
     mat_mul,
     rank,
@@ -112,30 +116,176 @@ def same_code(a: LinearCode, b: LinearCode) -> bool:
 def min_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    Enumerates all 2^k messages in Gray-code order (one row XOR per
-    step).  Guarded by k_limit; the result is cached on the code.
+    Weighs all 2^k codewords, 2^kl at a time, in bit-sliced counters
+    (_min_weight, split sizes from _split).  Guarded by k_limit before
+    any work; the result is cached on the code.
     """
     if c.is_zero:
         raise CodeError("the zero code has no nonzero codeword")
     if c._d is not None:
         return c._d
-    if c.k > k_limit:
+    _check_scan(c.k, k_limit)
+    c._d = _min_weight(c.generator.row_words, c.n, *_split(c.n, c.k))
+    return c._d
+
+
+def _check_scan(k: int, k_limit: int) -> None:
+    if k > k_limit:
         raise SizeGuardError(
-            f"minimum-distance scan of 2^{c.k} codewords exceeds the "
+            f"minimum-distance scan of 2^{k} codewords exceeds the "
             f"limit k <= {k_limit}"
         )
-    rows = c.generator.row_words
-    best = c.n + 1
-    cw = 0
-    for i in range(1, 1 << c.k):
-        cw ^= rows[(i & -i).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    c._d = best
+
+
+# Most low message bits per bit-sliced word: the values of at most 2^13
+# distinct low parts, 2^13 bits each, take at most 8 MB.
+_MAX_LOW = 13
+# The fixed cost of one big-int operation, in bits of work.
+_OP_BITS = 1 << 12
+
+
+@lru_cache(maxsize=256)
+def _split(n: int, k: int) -> Tuple[int, int, int]:
+    """Split sizes (kb, kg, kl) of a k-bit message for _min_weight.
+
+    Each of the 2^kb blocks takes about n counter additions plus
+    4^kg * L for its group sums (L = n.bit_length() planes), each an
+    operation on 2^kl bits that costs about _OP_BITS + 2^kl.  kg and
+    1 <= kl <= _MAX_LOW minimise that total, the larger kl and then the
+    larger kg on a tie; kb takes the remaining bits.  Memoised.
+    """
+    planes = n.bit_length()
+
+    def cost(kg: int, kl: int) -> int:
+        return (n + (planes << 2 * kg)) * (_OP_BITS + (1 << kl)) << (
+            k - kg - kl)
+
+    kg, kl = min(
+        ((kg, kl) for kl in range(1, min(k, _MAX_LOW) + 1)
+         for kg in range(k - kl + 1)),
+        key=lambda s: (cost(*s), -s[1], -s[0]))
+    return k - kg - kl, kg, kl
+
+
+def _min_weight(rows: Sequence[int], n: int, kb: int, kg: int,
+                kl: int) -> int:
+    """Least weight of a nonzero codeword of the full-rank generator rows
+    (n bits each, kb + kg + kl of them), by bit-sliced counting.
+
+    The message is u = (u_b, u_g, u_l), u_l its low kl bits and u_b its
+    high kb bits, and column j of the generator splits alike into
+    (b_j, g_j, l_j).  Over the 2^kl values of u_l, coordinate j of the
+    codeword is the 2^kl-bit int value(l_j) (bit u_l is the parity of
+    u_l & l_j), complemented when u_b . b_j is odd.  Coordinates with the
+    same g_j form a group: per u_b block, each group adds its coordinates'
+    ints into bit-sliced counters (plane t holds bit t of each u_l's
+    count).  For each u_g, a codeword's weight is then the sum over the
+    groups of their count, or of their complement count n_g - count when
+    u_g . g is odd.  The block's least weight is read off the planes from
+    the top down, one AND each.  The scan stops at weight 1.  Needs
+    1 <= kl <= _MAX_LOW: the ints have 2^kl bits, and kg and kb index
+    lists and loops of 2^kg and 2^kb entries.
+    """
+    full = (1 << (1 << kl)) - 1
+    # bit_masks[i]: the values of u_l with bit i set, value(1 << i).
+    bit_masks = [full ^ low for low, _ in _butterflies(kl)]
+    cols = _transpose_words(rows, n)
+    low_mask, g_mask = (1 << kl) - 1, (1 << kg) - 1
+    # Each value from the previous one, by the bits where the parts differ.
+    values = {}
+    prev = value = 0
+    for low_part in sorted({col & low_mask for col in cols}):
+        value ^= _combine(low_part ^ prev, bit_masks)
+        values[low_part] = value
+        prev = low_part
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for col in cols:
+        groups.setdefault(col >> kl & g_mask, []).append(
+            (values[col & low_mask], col >> (kl + kg)))
+    signs = [[(u_g & g).bit_count() & 1 for g in groups]
+             for u_g in range(1 << kg)]
+    best = n + 1
+    for u_b in range(1 << kb):
+        counts = []
+        for members in groups.values():
+            items = [v ^ full if (u_b & b).bit_count() & 1 else v
+                     for v, b in members]
+            count = _plane_sum([items])
+            counts.append((count, _complement(count, len(members), full)
+                           if kg else None))
+        for u_g, group_signs in enumerate(signs):
+            levels: List[List[int]] = []
+            for odd, pair in zip(group_signs, counts):
+                for t, plane in enumerate(pair[odd]):
+                    if t == len(levels):
+                        levels.append([])
+                    levels[t].append(plane)
+            live = full if u_b or u_g else full ^ 1  # u = 0 is not weighed
+            weight = 0
+            for t, plane in reversed(list(enumerate(_plane_sum(levels)))):
+                below = live & ~plane
+                if below:
+                    live = below
+                else:
+                    weight |= 1 << t
+                    if weight >= best:
+                        break
+            else:
+                best = weight
+                if best == 1:
+                    return 1
     return best
+
+
+def _plane_sum(levels: List[List[int]]) -> List[int]:
+    """Bit-sliced sum of planes; levels[t] lists the planes of weight 2^t.
+
+    Returns the sum's planes, low first; no level may be empty.  Each
+    level is folded by full adders (a running sum bit and two more planes
+    give a new sum bit and a carry for the level above), so every adder
+    removes one plane.
+    """
+    out = []
+    t = 0
+    while t < len(levels):
+        items = levels[t]
+        total = items[0]
+        carries = []
+        for i in range(1, len(items) - 1, 2):
+            a, b = items[i], items[i + 1]
+            half = total ^ a
+            carry = total & a | half & b
+            total = half ^ b
+            if carry:
+                carries.append(carry)
+        if len(items) % 2 == 0:
+            a = items[-1]
+            carry = total & a
+            total ^= a
+            if carry:
+                carries.append(carry)
+        out.append(total)
+        if carries:
+            if t + 1 == len(levels):
+                levels.append([])
+            levels[t + 1].extend(carries)
+        t += 1
+    return out
+
+
+def _complement(count: List[int], size: int, full: int) -> List[int]:
+    """Planes of size - count, for bit-sliced counts of at most size."""
+    out = []
+    borrow = 0
+    for t in range(size.bit_length()):
+        plane = count[t] if t < len(count) else 0
+        if size >> t & 1:
+            out.append(full ^ plane ^ borrow)
+            borrow &= plane
+        else:
+            out.append(plane ^ borrow)
+            borrow |= plane
+    return out
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -154,8 +304,12 @@ def dual(c: LinearCode) -> LinearCode:
 
 
 def dual_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
-    """Minimum distance of the dual code; cached."""
+    """Minimum distance of the dual code; cached.
+
+    Refuses (SizeGuardError) n - k > k_limit before building the dual.
+    """
     if c._d_dual is None:
+        _check_scan(c.n - c.k, k_limit)
         c._d_dual = min_distance(dual(c), k_limit=k_limit)
     return c._d_dual
 

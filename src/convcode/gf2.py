@@ -17,6 +17,7 @@ list lookups per row.  The information-set inverse is codes._inverse_on.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -199,21 +200,44 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
 
 
+# Widest word that _transpose_words walks bit by bit.
+_NARROW = 64
+# Byte j of int.from_bytes(format(w, "0{width}b").encode().translate(...),
+# "big") is bit j of w.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _transpose_words(words: Sequence[int], width: int) -> List[int]:
     """Transpose packed bit rows: bit j of words[i] becomes bit i of out[j].
 
-    Walks only the set bits of each word, so the cost is O(popcount) plus
-    O(width), not O(len(words) * width).  Every bit must lie below width.
+    Words of at most _NARROW bits are walked by their set bits, O(popcount)
+    plus O(width).  Wider words would be copied once per set bit that way,
+    so they are spread to one byte per bit instead: eight words shifted
+    into the bits of each byte make the output's bytes, interleaved so
+    that the bytes of out[j] are adjacent, O(len(words) * width / 8).
+    Every bit must lie below width.
     """
-    out = [0] * width
-    bit = 1
-    for w in words:
-        while w:
-            low = w & -w
-            out[low.bit_length() - 1] |= bit
-            w ^= low
-        bit <<= 1
-    return out
+    if width <= _NARROW or not words:
+        out = [0] * width
+        bit = 1
+        for w in words:
+            while w:
+                low = w & -w
+                out[low.bit_length() - 1] |= bit
+                w ^= low
+            bit <<= 1
+        return out
+    nb = (len(words) + 7) >> 3  # bytes per output word
+    buf = bytearray(width * nb)
+    fmt = f"0{width}b"
+    for a in range(nb):
+        spread = 0
+        for t, w in enumerate(words[8 * a:8 * a + 8]):
+            bits = format(w, fmt).encode().translate(_BIT_BYTES)
+            spread |= int.from_bytes(bits, "big") << t
+        buf[a::nb] = spread.to_bytes(width, "little")
+    return [int.from_bytes(buf[j:j + nb], "little")
+            for j in range(0, width * nb, nb)]
 
 
 def _moebius(v: int, steps: Sequence[Tuple[int, int]]) -> int:
@@ -224,6 +248,23 @@ def _moebius(v: int, steps: Sequence[Tuple[int, int]]) -> int:
     for low, shift in steps:
         v ^= (v & low) << shift
     return v
+
+
+@lru_cache(maxsize=None)
+def _butterflies(m: int) -> Tuple[Tuple[int, int], ...]:
+    """The m steps (low, 2^b) of the Moebius transform M on 2^m points.
+
+    low masks the points with bit b clear, grown one variable at a time:
+    on 2^(t+1) points the masks on 2^t repeat, and bit t is clear on the
+    first 2^t.  On evaluations, bit j of M(v) is the ANF coefficient of
+    the monomial of j's set bits, and M(e_p), e_p the unit word at p,
+    masks the points containing p: the evaluations of p's monomial.
+    Memoised per m.
+    """
+    lows: List[int] = []
+    for t in range(m):
+        lows = [low | low << (1 << t) for low in lows] + [(1 << (1 << t)) - 1]
+    return tuple((low, 1 << b) for b, low in enumerate(lows))
 
 
 def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

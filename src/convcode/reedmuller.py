@@ -3,7 +3,7 @@
 Builds the square-free monomial basis, the plain and row-transformed
 generator matrices, and the Plotkin sum.  One map, the Moebius
 transform M between evaluations and algebraic-normal-form (ANF)
-coefficients (gf2._moebius over _butterflies), gives the generator
+coefficients (gf2._moebius over gf2._butterflies), gives the generator
 rows, the membership test of RM(r, m) and the rows of the merge matrix.
 
 Conventions: evaluation points are listed in lexicographic order (point
@@ -18,7 +18,8 @@ import math
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .gf2 import BitMatrix, BitVector, SizeGuardError, _moebius, vstack
+from .gf2 import (BitMatrix, BitVector, SizeGuardError, _butterflies,
+                  _moebius, vstack)
 from .codes import LinearCode, from_generator
 
 MAX_M = 20
@@ -56,28 +57,13 @@ def rm_dimension(r: int, m: int) -> int:
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
-def _butterflies(m: int) -> Tuple[Tuple[int, int], ...]:
-    """The m steps (low, 2^b) of the Moebius transform M on 2^m points.
-
-    low masks the points with bit b clear, grown one variable at a time:
-    on 2^(t+1) points the masks on 2^t repeat, and bit t is clear on the
-    first 2^t.  On evaluations, bit j of M(v) is the ANF coefficient of
-    the monomial of j's set bits, and M(e_p), e_p the unit word at p,
-    masks the points containing p: the evaluations of p's monomial.
-    """
-    lows: List[int] = []
-    for t in range(m):
-        lows = [low | low << (1 << t) for low in lows] + [(1 << (1 << t)) - 1]
-    return tuple((low, 1 << b) for b, low in enumerate(lows))
-
-
 def evaluate_monomial(s: Sequence[int], m: int) -> BitVector:
     """Evaluations of the monomial prod_{i in s} X_i at all 2^m points.
 
     The points are in lexicographic order.  The result is M(e_p), p the
-    monomial's point (see _butterflies), so it costs m whole-word steps
-    instead of a pass over the points.  The empty monomial evaluates to
-    the all-ones vector.
+    monomial's point (see gf2._butterflies), so it costs m whole-word
+    steps instead of a pass over the points.  The empty monomial
+    evaluates to the all-ones vector.
     """
     _check_m(m)
     s = tuple(s)

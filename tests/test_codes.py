@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import convcode as cc
+from convcode import codes
 from convcode.codes import (
     CodeError,
     contains,
@@ -133,6 +134,128 @@ def test_min_distance_cached():
     assert min_distance(c) == 3
     assert c._d == 3
     assert min_distance(c, k_limit=1) == 3  # served from cache
+
+
+# The scan min_distance ran before the bit-sliced kernel, kept as the
+# reference it is checked against: all 2^k codewords in Gray-code order,
+# one row XOR per step.
+def min_weight_by_gray(rows, n, k):
+    best = n + 1
+    cw = 0
+    for i in range(1, 1 << k):
+        cw ^= rows[(i & -i).bit_length() - 1]
+        best = min(best, cw.bit_count())
+    return best
+
+
+@st.composite
+def scan_codes(draw):
+    """Codes with n <= 64 and k <= 14, some columns zeroed or repeated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 14))
+    n = draw(st.integers(k, 64))
+    cols = list(random_code(n, k, rng).generator.transpose().row_words)
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n // 3)):
+        cols[j] = 0
+    for dst, src in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=n // 3)):
+        cols[dst] = cols[src]
+    g = BitMatrix.from_columns(cols, k)
+    assume(rank(g) == k)
+    return from_generator(g)
+
+
+def _splits(k):
+    """Every (kb, kg, kl) with kb, kg, kl >= 1 summing to k, with
+    kg <= 4 and kl <= 13 (the kernel's own limit)."""
+    return [(k - kg - kl, kg, kl)
+            for kl in range(1, min(k - 2, 13) + 1)
+            for kg in range(1, min(k - kl - 1, 4) + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_codes(), st.data())
+def test_min_distance_matches_gray_scan(c, data):
+    ref = min_weight_by_gray(c.generator.row_words, c.n, c.k)
+    assert min_distance(c) == ref
+    if c.k >= 3:
+        split = data.draw(st.sampled_from(_splits(c.k)))
+        assert codes._min_weight(c.generator.row_words, c.n, *split) == ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 14])
+def test_min_weight_full_space(n):
+    full = BitMatrix.identity(n).row_words
+    for split in _splits(n) or [codes._split(n, n)]:
+        assert codes._min_weight(full, n, *split) == 1
+    assert min_distance(from_generator(BitMatrix.identity(n))) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40, 64])
+def test_min_weight_repetition(n):
+    assert codes._min_weight(((1 << n) - 1,), n, 0, 0, 1) == n
+    assert min_distance(repetition(n)) == n
+
+
+def test_min_weight_finds_a_weight_one_word_in_a_later_block():
+    # Rows 0..4 have even weight, so every codeword of the first u_b
+    # block (row 5 unused) has even weight.  Row 5 is row 0 plus e_7, so
+    # rows 0 and 5 give a weight-1 word, and every weight-1 word needs
+    # row 5: each lies in block u_b = 1.
+    rng = random.Random(18)
+    while True:
+        even = [w ^ (w.bit_count() & 1) for w in
+                (rng.getrandbits(16) for _ in range(5))]
+        if rank(BitMatrix(even, 16)) == 5:
+            break
+    rows = even + [even[0] ^ 1 << 7]
+    assert min_weight_by_gray(rows, 16, 6) == 1
+    for split in _splits(6):
+        assert codes._min_weight(rows, 16, *split) == 1
+    d_even = min_weight_by_gray(even, 16, 5)
+    assert d_even >= 2
+    assert codes._min_weight(even, 16, 1, 1, 3) == d_even
+
+
+def test_min_weight_stops_at_weight_one(monkeypatch):
+    # The identity's first block already holds weight 1; the other
+    # 2^kb - 1 blocks are not weighed.
+    kb, kg, kl = codes._split(24, 24)
+    assert kb > 0
+    calls = []
+    plane_sum = codes._plane_sum
+    monkeypatch.setattr(codes, "_plane_sum",
+                        lambda levels: calls.append(1) or plane_sum(levels))
+    assert min_distance(from_generator(BitMatrix.identity(24))) == 1
+    assert len(calls) <= 2 << kg
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_min_distance_of_fresh_rm_codes(m):
+    for r in range(m + 1):
+        c = from_generator(rm_generator(r, m))
+        if c.k <= 24:
+            assert min_distance(c) == 1 << (m - r)
+
+
+def test_distance_guards_refuse_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the guard let the scan start")
+
+    monkeypatch.setattr(codes, "_min_weight", no_work)
+    monkeypatch.setattr(codes, "dual", no_work)
+    with pytest.raises(SizeGuardError):
+        min_distance(random_code(30, 25, random.Random(0)))
+    # RM(1, 13): n - k = 8178, and building its dual is the slow part.
+    c = from_generator(rm_generator(1, 13))
+    with pytest.raises(SizeGuardError):
+        dual_distance(c)
+    assert c._d_dual is None
+    with pytest.raises(SizeGuardError):
+        dual_distance(hamming74(), k_limit=2)
+    with pytest.raises(CodeError):
+        min_distance(zero_code(5))
 
 
 def test_dual_of_repetition_is_even_weight():

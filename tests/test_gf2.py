@@ -283,6 +283,29 @@ def test_from_columns_matches_bit_loop(rows, col_masks):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(65, 300), st.data())
+def test_wide_transpose_matches_bit_loops(rows, cols, data):
+    # Words past 64 bits are spread to bytes, eight rows per byte.
+    words = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
+    m = BitMatrix(words, cols)
+    t = m.transpose()
+    assert list(t.row_words) == [
+        column_mask_by_bits(m, j) for j in range(cols)
+    ]
+    assert t.transpose() == m
+
+
+def test_transpose_of_rm_1_16():
+    # Column j of RM(1, m)'s generator has bit 0 (the constant row) and
+    # bit i where X_i, bit m - i of the point j, is set.
+    m = 16
+    cols = rm_generator(1, m).transpose().row_words
+    assert list(cols) == [
+        1 | int(format(j, f"0{m}b")[::-1], 2) << 1 for j in range(1 << m)
+    ]
+
+
 def test_transpose_edge_shapes():
     for width in range(1, 71):
         row = BitMatrix([(1 << width) - 1], width)
@@ -290,8 +313,9 @@ def test_transpose_edge_shapes():
         zero = BitMatrix.zeros(3, width)
         assert zero.transpose() == BitMatrix.zeros(width, 3)
         assert zero.select_columns([width - 1, 0]) == BitMatrix.zeros(3, 2)
-    with pytest.raises(DimensionError):
-        BitMatrix.from_columns([], 3)
+    for rows in (3, 100):
+        with pytest.raises(DimensionError):
+            BitMatrix.from_columns([], rows)
     with pytest.raises(DimensionError):
         BitMatrix.from_columns([1], 0)
     with pytest.raises(DimensionError):
