@@ -62,22 +62,21 @@ class LinearCode:
     )
 
     def __init__(self, n: int, generator: Optional[BitMatrix]):
+        self._fill(n, generator)
+        if generator is not None and rank(generator) != generator.rows:
+            raise CodeError(
+                "dependent rows in generator; supply a full-rank matrix"
+            )
+
+    def _fill(self, n: int, generator: Optional[BitMatrix]) -> None:
+        # Every field, after the checks that need no elimination.
         if n < 1:
             raise CodeError("block length must be >= 1")
-        if generator is None:
-            self.n = n
-            self.k = 0
-            self.generator = None
-        else:
-            if generator.cols != n:
-                raise CodeError("generator width must equal the block length")
-            if rank(generator) != generator.rows:
-                raise CodeError(
-                    "dependent rows in generator; supply a full-rank matrix"
-                )
-            self.n = n
-            self.k = generator.rows
-            self.generator = generator
+        if generator is not None and generator.cols != n:
+            raise CodeError("generator width must equal the block length")
+        self.n = n
+        self.k = 0 if generator is None else generator.rows
+        self.generator = generator
         self._d: Optional[int] = None
         self._d_dual: Optional[int] = None
         self._echelon: Optional[_Echelon] = None
@@ -298,9 +297,12 @@ def dual(c: LinearCode) -> LinearCode:
         return from_generator(BitMatrix.identity(c.n))
     if c.k == c.n:
         return zero_code(c.n)
+    # Each kernel basis row holds one free-column bit that no other row
+    # holds, so the rows are independent and need no rank check.
     basis = right_kernel_basis(c.generator)
-    gen = BitMatrix([v.mask for v in basis], c.n)
-    return from_generator(gen)
+    d = LinearCode.__new__(LinearCode)
+    d._fill(c.n, BitMatrix([v.mask for v in basis], c.n))
+    return d
 
 
 def dual_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:

@@ -7,9 +7,26 @@ of G_I.  Enumerating GL(k_F, 2) times the kernel cosets therefore
 covers every linear conversion exactly once, which makes the minimum
 access cost found here a true optimum.
 
-That is the one candidate space, built only by _search_space.
-enumerate_conversions walks it exhaustively; min_access_cost walks it
-depth first with a strict admissible prune.
+Y's column j only depends on M through its syndrome v = M . g_j, with g_j
+column j of G_F: it lies in E . v XOR ker(G_I), with E a right inverse of
+G_I.  So _search_space, the one builder of the candidate space, tabulates
+that coset once per syndrome v in [0, 2^k_F), with whether it is forced
+(it has no weight-1 member, so the column must be written) and its least
+member weight.
+
+enumerate_conversions walks the space exhaustively, M by M.
+min_access_cost walks it depth first in two stages, pruned only where even
+the cheapest completion costs strictly more than the best found:
+
+1. M's columns are picked one at a time, as the images of the pivot
+   columns of rref(G_F).  Once pivot t has its image, every final column
+   whose highest RREF support bit is t has its syndrome.  A prefix is cut
+   when its forced writes plus the largest least weight among those forced
+   columns (every write reads at least its column's weight) exceed the
+   best cost.
+2. For a complete M, each column takes a member of its coset in turn; the
+   floor is the writes and reads so far plus one write per forced column
+   still to come.
 """
 
 from __future__ import annotations
@@ -17,12 +34,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .gf2 import (
     BitMatrix,
     SizeGuardError,
     _combine,
+    _reduce,
     _transpose_words,
     enumerate_invertible,
     gl2_order,
@@ -93,41 +111,38 @@ def _right_inverse(g: BitMatrix) -> BitMatrix:
     return BitMatrix(words, g.rows)
 
 
-# Per invertible M: the rows of M . G_F and the coset of each Y column.
-_Parts = Iterator[Tuple[Tuple[int, ...], List[List[int]]]]
+class _Space(NamedTuple):
+    """The candidate space of both searches, built once per instance.
 
-
-def _search_space(
-    inst: ConvertibleInstance, lim: SearchLimits
-) -> Tuple[BitMatrix, Optional[float], _Parts]:
-    """The one candidate space of both searches; set-up done eagerly.
-
-    Returns G_I, the time_budget's deadline (None if unlimited) that each
-    walk checks per step, and a generator that yields, for each invertible
-    M in enumeration order, the rows of M . G_F and, per final column, the
-    coset of valid Y columns: a particular solution of G_I . Y = M . G_F
-    XOR each kernel combination of G_I.
+    For a given M, Y's column j is valid iff it lies in cosets[v], with v
+    column j of M . G_F: the particular solution E . v of G_I . y = v XOR
+    each kernel combination of G_I, in that order.
     """
+
+    g_stack: BitMatrix
+    deadline: Optional[float]  # time_budget's deadline, None if unlimited
+    cosets: List[List[int]]  # per syndrome v in [0, 2^k_F)
+    forced: List[bool]  # cosets[v] has no weight-1 member
+    least: List[int]  # least member weight of cosets[v]
+
+
+def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
+    """Check the limits, then build the one candidate space of both
+    searches; each walk checks the deadline at every step."""
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
-    g_final = inst.final_code.generator
     e_cols = _right_inverse(g_stack).transpose().row_words
     combos = [0]
     for v in right_kernel_basis(g_stack):
         combos += [c ^ v.mask for c in combos]
+    cosets = [[p ^ kc for kc in combos]
+              for p in (_combine(v, e_cols) for v in range(1 << inst.k_final))]
+    weights = [list(map(int.bit_count, c)) for c in cosets]
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
-
-    def parts() -> _Parts:
-        for m in enumerate_invertible(inst.k_final, limit=None):
-            target = mat_mul(m, g_final).row_words
-            # Column j of E . target: E's columns picked by target's column j.
-            part = [_combine(c, e_cols)
-                    for c in _transpose_words(target, inst.n_final)]
-            yield target, [[pc ^ kc for kc in combos] for pc in part]
-
-    return g_stack, deadline, parts()
+    return _Space(g_stack, deadline, cosets,
+                  [1 not in w for w in weights], [min(w) for w in weights])
 
 
 def enumerate_conversions(
@@ -144,10 +159,14 @@ def enumerate_conversions(
     Y built from the chosen columns, by classify_symbols' classifier.  A
     time budget in lim is checked before each candidate.
     """
-    g_stack, deadline, parts = _search_space(inst, lim)
+    g_stack, deadline, table, _, _ = _search_space(inst, lim)
+    g_final = inst.final_code.generator
     total_rows = inst.total_initial_length
     blocks = inst.n_initial
-    for target, cosets in parts:
+    for m in enumerate_invertible(inst.k_final, limit=None):
+        target = mat_mul(m, g_final).row_words
+        # Column j of M . G_F is the syndrome of Y's column j.
+        cosets = [table[v] for v in _transpose_words(target, inst.n_final)]
         for choice_masks in product(*cosets):
             if deadline is not None and time.monotonic() > deadline:
                 raise SizeGuardError("time budget exhausted")
@@ -164,21 +183,80 @@ def min_access_cost(
     """Minimum-access-cost conversion over ALL linear conversions.
 
     A depth-first walk of the candidate space that enumerate_conversions
-    walks exhaustively, pruned only where even the cheapest completion
-    costs strictly more than the best found, so every tie is visited.
-    Ties are broken by write cost, then by the lexicographic row-major
-    bit string of Y, so results are deterministic.  A time budget in lim
-    is checked at every node of the walk.
+    walks exhaustively, in the module's two stages.  Stage 1 picks M's
+    columns v_t, the images of rref(G_F)'s pivot columns, kept independent
+    against a pivot basis; it cuts a prefix whose forced writes plus the
+    largest least weight of their cosets exceed the best cost.  Stage 2
+    walks the cosets of each complete M, cut where the writes and reads so
+    far plus the forced writes still to come exceed it.  Both cuts are
+    strict, so every tie is visited, and each Y comes from exactly one M,
+    so the pick does not depend on the walk's order.  Ties are broken by
+    write cost, then by the lexicographic row-major bit string of Y, so
+    results are deterministic.  A time budget in lim is checked at every
+    node of both stages.
     """
-    _, deadline, parts = _search_space(inst, lim)
-    n_final = inst.n_final
+    _, deadline, table, forced, least = _search_space(inst, lim)
+    k, n_final = inst.k_final, inst.n_final
     total_rows = inst.total_initial_length
+    # rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
+    # with N = M . A^-1 ranging over GL(k_F, 2) as M does.  Column j of
+    # N . rref(G_F) is the XOR of N's columns over support[j].
+    support = _transpose_words(rref(inst.final_code.generator)[0].row_words,
+                               n_final)
+    # fixed_by[t + 1]: the columns whose highest support bit is t, fixed
+    # once v_t is picked; fixed_by[0]: the zero columns (syndrome 0).
+    fixed_by = [[] for _ in range(k + 1)]
+    for j, s in enumerate(support):
+        fixed_by[s.bit_length()].append(j)
+    syndromes = [0] * n_final
+    images = [0] * k
+    basis = [0] * k  # pivot column -> reduced image
     best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
     best_cols: List[int] = []
     chosen: List[int] = []
+    cosets: List[List[int]] = []
+    suffix_floor: List[int] = []
+
+    def settle(cols: List[int], writes: int, reads: int) -> Tuple[int, int]:
+        # Fix the syndromes of cols; add their forced writes and reads.
+        for j in cols:
+            v = syndromes[j] = _combine(support[j], images)
+            if forced[v]:
+                writes += 1
+                reads = max(reads, least[v])
+        return writes, reads
+
+    def pick(t: int, writes: int, reads: int) -> None:
+        # Stage 1: v_0 .. v_{t-1} are picked.
+        if deadline is not None and time.monotonic() > deadline:
+            raise SizeGuardError("time budget exhausted")
+        if best_key is not None and writes + reads > best_key[0]:
+            return
+        if t == k:
+            walk()
+            return
+        for v in range(1, 1 << k):
+            red = _reduce(v, basis)
+            if not red:
+                continue
+            p = (red & -red).bit_length() - 1
+            basis[p] = red
+            images[t] = v
+            pick(t + 1, *settle(fixed_by[t + 1], writes, reads))
+            basis[p] = 0
+
+    def walk() -> None:
+        # Stage 2 for the complete M: every column whose coset has no
+        # weight-1 member must be written.
+        nonlocal cosets, suffix_floor
+        cosets = [table[v] for v in syndromes]
+        suffix_floor = [0] * (n_final + 1)
+        for j in range(n_final - 1, -1, -1):
+            suffix_floor[j] = suffix_floor[j + 1] + forced[syndromes[j]]
+        descend(0, 0, 0)
 
     def descend(j: int, writes: int, read_mask: int) -> None:
-        # Walks cosets[j:] of the current M, set by the loop below.
+        # Walks cosets[j:] of the current M.
         nonlocal best_key, best_cols
         if deadline is not None and time.monotonic() > deadline:
             raise SizeGuardError("time budget exhausted")
@@ -201,16 +279,7 @@ def min_access_cost(
                 descend(j + 1, writes + 1, read_mask | mask)
             chosen.pop()
 
-    for _, cosets in parts:
-        # Admissible completion bound: every column whose coset has no
-        # weight-1 member must be written.
-        suffix_floor = [0] * (n_final + 1)
-        for j in range(n_final - 1, -1, -1):
-            suffix_floor[j] = suffix_floor[j + 1] + (
-                1 not in map(int.bit_count, cosets[j])
-            )
-        descend(0, 0, 0)
-
+    pick(0, *settle(fixed_by[0], 0, 0))  # zero columns: syndrome 0
     y = ConversionMatrix(
         BitMatrix.from_columns(best_cols, total_rows), inst.n_initial
     )

@@ -7,6 +7,7 @@ import convcode as cc
 from convcode import codes
 from convcode.codes import (
     CodeError,
+    LinearCode,
     contains,
     decode_from_positions,
     dual,
@@ -275,6 +276,41 @@ def test_dual_degenerate_ends():
     full = from_generator(BitMatrix.identity(3))
     assert dual(full).is_zero
     assert same_code(dual(zero_code(3)), full)
+
+
+def assert_dual_matches_from_generator(c):
+    # dual skips from_generator's rank check; on the same rows the checked
+    # constructor must accept them and give the same code, caches empty.
+    d = dual(c)
+    ref = from_generator(d.generator) if d.k else zero_code(c.n)
+    for name in LinearCode.__slots__:
+        assert getattr(d, name) == getattr(ref, name), name
+    assert d.k == c.n - c.k
+    assert d.is_zero or all(
+        (g & h).bit_count() % 2 == 0
+        for g in c.generator.row_words for h in d.generator.row_words
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_dual_matches_from_generator_on_random_codes(n, data):
+    k = data.draw(st.integers(1, n))
+    c = random_code(n, k, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    assert_dual_matches_from_generator(c)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_dual_matches_from_generator_on_rm_1_m(m):
+    assert_dual_matches_from_generator(from_generator(rm_generator(1, m)))
+
+
+def test_dual_eliminates_once(eliminations):
+    # The kernel basis comes from one RREF; its rows are not re-ranked.
+    c = from_generator(rm_generator(1, 9))
+    eliminations.clear()
+    dual(c)
+    assert len(eliminations) == 1
 
 
 def test_dual_distance_example_final():

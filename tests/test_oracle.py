@@ -18,9 +18,13 @@ from convcode.gf2 import (
     BitMatrix,
     BitVector,
     SizeGuardError,
+    _combine,
+    _transpose_words,
     block_diag,
+    enumerate_invertible,
     gl2_order,
     mat_mul,
+    right_kernel_basis,
     solve,
 )
 from convcode.oracle import (
@@ -148,6 +152,109 @@ def test_min_access_cost_pick_is_least_triple(inst):
     )
 
 
+def min_access_cost_per_m(inst):
+    """The walk min_access_cost made before it picked M column by column:
+    every invertible M in enumeration order, each M's cosets rebuilt from
+    M . G_F, then the same depth-first coset walk and tie-break.  Kept as
+    the reference the two-stage walk is checked against."""
+    g_stack = inst.stacked_generator()
+    e_cols = oracle._right_inverse(g_stack).transpose().row_words
+    combos = [0]
+    for v in right_kernel_basis(g_stack):
+        combos += [c ^ v.mask for c in combos]
+    n_final = inst.n_final
+    total_rows = inst.total_initial_length
+    best_key = None
+    best_cols = []
+    chosen = []
+
+    def descend(j, writes, read_mask):
+        nonlocal best_key, best_cols
+        cost_floor = writes + read_mask.bit_count() + suffix_floor[j]
+        if best_key is not None and cost_floor > best_key[0]:
+            return
+        if j == n_final:
+            rows = tuple(_transpose_words(chosen[::-1], total_rows))
+            key = (cost_floor, writes, rows)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_cols = list(chosen)
+            return
+        for mask in cosets[j]:
+            chosen.append(mask)
+            if mask.bit_count() == 1:
+                descend(j + 1, writes, read_mask)
+            else:
+                descend(j + 1, writes + 1, read_mask | mask)
+            chosen.pop()
+
+    for m in enumerate_invertible(inst.k_final, limit=None):
+        target = mat_mul(m, inst.final_code.generator).row_words
+        part = [_combine(c, e_cols) for c in _transpose_words(target, n_final)]
+        cosets = [[pc ^ kc for kc in combos] for pc in part]
+        suffix_floor = [0] * (n_final + 1)
+        for j in range(n_final - 1, -1, -1):
+            suffix_floor[j] = suffix_floor[j + 1] + (
+                1 not in map(int.bit_count, cosets[j])
+            )
+        descend(0, 0, 0)
+
+    y = ConversionMatrix(
+        BitMatrix.from_columns(best_cols, total_rows), inst.n_initial
+    )
+    return y, classify_symbols(inst, y)
+
+
+def assert_same_pick_as_per_m_walk(inst):
+    y, report = min_access_cost(inst)
+    ref_y, ref_report = min_access_cost_per_m(inst)
+    assert y.y == ref_y.y
+    assert report.to_record() == ref_report.to_record()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_min_access_cost_matches_per_m_walk(inst):
+    assert_same_pick_as_per_m_walk(inst)
+
+
+# (n1, k1, n2, k2, n_F): the benchmark sweep's sixteen shapes.
+SWEEP_SHAPES = (
+    (1, 1, 1, 1, 3), (1, 1, 1, 1, 5), (1, 1, 2, 1, 3), (2, 1, 1, 1, 4),
+    (1, 1, 2, 1, 5), (2, 1, 2, 1, 4), (1, 1, 2, 2, 4), (1, 1, 2, 2, 5),
+    (1, 1, 2, 2, 6), (2, 2, 1, 1, 4), (2, 2, 1, 1, 5), (2, 2, 1, 1, 6),
+    (1, 1, 3, 2, 4), (2, 1, 2, 2, 4), (2, 2, 2, 1, 4), (3, 2, 1, 1, 4),
+)
+
+
+@pytest.mark.parametrize("seed", [19, 1919, 191919])
+def test_min_access_cost_matches_per_m_walk_on_sweep_shapes(seed):
+    rng = random.Random(seed)
+    for n1, k1, n2, k2, n_f in SWEEP_SHAPES:
+        inst = make_instance(
+            [random_code(n1, k1, rng), random_code(n2, k2, rng)],
+            random_code(n_f, k1 + k2, rng),
+        )
+        assert_same_pick_as_per_m_walk(inst)
+
+
+def test_min_access_cost_matches_per_m_walk_on_fixed_instances(
+    example_instance,
+):
+    # The worked example, a single-M instance, and final codes with a zero
+    # column and with a repeated column (syndrome 0 and a shared syndrome).
+    assert_same_pick_as_per_m_walk(example_instance)
+    assert_same_pick_as_per_m_walk(one_m_instance())
+    initial = [from_generator(BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])),
+               from_generator(BitMatrix.from_rows([[1, 1]]))]
+    for final_rows in (
+        [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0]],  # column 3 zero
+        [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]],  # 3 repeats 0
+    ):
+        final = from_generator(BitMatrix.from_rows(final_rows))
+        assert_same_pick_as_per_m_walk(make_instance(initial, final))
+
+
 def test_size_guards(example_instance):
     with pytest.raises(SizeGuardError):
         min_access_cost(example_instance, SearchLimits(max_k_final=2))
@@ -194,14 +301,35 @@ def test_time_budget_holds_inside_one_m():
             assert time.monotonic() - t < 5.0
 
 
-def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
-    # The fake clock reads 0 for the deadline and for one more reading,
-    # then is far past the deadline: only a check inside the depth-first
-    # walk of the single M can see that.
+def test_min_access_cost_checks_budget_while_picking_m(
+    monkeypatch, example_instance
+):
+    # The fake clock reads 0 for the deadline and for the root of the
+    # column picks, then is far past the deadline.  Picking one of M's
+    # k_F = 4 columns reduces at least one candidate, so fewer than k_F
+    # reductions means the budget stopped the walk before M was complete.
     readings = iter([0.0, 0.0])
     monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
-    with pytest.raises(SizeGuardError, match="time budget"):
+    reductions = []
+    reduce = oracle._reduce
+    monkeypatch.setattr(oracle, "_reduce",
+                        lambda v, basis: reductions.append(v) or reduce(v, basis))
+    with pytest.raises(SizeGuardError, match="time budget") as err:
+        min_access_cost(example_instance, SearchLimits(time_budget=1.0))
+    assert 0 < len(reductions) < example_instance.k_final
+    assert err.traceback[-1].name == "pick"
+
+
+def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
+    # The fake clock reads 0 for the deadline and for both nodes of stage
+    # 1 (k_F = 1: the root and the complete M), then is far past the
+    # deadline: only the check at the root of the coset walk of the
+    # single M can see that.
+    readings = iter([0.0, 0.0, 0.0])
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
+    with pytest.raises(SizeGuardError, match="time budget") as err:
         min_access_cost(one_m_instance(), SearchLimits(time_budget=1.0))
+    assert err.traceback[-1].name == "descend"
 
 
 def test_limits_must_be_positive():
@@ -219,22 +347,20 @@ def test_nan_limit_is_refused(cap):
 
 
 def test_enumerate_checks_every_candidate(monkeypatch):
-    # Add e_0 to every member of the coset of column 1.  G_I . e_0 is
-    # column 0 of G_I, which is nonzero, so G_I . Y != M . G_F and the
-    # product check must refuse the first candidate instead of yielding it.
+    # Add e_0 to every member of the coset table entry of column 1's
+    # syndrome under the first M.  G_I . e_0 is column 0 of G_I, which is
+    # nonzero, so G_I . Y != M . G_F and the product check must refuse the
+    # first candidate instead of yielding it.
     inst = tiny_instance()
+    first_m = next(enumerate_invertible(inst.k_final))
+    syndrome = mat_mul(first_m, inst.final_code.generator).column_mask(1)
     search_space = oracle._search_space
 
     def corrupted(inst, lim):
-        g_stack, deadline, parts = search_space(inst, lim)
-
-        def wrong():
-            for target, cosets in parts:
-                cosets = list(cosets)
-                cosets[1] = [c ^ 1 for c in cosets[1]]
-                yield target, cosets
-
-        return g_stack, deadline, wrong()
+        space = search_space(inst, lim)
+        cosets = list(space.cosets)
+        cosets[syndrome] = [c ^ 1 for c in cosets[syndrome]]
+        return space._replace(cosets=cosets)
 
     monkeypatch.setattr(oracle, "_search_space", corrupted)
     yielded = []
