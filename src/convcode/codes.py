@@ -129,7 +129,7 @@ def min_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
 
 
 def _check_scan(k: int, k_limit: int) -> None:
-    if k > k_limit:
+    if not k <= k_limit:  # also refuses a NaN limit
         raise SizeGuardError(
             f"minimum-distance scan of 2^{k} codewords exceeds the "
             f"limit k <= {k_limit}"
@@ -475,7 +475,7 @@ def sampled_min_weight(
     """
     if c.is_zero:
         raise CodeError("the zero code has no nonzero codeword")
-    if trials < 1:
+    if not trials >= 1:  # also refuses NaN
         raise CodeError("need trials >= 1")
     rng = random.Random(seed)
     rows = c.generator.row_words

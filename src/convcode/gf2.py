@@ -451,7 +451,7 @@ def enumerate_invertible(
     if k < 1:
         raise ValueError("k must be >= 1")
     total = gl2_order(k)
-    if limit is not None and total > limit:
+    if limit is not None and not total <= limit:  # also refuses NaN
         raise SizeGuardError(
             f"GL({k},2) has {total} elements, above the limit of {limit}"
         )

@@ -1,18 +1,16 @@
 """Exhaustive ground-truth search over all linear conversions.
 
 Every valid conversion matrix Y satisfies G_I . Y = M . G_F for exactly
-one invertible M (the change of basis of the final code), and for fixed
-M the columns of Y range independently over a coset of the right kernel
-of G_I.  Enumerating GL(k_F, 2) times the kernel cosets therefore
-covers every linear conversion exactly once, which makes the minimum
+one invertible M (the change of basis of the final code), so the
+candidate space is each M in GL(k_F, 2) with, for every column j of Y,
+any y in [0, 2^N) whose syndrome G_I . y is column j of M . G_F.  It
+holds every linear conversion exactly once, which makes the minimum
 access cost found here a true optimum.
 
-Y's column j only depends on M through its syndrome v = M . g_j, with g_j
-column j of G_F: it lies in E . v XOR ker(G_I), with E a right inverse of
-G_I.  So _search_space, the one builder of the candidate space, tabulates
-that coset once per syndrome v in [0, 2^k_F), with whether it is forced
-(it has no weight-1 member, so the column must be written) and its least
-member weight.
+_search_space, the one builder of that space, buckets every y by its
+syndrome once per instance (the coset of that syndrome), with whether
+each coset is forced (it has no weight-1 member, so the column must be
+written) and its least member weight.
 
 enumerate_conversions walks the space exhaustively, M by M.
 min_access_cost walks it depth first in two stages, pruned only where even
@@ -44,9 +42,7 @@ from .gf2 import (
     _transpose_words,
     enumerate_invertible,
     gl2_order,
-    inverse,
     mat_mul,
-    right_kernel_basis,
     rref,
 )
 from .conversion import (
@@ -79,7 +75,7 @@ class SearchLimits:
 
 
 def candidate_count(inst: ConvertibleInstance) -> int:
-    """Number of (M, kernel-coset) candidates for the instance."""
+    """Number of (M, coset member per column) candidates for the instance."""
     kernel_dim = inst.total_initial_length - inst.k_final
     return gl2_order(inst.k_final) * (1 << (kernel_dim * inst.n_final))
 
@@ -99,24 +95,11 @@ def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> None:
         )
 
 
-def _right_inverse(g: BitMatrix) -> BitMatrix:
-    """Some E with G . E = I for a full-row-rank G (free variables zero):
-    the inverse of G's pivot columns on the pivot rows, zero elsewhere."""
-    pivots = rref(g)[1]
-    if len(pivots) != g.rows:
-        raise ConversionError("stacked generator must have full row rank")
-    words = [0] * g.cols
-    for p, w in zip(pivots, inverse(g.select_columns(pivots)).row_words):
-        words[p] = w
-    return BitMatrix(words, g.rows)
-
-
 class _Space(NamedTuple):
     """The candidate space of both searches, built once per instance.
 
     For a given M, Y's column j is valid iff it lies in cosets[v], with v
-    column j of M . G_F: the particular solution E . v of G_I . y = v XOR
-    each kernel combination of G_I, in that order.
+    column j of M . G_F: every y with G_I . y = v, in ascending order.
     """
 
     g_stack: BitMatrix
@@ -128,15 +111,20 @@ class _Space(NamedTuple):
 
 def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     """Check the limits, then build the one candidate space of both
-    searches; each walk checks the deadline at every step."""
+    searches; each walk checks the deadline at every step.
+
+    syn[y] = G_I . y for every y in [0, 2^N), doubled over G_I's columns
+    at one XOR each; every y then joins the bucket of its syndrome.  G_I
+    has full row rank, so no bucket is empty.
+    """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
-    e_cols = _right_inverse(g_stack).transpose().row_words
-    combos = [0]
-    for v in right_kernel_basis(g_stack):
-        combos += [c ^ v.mask for c in combos]
-    cosets = [[p ^ kc for kc in combos]
-              for p in (_combine(v, e_cols) for v in range(1 << inst.k_final))]
+    syn = [0]
+    for col in _transpose_words(g_stack.row_words, g_stack.cols):
+        syn += [s ^ col for s in syn]
+    cosets: List[List[int]] = [[] for _ in range(1 << inst.k_final)]
+    for y, v in enumerate(syn):
+        cosets[v].append(y)
     weights = [list(map(int.bit_count, c)) for c in cosets]
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
@@ -150,14 +138,14 @@ def enumerate_conversions(
 ) -> Iterator[Tuple[ConversionMatrix, CostReport]]:
     """Yield every valid conversion matrix with its cost report.
 
-    Ordered by the invertible-matrix enumeration, then by kernel-coset
-    choices per column; each Y appears exactly once.  Each candidate is
-    checked without elimination: G_I . Y must equal M . G_F for the
-    current M, else ConversionError is raised.  As M is invertible, that
-    equality implies what verify_conversion checks (rank k_F and the
-    final code's row space).  The report then comes from the rows of the
-    Y built from the chosen columns, by classify_symbols' classifier.  A
-    time budget in lim is checked before each candidate.
+    Ordered by the invertible-matrix enumeration, then by each column's
+    coset members in ascending order; each Y appears exactly once.  Each
+    candidate is checked without elimination: G_I . Y must equal M . G_F
+    for the current M, else ConversionError is raised.  As M is
+    invertible, that equality implies what verify_conversion checks (rank
+    k_F and the final code's row space).  The report then comes from the
+    rows of the Y built from the chosen columns, by classify_symbols'
+    classifier.  A time budget in lim is checked before each candidate.
     """
     g_stack, deadline, table, _, _ = _search_space(inst, lim)
     g_final = inst.final_code.generator

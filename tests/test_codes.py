@@ -255,6 +255,11 @@ def test_distance_guards_refuse_before_any_work(monkeypatch):
     assert c._d_dual is None
     with pytest.raises(SizeGuardError):
         dual_distance(hamming74(), k_limit=2)
+    # A NaN limit bounds nothing, so it is refused like a small one.
+    with pytest.raises(SizeGuardError):
+        min_distance(hamming74(), k_limit=float("nan"))
+    with pytest.raises(SizeGuardError):
+        dual_distance(hamming74(), k_limit=float("nan"))
     with pytest.raises(CodeError):
         min_distance(zero_code(5))
 
@@ -592,7 +597,7 @@ def test_sampled_min_weight_upper_bounds_distance():
 
 def test_sampled_min_weight_needs_a_trial():
     # With no trial there is no sample, and n + 1 is no codeword weight.
-    for trials in (0, -1):
+    for trials in (0, -1, float("nan")):
         with pytest.raises(CodeError, match="trials"):
             sampled_min_weight(rm_code(1, 3), trials=trials)
 

@@ -179,6 +179,10 @@ def test_enumerate_invertible_counts_distinct_full_rank(k, count):
 def test_enumerate_invertible_size_guard():
     with pytest.raises(SizeGuardError):
         list(enumerate_invertible(4, limit=100))
+    # total > nan is never true; the guard runs at call time, so nothing
+    # is iterated (GL(7, 2) has 1.6e14 elements).
+    with pytest.raises(SizeGuardError):
+        enumerate_invertible(7, limit=float("nan"))
 
 
 def test_enumerate_invertible_deterministic_lex_order():

@@ -20,7 +20,6 @@ from convcode.gf2 import (
     SizeGuardError,
     _combine,
     _transpose_words,
-    block_diag,
     enumerate_invertible,
     gl2_order,
     mat_mul,
@@ -152,16 +151,34 @@ def test_min_access_cost_pick_is_least_triple(inst):
     )
 
 
-def min_access_cost_per_m(inst):
-    """The walk min_access_cost made before it picked M column by column:
-    every invertible M in enumeration order, each M's cosets rebuilt from
-    M . G_F, then the same depth-first coset walk and tie-break.  Kept as
-    the reference the two-stage walk is checked against."""
+def right_inverse_by_solve(g):
+    """Some E with G . E = I for a full-row-rank G: the k canonical solve
+    solutions (free variables zero), one per unit syndrome."""
+    cols = [solve(g, BitVector(g.rows, 1 << i)).mask for i in range(g.rows)]
+    return BitMatrix.from_columns(cols, g.cols)
+
+
+def kernel_cosets(inst):
+    """The coset table as the oracle built it before it bucketed every y
+    by its syndrome: per syndrome v, E . v XOR each combination of the
+    right kernel basis of G_I, the combinations doubled basis vector by
+    basis vector.  Kept as the reference the bucketing is checked
+    against."""
     g_stack = inst.stacked_generator()
-    e_cols = oracle._right_inverse(g_stack).transpose().row_words
+    e_cols = right_inverse_by_solve(g_stack).transpose().row_words
     combos = [0]
     for v in right_kernel_basis(g_stack):
         combos += [c ^ v.mask for c in combos]
+    return [[_combine(v, e_cols) ^ kc for kc in combos]
+            for v in range(1 << inst.k_final)]
+
+
+def min_access_cost_per_m(inst):
+    """The walk min_access_cost made before it picked M column by column:
+    every invertible M in enumeration order, each M's cosets taken from
+    kernel_cosets, then the same depth-first coset walk and tie-break.
+    Kept as the reference the two-stage walk is checked against."""
+    table = kernel_cosets(inst)
     n_final = inst.n_final
     total_rows = inst.total_initial_length
     best_key = None
@@ -190,8 +207,7 @@ def min_access_cost_per_m(inst):
 
     for m in enumerate_invertible(inst.k_final, limit=None):
         target = mat_mul(m, inst.final_code.generator).row_words
-        part = [_combine(c, e_cols) for c in _transpose_words(target, n_final)]
-        cosets = [[pc ^ kc for kc in combos] for pc in part]
+        cosets = [table[v] for v in _transpose_words(target, n_final)]
         suffix_floor = [0] * (n_final + 1)
         for j in range(n_final - 1, -1, -1):
             suffix_floor[j] = suffix_floor[j + 1] + (
@@ -227,24 +243,18 @@ SWEEP_SHAPES = (
 )
 
 
-@pytest.mark.parametrize("seed", [19, 1919, 191919])
-def test_min_access_cost_matches_per_m_walk_on_sweep_shapes(seed):
+def sweep_instances(seed):
     rng = random.Random(seed)
     for n1, k1, n2, k2, n_f in SWEEP_SHAPES:
-        inst = make_instance(
+        yield make_instance(
             [random_code(n1, k1, rng), random_code(n2, k2, rng)],
             random_code(n_f, k1 + k2, rng),
         )
-        assert_same_pick_as_per_m_walk(inst)
 
 
-def test_min_access_cost_matches_per_m_walk_on_fixed_instances(
-    example_instance,
-):
-    # The worked example, a single-M instance, and final codes with a zero
-    # column and with a repeated column (syndrome 0 and a shared syndrome).
-    assert_same_pick_as_per_m_walk(example_instance)
-    assert_same_pick_as_per_m_walk(one_m_instance())
+def degenerate_final_instances():
+    # Final codes with a zero column and with a repeated column (syndrome
+    # 0 and a shared syndrome).
     initial = [from_generator(BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])),
                from_generator(BitMatrix.from_rows([[1, 1]]))]
     for final_rows in (
@@ -252,7 +262,63 @@ def test_min_access_cost_matches_per_m_walk_on_fixed_instances(
         [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]],  # 3 repeats 0
     ):
         final = from_generator(BitMatrix.from_rows(final_rows))
-        assert_same_pick_as_per_m_walk(make_instance(initial, final))
+        yield make_instance(initial, final)
+
+
+@pytest.mark.parametrize("seed", [19, 1919, 191919])
+def test_min_access_cost_matches_per_m_walk_on_sweep_shapes(seed):
+    for inst in sweep_instances(seed):
+        assert_same_pick_as_per_m_walk(inst)
+
+
+def test_min_access_cost_matches_per_m_walk_on_fixed_instances(
+    example_instance,
+):
+    # The worked example, a single-M instance and degenerate final codes.
+    assert_same_pick_as_per_m_walk(example_instance)
+    assert_same_pick_as_per_m_walk(one_m_instance())
+    for inst in degenerate_final_instances():
+        assert_same_pick_as_per_m_walk(inst)
+
+
+def assert_same_cosets_as_kernel_cosets(inst):
+    # Member for member and in the same order, and every y in [0, 2^N)
+    # lies in exactly one coset.
+    cosets = oracle._search_space(inst, SearchLimits()).cosets
+    assert cosets == kernel_cosets(inst)
+    members = sorted(y for coset in cosets for y in coset)
+    assert members == list(range(1 << inst.total_initial_length))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_search_space_matches_kernel_cosets(inst):
+    assert_same_cosets_as_kernel_cosets(inst)
+
+
+@pytest.mark.parametrize("seed", [19, 1919, 191919])
+def test_search_space_matches_kernel_cosets_on_sweep_shapes(seed):
+    for inst in sweep_instances(seed):
+        assert_same_cosets_as_kernel_cosets(inst)
+
+
+def test_search_space_matches_kernel_cosets_on_fixed_instances(
+    example_instance,
+):
+    # The worked example, a single-M instance, a lambda = 3 instance
+    # (N = 7, kernel dim 3, the worked example's final code) and
+    # degenerate final codes.
+    assert_same_cosets_as_kernel_cosets(example_instance)
+    assert_same_cosets_as_kernel_cosets(one_m_instance())
+    three = make_instance(
+        [from_generator(BitMatrix.from_rows([[1, 1]])),
+         from_generator(BitMatrix.from_rows([[1, 1]])),
+         from_generator(BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))],
+        example_instance.final_code,
+    )
+    assert_same_cosets_as_kernel_cosets(three)
+    for inst in degenerate_final_instances():
+        assert_same_cosets_as_kernel_cosets(inst)
 
 
 def test_size_guards(example_instance):
@@ -371,43 +437,10 @@ def test_enumerate_checks_every_candidate(monkeypatch):
 
 
 def test_enumerate_eliminates_only_in_set_up(eliminations):
-    # Per-candidate verification is a product check, not elimination: the
-    # elimination count after the first candidate is the whole count.
+    # Building the instance eliminates (from_generator); the stream built
+    # on it eliminates nothing: the coset table comes from computed
+    # syndromes, and each candidate gets a product check.
     inst = tiny_instance()
-    stream = enumerate_conversions(inst)
-    next(stream)
-    set_up = len(eliminations)
-    assert set_up > 0  # the counter sees the right inverse and the kernel
-    rest = sum(1 for _ in stream)
-    assert rest + 1 == candidate_count(inst)
-    assert len(eliminations) == set_up
-
-
-def right_inverse_by_solve(g):
-    """The k canonical solve solutions that oracle._right_inverse stacked
-    before it inverted G's pivot columns: the reference it is checked
-    against."""
-    cols = [solve(g, BitVector(g.rows, 1 << i)).mask for i in range(g.rows)]
-    return BitMatrix.from_columns(cols, g.cols)
-
-
-def assert_right_inverse_matches_solve(g):
-    e = oracle._right_inverse(g)
-    assert e == right_inverse_by_solve(g)
-    assert mat_mul(g, e) == BitMatrix.identity(g.rows)
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_instances())
-def test_right_inverse_matches_solve_on_small_instances(inst):
-    assert_right_inverse_matches_solve(inst.stacked_generator())
-
-
-def test_right_inverse_matches_solve_on_block_diagonal_stacks():
-    rng = random.Random(31)
-    for _ in range(300):
-        blocks = []
-        for _ in range(rng.randint(1, 4)):
-            n = rng.randint(1, 9)
-            blocks.append(random_code(n, rng.randint(1, n), rng).generator)
-        assert_right_inverse_matches_solve(block_diag(blocks))
+    del eliminations[:]
+    assert sum(1 for _ in enumerate_conversions(inst)) == candidate_count(inst)
+    assert eliminations == []
