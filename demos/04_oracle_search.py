@@ -1,11 +1,10 @@
 """Exhaustive search for the cheapest conversion of small instances.
 
 Every valid conversion matrix Y solves G_I . Y = M . G_F for exactly
-one invertible k_F x k_F matrix M: Y is a right inverse of the stacked
-initial generator G_I times M . G_F, plus per-column cosets of the
-right kernel of G_I.  The oracle walks that space exactly once per
-matrix, prunes with an admissible cost floor, and returns the minimum
-access cost.
+one invertible k_F x k_F matrix M: column j of Y is any y whose syndrome
+G_I . y is column j of M . G_F, from a table that buckets every y by its
+syndrome.  The oracle walks that space, each matrix once, prunes with an
+admissible cost floor, and returns the minimum access cost.
 """
 
 import random

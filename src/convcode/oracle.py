@@ -12,27 +12,28 @@ syndrome once per instance (the coset of that syndrome), with whether
 each coset is forced (it has no weight-1 member, so the column must be
 written) and its least member weight.
 
-enumerate_conversions walks the space exhaustively, M by M.
-min_access_cost walks it depth first in two stages, pruned only where even
-the cheapest completion costs strictly more than the best found:
+_walk, the one walk of that space, goes depth first in two stages.  It
+cuts only where even the cheapest completion costs strictly more than an
+incumbent: min_access_cost lowers one as it goes, enumerate_conversions
+has none.
 
-1. M's columns are picked one at a time, as the images of the pivot
-   columns of rref(G_F).  Once pivot t has its image, every final column
-   whose highest RREF support bit is t has its syndrome.  A prefix is cut
-   when its forced writes plus the largest least weight among those forced
-   columns (every write reads at least its column's weight) exceed the
-   best cost.
-2. For a complete M, each column takes a member of its coset in turn; the
-   floor is the writes and reads so far plus one write per forced column
-   still to come.
+1. rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
+   with N = M . A^-1 ranging over GL(k_F, 2) as M does.  N's columns v_t,
+   the images of rref(G_F)'s pivot columns, are picked one at a time in
+   ascending order; once v_t is, every final column whose highest RREF
+   support bit is t has its syndrome.  A prefix is cut when its forced
+   writes plus the largest least weight among those forced columns (every
+   write reads at least its column's weight) exceed the incumbent.
+2. For a complete N, each column takes a member of its coset in turn, in
+   ascending order, the last column fastest; the floor is the writes and
+   reads so far plus one write per forced column still to come.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Generator, Iterator, List, NamedTuple, Optional, Tuple
 
 from .gf2 import (
     BitMatrix,
@@ -40,13 +41,10 @@ from .gf2 import (
     _combine,
     _reduce,
     _transpose_words,
-    enumerate_invertible,
     gl2_order,
-    mat_mul,
-    rref,
 )
+from .codes import _echelon
 from .conversion import (
-    ConversionError,
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
@@ -96,13 +94,12 @@ def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> None:
 
 
 class _Space(NamedTuple):
-    """The candidate space of both searches, built once per instance.
+    """The candidate space of the walk, built once per instance.
 
     For a given M, Y's column j is valid iff it lies in cosets[v], with v
     column j of M . G_F: every y with G_I . y = v, in ascending order.
     """
 
-    g_stack: BitMatrix
     deadline: Optional[float]  # time_budget's deadline, None if unlimited
     cosets: List[List[int]]  # per syndrome v in [0, 2^k_F)
     forced: List[bool]  # cosets[v] has no weight-1 member
@@ -110,8 +107,7 @@ class _Space(NamedTuple):
 
 
 def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
-    """Check the limits, then build the one candidate space of both
-    searches; each walk checks the deadline at every step.
+    """Check the limits, then build the walk's candidate space.
 
     syn[y] = G_I . y for every y in [0, 2^N), doubled over G_I's columns
     at one XOR each; every y then joins the bucket of its syndrome.  G_I
@@ -129,81 +125,42 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
-    return _Space(g_stack, deadline, cosets,
+    return _Space(deadline, cosets,
                   [1 not in w for w in weights], [min(w) for w in weights])
 
 
-def enumerate_conversions(
-    inst: ConvertibleInstance, lim: SearchLimits = SearchLimits()
-) -> Iterator[Tuple[ConversionMatrix, CostReport]]:
-    """Yield every valid conversion matrix with its cost report.
+def _walk(
+    inst: ConvertibleInstance, lim: SearchLimits
+) -> Generator[Tuple[int, int, List[int]], Optional[int], None]:
+    """The module's walk of inst's candidate space, after the limits are
+    checked; the deadline is checked at each pick and each coset member.
 
-    Ordered by the invertible-matrix enumeration, then by each column's
-    coset members in ascending order; each Y appears exactly once.  Each
-    candidate is checked without elimination: G_I . Y must equal M . G_F
-    for the current M, else ConversionError is raised.  As M is
-    invertible, that equality implies what verify_conversion checks (rank
-    k_F and the final code's row space).  The report then comes from the
-    rows of the Y built from the chosen columns, by classify_symbols'
-    classifier.  A time budget in lim is checked before each candidate.
+    Yields (writes, reads, columns) for each Y not cut: its columns as
+    masks (one list, overwritten as the walk goes on), how many do not
+    have weight 1, and their OR.  The incumbent cost is the value sent
+    back: None, as next sends, cuts nothing.
     """
-    g_stack, deadline, table, _, _ = _search_space(inst, lim)
-    g_final = inst.final_code.generator
-    total_rows = inst.total_initial_length
-    blocks = inst.n_initial
-    for m in enumerate_invertible(inst.k_final, limit=None):
-        target = mat_mul(m, g_final).row_words
-        # Column j of M . G_F is the syndrome of Y's column j.
-        cosets = [table[v] for v in _transpose_words(target, inst.n_final)]
-        for choice_masks in product(*cosets):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SizeGuardError("time budget exhausted")
-            y = BitMatrix.from_columns(choice_masks, total_rows)
-            if mat_mul(g_stack, y).row_words != target:
-                raise ConversionError("enumerated matrix is not a conversion")
-            report = _classify_rows(inst, y.row_words)
-            yield ConversionMatrix(y, blocks), report
-
-
-def min_access_cost(
-    inst: ConvertibleInstance, lim: SearchLimits = SearchLimits()
-) -> Tuple[ConversionMatrix, CostReport]:
-    """Minimum-access-cost conversion over ALL linear conversions.
-
-    A depth-first walk of the candidate space that enumerate_conversions
-    walks exhaustively, in the module's two stages.  Stage 1 picks M's
-    columns v_t, the images of rref(G_F)'s pivot columns, kept independent
-    against a pivot basis; it cuts a prefix whose forced writes plus the
-    largest least weight of their cosets exceed the best cost.  Stage 2
-    walks the cosets of each complete M, cut where the writes and reads so
-    far plus the forced writes still to come exceed it.  Both cuts are
-    strict, so every tie is visited, and each Y comes from exactly one M,
-    so the pick does not depend on the walk's order.  Ties are broken by
-    write cost, then by the lexicographic row-major bit string of Y, so
-    results are deterministic.  A time budget in lim is checked at every
-    node of both stages.
-    """
-    _, deadline, table, forced, least = _search_space(inst, lim)
+    deadline, table, forced, least = _search_space(inst, lim)
     k, n_final = inst.k_final, inst.n_final
-    total_rows = inst.total_initial_length
-    # rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
-    # with N = M . A^-1 ranging over GL(k_F, 2) as M does.  Column j of
-    # N . rref(G_F) is the XOR of N's columns over support[j].
-    support = _transpose_words(rref(inst.final_code.generator)[0].row_words,
-                               n_final)
+    pivots, _, reduced = _echelon(inst.final_code)
+    # Column j of N . rref(G_F) is the XOR of N's columns over support[j].
+    support = _transpose_words([reduced[p] for p in pivots], n_final)
     # fixed_by[t + 1]: the columns whose highest support bit is t, fixed
     # once v_t is picked; fixed_by[0]: the zero columns (syndrome 0).
-    fixed_by = [[] for _ in range(k + 1)]
+    fixed_by: List[List[int]] = [[] for _ in range(k + 1)]
     for j, s in enumerate(support):
         fixed_by[s.bit_length()].append(j)
     syndromes = [0] * n_final
-    images = [0] * k
-    basis = [0] * k  # pivot column -> reduced image
-    best_key: Optional[Tuple[int, int, Tuple[int, ...]]] = None
-    best_cols: List[int] = []
-    chosen: List[int] = []
-    cosets: List[List[int]] = []
-    suffix_floor: List[int] = []
+    # Stage 1 at level t: images[:t] are picked, reduced into basis slots
+    # pivot_of[:t]; the columns they fix have writes1[t] forced writes and
+    # largest least weight reads1[t].
+    images, basis, pivot_of, writes1, reads1 = ([0] * k for _ in range(5))
+    # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes
+    # and reads2[j] reads; members[j] walks column j's coset.
+    columns, writes2, reads2 = ([0] * n_final for _ in range(3))
+    members: List[Iterator[int]] = [iter(())] * n_final
+    after = [0] * n_final  # forced columns after column j
+    best: Optional[int] = None
 
     def settle(cols: List[int], writes: int, reads: int) -> Tuple[int, int]:
         # Fix the syndromes of cols; add their forced writes and reads.
@@ -214,61 +171,103 @@ def min_access_cost(
                 reads = max(reads, least[v])
         return writes, reads
 
-    def pick(t: int, writes: int, reads: int) -> None:
-        # Stage 1: v_0 .. v_{t-1} are picked.
-        if deadline is not None and time.monotonic() > deadline:
-            raise SizeGuardError("time budget exhausted")
-        if best_key is not None and writes + reads > best_key[0]:
-            return
-        if t == k:
-            walk()
-            return
-        for v in range(1, 1 << k):
+    writes1[0], reads1[0] = settle(fixed_by[0], 0, 0)
+    t = v = 0  # stage 1's level, and the last v tried there
+    while True:
+        red = 0
+        while not red and v + 1 < 1 << k:
+            v += 1
             red = _reduce(v, basis)
-            if not red:
-                continue
-            p = (red & -red).bit_length() - 1
-            basis[p] = red
-            images[t] = v
-            pick(t + 1, *settle(fixed_by[t + 1], writes, reads))
-            basis[p] = 0
-
-    def walk() -> None:
-        # Stage 2 for the complete M: every column whose coset has no
-        # weight-1 member must be written.
-        nonlocal cosets, suffix_floor
-        cosets = [table[v] for v in syndromes]
-        suffix_floor = [0] * (n_final + 1)
-        for j in range(n_final - 1, -1, -1):
-            suffix_floor[j] = suffix_floor[j + 1] + forced[syndromes[j]]
-        descend(0, 0, 0)
-
-    def descend(j: int, writes: int, read_mask: int) -> None:
-        # Walks cosets[j:] of the current M.
-        nonlocal best_key, best_cols
+        if not red:  # level t is done
+            if t == 0:
+                return
+            t -= 1
+            basis[pivot_of[t]], v = 0, images[t]
+            continue
+        images[t] = v
+        writes, reads = settle(fixed_by[t + 1], writes1[t], reads1[t])
         if deadline is not None and time.monotonic() > deadline:
             raise SizeGuardError("time budget exhausted")
-        cost_floor = writes + read_mask.bit_count() + suffix_floor[j]
-        if best_key is not None and cost_floor > best_key[0]:
-            return
-        if j == n_final:  # the floor is now the cost
-            # Row-major bit string of Y, column 0 most significant.
-            rows = tuple(_transpose_words(chosen[::-1], total_rows))
-            key = (cost_floor, writes, rows)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cols = list(chosen)
-            return
-        for mask in cosets[j]:
-            chosen.append(mask)
-            if mask.bit_count() == 1:  # unchanged symbol: free
-                descend(j + 1, writes, read_mask)
+        if best is not None and writes + reads > best:
+            continue
+        if t + 1 < k:
+            pivot_of[t] = (red & -red).bit_length() - 1
+            basis[pivot_of[t]] = red
+            t, v = t + 1, 0
+            writes1[t], reads1[t] = writes, reads
+            continue
+        # Stage 2 for the complete N.
+        for j in range(n_final - 2, -1, -1):
+            after[j] = after[j + 1] + forced[syndromes[j + 1]]
+        j, members[0] = 0, iter(table[syndromes[0]])
+        while j >= 0:
+            y = next(members[j], None)
+            if y is None:
+                j -= 1
+                continue
+            columns[j] = y
+            if y.bit_count() == 1:  # unchanged symbol: free
+                writes, reads = writes2[j], reads2[j]
             else:  # one write plus its reads
-                descend(j + 1, writes + 1, read_mask | mask)
-            chosen.pop()
+                writes, reads = writes2[j] + 1, reads2[j] | y
+            if deadline is not None and time.monotonic() > deadline:
+                raise SizeGuardError("time budget exhausted")
+            if best is not None and writes + reads.bit_count() + after[j] > best:
+                continue
+            if j + 1 == n_final:  # the floor is now the cost
+                best = yield writes, reads, columns
+                continue
+            j += 1
+            writes2[j], reads2[j] = writes, reads
+            members[j] = iter(table[syndromes[j]])
 
-    pick(0, *settle(fixed_by[0], 0, 0))  # zero columns: syndrome 0
-    y = ConversionMatrix(
-        BitMatrix.from_columns(best_cols, total_rows), inst.n_initial
-    )
+
+def enumerate_conversions(
+    inst: ConvertibleInstance, lim: SearchLimits = SearchLimits()
+) -> Iterator[Tuple[ConversionMatrix, CostReport]]:
+    """Yield every valid conversion matrix with its cost report.
+
+    The module's walk, uncut: M in stage 1's order, N . rref(G_F), then
+    each column's coset members in ascending order, the last column
+    fastest; each Y appears exactly once.  Each coset member has its
+    column's syndrome by the table's construction and M is invertible, so
+    every Y passes verify_conversion without a check; its rows go straight
+    to classify_symbols' classifier.  A time budget in lim is checked at
+    every pick and every coset member.
+    """
+    total_rows, blocks = inst.total_initial_length, inst.n_initial
+    for _, _, columns in _walk(inst, lim):
+        # Members lie below 2^N, so from_columns' masking is skipped (7%).
+        y = BitMatrix(_transpose_words(columns, total_rows), inst.n_final)
+        yield ConversionMatrix(y, blocks), _classify_rows(inst, y.row_words)
+
+
+def min_access_cost(
+    inst: ConvertibleInstance, lim: SearchLimits = SearchLimits()
+) -> Tuple[ConversionMatrix, CostReport]:
+    """Minimum-access-cost conversion over ALL linear conversions.
+
+    The module's walk, with the cost of the best Y so far as incumbent.
+    Both cuts are strict, so every tie is visited, and each Y comes from
+    exactly one M, so the pick does not depend on the walk's order.  Ties
+    are broken by write cost, then by the lexicographic row-major bit
+    string of Y, so results are deterministic.  A time budget in lim is
+    checked at every pick and every coset member.
+    """
+    total_rows = inst.total_initial_length
+    walk = _walk(inst, lim)
+    best_key, best_cols = None, []
+    try:
+        writes, reads, columns = next(walk)
+        while True:
+            # Row-major bit string of Y, column 0 most significant.
+            rows = tuple(_transpose_words(columns[::-1], total_rows))
+            key = (writes + reads.bit_count(), writes, rows)
+            if best_key is None or key < best_key:
+                best_key, best_cols = key, list(columns)
+            writes, reads, columns = walk.send(best_key[0])
+    except StopIteration:
+        pass
+    y = BitMatrix(_transpose_words(best_cols, total_rows), inst.n_final)
+    y = ConversionMatrix(y, inst.n_initial)
     return y, classify_symbols(inst, y)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,6 +42,32 @@ def row_space_by_rref(m):
     comparison that verify_conversion and same_code used to make)."""
     reduced, pivots = cc.rref(m)
     return reduced.row_words[: len(pivots)]
+
+
+def reference_conversions(inst):
+    """The stream enumerate_conversions yielded before it became the uncut
+    case of min_access_cost's walk, kept as the reference that walk is
+    checked against.
+
+    Every invertible M in enumerate_invertible's order, then
+    itertools.product of the cosets of the columns of M . G_F (every y
+    with G_I . y equal to that column, ascending).  Each Y is checked by
+    its product G_I . Y = M . G_F and classified by its rows.
+    """
+    g_stack = inst.stacked_generator()
+    table = [[] for _ in range(1 << inst.k_final)]
+    for y in range(1 << g_stack.cols):
+        syndrome = sum(((w & y).bit_count() & 1) << i
+                       for i, w in enumerate(g_stack.row_words))
+        table[syndrome].append(y)
+    for m in gf2.enumerate_invertible(inst.k_final, limit=None):
+        target = gf2.mat_mul(m, inst.final_code.generator)
+        cosets = [table[target.column_mask(j)] for j in range(inst.n_final)]
+        for cols in itertools.product(*cosets):
+            y = cc.BitMatrix.from_columns(cols, g_stack.cols)
+            assert gf2.mat_mul(g_stack, y) == target
+            yield (cc.ConversionMatrix(y, inst.n_initial),
+                   conversion._classify_rows(inst, y.row_words))
 
 
 # Worked merge example used throughout: two [3,2] single-parity codes

@@ -2,9 +2,12 @@
 
 The digests below were recorded from the reference implementation; any
 change to a conversion matrix, a cost record, the enumeration order or
-the oracle's tie-break shows up here as a digest mismatch.  The CLI
-digests pin the exact stdout (and exit code) of the merge, report, rm
-and verify commands.
+the oracle's tie-break shows up here as a digest mismatch.  The oracle's
+enumeration streams are pinned twice: in the order of the reference walk
+(tests.conftest.reference_conversions), recorded first, and in the order
+of enumerate_conversions' two-stage walk, which yields the same
+conversions.  The CLI digests pin the exact stdout (and exit code) of the
+merge, report, rm and verify commands.
 """
 
 import hashlib
@@ -19,6 +22,8 @@ from convcode.conversion import make_instance, rm_merge_chain, rm_merge_procedur
 from convcode.matio import format_matrix
 from convcode.oracle import enumerate_conversions, min_access_cost
 from convcode.reedmuller import rm_code
+
+from tests.conftest import reference_conversions
 
 
 def _sha(text: str) -> str:
@@ -63,15 +68,22 @@ def _report_text(report) -> str:
     ))
 
 
+def stream_lines(stream):
+    """One line per (Y, report) of an enumeration stream, in its order."""
+    return [f"{y.y.row_words}{_report_text(report)}\n" for y, report in stream]
+
+
+def stream_digest(stream):
+    """Digest of the ordered enumeration stream, and its length."""
+    lines = stream_lines(stream)
+    return _sha("".join(lines)), len(lines)
+
+
 def oracle_digest(inst):
     """Digest of the ordered enumeration stream, its length, and the pick."""
-    h = hashlib.sha256()
-    count = 0
-    for y, report in enumerate_conversions(inst):
-        h.update(f"{y.y.row_words}{_report_text(report)}\n".encode())
-        count += 1
     y, report = min_access_cost(inst)
-    return h.hexdigest(), count, _sha(format_matrix(y.y)), report.to_record()
+    return (*stream_digest(enumerate_conversions(inst)),
+            _sha(format_matrix(y.y)), report.to_record())
 
 
 MERGE_GOLDEN = {
@@ -197,6 +209,8 @@ CHAIN_GOLDEN = {
         {"U": [16, 11, 16, 22], "W": 63, "R": [15, 16, 32, 22], "access": 148}),
 }
 
+# Per case: the digest of the reference walk's stream and its length, and
+# the pick's digest and record.
 ORACLE_GOLDEN = {
     (((2, 1), (1, 1)), 3, 1): (
         "58083f3296d2d8337946d36c3ffc3f4e2a4eef9aa27ef8c1ee6365b3c34e56b8",
@@ -255,6 +269,33 @@ ORACLE_GOLDEN = {
         {"U": [1, 1, 1], "W": 1, "R": [0, 1, 1], "access": 3}),
 }
 
+# Per case: the digest of enumerate_conversions' stream, in the order of
+# the two-stage walk (M as N . rref(G_F), N's columns picked ascending).
+ORACLE_STREAM_GOLDEN = {
+    (((2, 1), (1, 1)), 3, 1):
+        "674f837770302b44b0e7d999dbbe79510bfafb418e0b40e85747616bfbef536c",
+    (((2, 1), (2, 1)), 3, 2):
+        "80b3e304eabb04b7bfce86984dd60ad2cd71495def909f3813b8af96c833ffa3",
+    (((2, 1), (2, 1)), 3, 6):
+        "194b3105e410d14887f0ce453616b916e80e5a8bbdbeafdb6af981544152de6f",
+    (((2, 2), (1, 1)), 4, 1):
+        "6d2eb1392dc2c5782fd067cf0d1e055ed5655aae5b229717ba8cab72d49d4967",
+    (((2, 2), (1, 1)), 4, 7):
+        "aba80ede3bbd18112d38a7f3a76e409cd9538e51b3a89b2e2868f455ccdcc4e2",
+    (((2, 1), (2, 1)), 4, 5):
+        "9c7292a212cf4ec1da1b6f400c9ffe918c541f69299cc51047d3af79122a823e",
+    (((3, 2), (1, 1)), 4, 2):
+        "22ffe846a74a3fbce8bec37b9ead480f5541f8577d57e311996b4bfaf318e777",
+    (((2, 1), (2, 2)), 4, 1):
+        "de78efc6d90dc1040720bedc09e2db3bd86a04d1f2e1279e6da491b1326b645f",
+    (((3, 1), (2, 1)), 3, 1):
+        "921df9a7606d52d29266999f14cf0d7c5e1de33070936cfc3c972c76afe31a34",
+    (((1, 1), (1, 1), (2, 1)), 4, 6):
+        "e2b9dfd514ee269a01a8a36dc36ef4aaacb04d55c969cae596178bfe0b768477",
+    (((2, 1), (1, 1), (1, 1)), 4, 3):
+        "2d6369387d2fd8906b096a7fc6397b84cadbacb9e2a1d1c2aa82eee255bdd638",
+}
+
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_rm_merge_procedure_golden(m):
@@ -269,7 +310,23 @@ def test_rm_merge_chain_golden(r, m, depth):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_oracle_stream_and_pick_golden(case):
-    assert oracle_digest(oracle_instance(*case)) == ORACLE_GOLDEN[case]
+    assert oracle_digest(oracle_instance(*case)) == (
+        ORACLE_STREAM_GOLDEN[case], *ORACLE_GOLDEN[case][1:]
+    )
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_reference_stream_golden(case):
+    stream = reference_conversions(oracle_instance(*case))
+    assert stream_digest(stream) == ORACLE_GOLDEN[case][:2]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_stream_permutes_reference_stream(case):
+    inst = oracle_instance(*case)
+    assert sorted(stream_lines(enumerate_conversions(inst))) == sorted(
+        stream_lines(reference_conversions(inst))
+    )
 
 
 def test_rm_code_is_memoised():

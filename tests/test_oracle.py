@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from convcode import oracle
 from convcode.codes import from_generator, random_code
 from convcode.conversion import (
-    ConversionError,
     ConversionMatrix,
     classify_symbols,
     default_conversion,
@@ -33,7 +32,7 @@ from convcode.oracle import (
     min_access_cost,
 )
 
-from tests.conftest import small_instances
+from tests.conftest import reference_conversions, small_instances
 
 
 def tiny_instance():
@@ -114,6 +113,23 @@ def test_min_access_cost_never_beats_oracle():
         _, best = min_access_cost(inst)
         fallback = classify_symbols(inst, default_conversion(inst))
         assert best.access_cost <= fallback.access_cost
+
+
+def test_min_access_cost_cuts_by_its_incumbent(monkeypatch, example_instance):
+    # The worked example has 20,643,840 candidates.  min_access_cost sends
+    # the walk its incumbent cost, so only about a thousand of them reach
+    # it, and it transposes each; an uncut walk would reach all of them.
+    calls = []
+    transpose = oracle._transpose_words
+
+    def counting(words, width):
+        calls.append(1)
+        assert len(calls) < 10_000, "the walk is not cut"
+        return transpose(words, width)
+
+    monkeypatch.setattr(oracle, "_transpose_words", counting)
+    _, report = min_access_cost(example_instance)
+    assert report.access_cost == 3
 
 
 def test_min_access_cost_deterministic(example_instance):
@@ -370,10 +386,10 @@ def test_time_budget_holds_inside_one_m():
 def test_min_access_cost_checks_budget_while_picking_m(
     monkeypatch, example_instance
 ):
-    # The fake clock reads 0 for the deadline and for the root of the
-    # column picks, then is far past the deadline.  Picking one of M's
-    # k_F = 4 columns reduces at least one candidate, so fewer than k_F
-    # reductions means the budget stopped the walk before M was complete.
+    # The fake clock reads 0 for the deadline and for the first column
+    # pick, then is far past the deadline.  Picking one of M's k_F = 4
+    # columns reduces at least one candidate, so fewer than k_F reductions
+    # means the budget stopped the walk before M was complete.
     readings = iter([0.0, 0.0])
     monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
     reductions = []
@@ -383,19 +399,19 @@ def test_min_access_cost_checks_budget_while_picking_m(
     with pytest.raises(SizeGuardError, match="time budget") as err:
         min_access_cost(example_instance, SearchLimits(time_budget=1.0))
     assert 0 < len(reductions) < example_instance.k_final
-    assert err.traceback[-1].name == "pick"
+    assert err.traceback[-1].name == "_walk"
 
 
 def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
-    # The fake clock reads 0 for the deadline and for both nodes of stage
-    # 1 (k_F = 1: the root and the complete M), then is far past the
-    # deadline: only the check at the root of the coset walk of the
-    # single M can see that.
+    # The fake clock reads 0 for the deadline, for the one pick of stage 1
+    # (k_F = 1: the complete M) and for the first node of the coset walk,
+    # then is far past the deadline: only a check inside the coset walk of
+    # the single M can see that.
     readings = iter([0.0, 0.0, 0.0])
     monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
     with pytest.raises(SizeGuardError, match="time budget") as err:
         min_access_cost(one_m_instance(), SearchLimits(time_budget=1.0))
-    assert err.traceback[-1].name == "descend"
+    assert err.traceback[-1].name == "_walk"
 
 
 def test_limits_must_be_positive():
@@ -412,35 +428,40 @@ def test_nan_limit_is_refused(cap):
         SearchLimits(**{cap: float("nan")})
 
 
-def test_enumerate_checks_every_candidate(monkeypatch):
-    # Add e_0 to every member of the coset table entry of column 1's
-    # syndrome under the first M.  G_I . e_0 is column 0 of G_I, which is
-    # nonzero, so G_I . Y != M . G_F and the product check must refuse the
-    # first candidate instead of yielding it.
-    inst = tiny_instance()
-    first_m = next(enumerate_invertible(inst.k_final))
-    syndrome = mat_mul(first_m, inst.final_code.generator).column_mask(1)
-    search_space = oracle._search_space
+@settings(max_examples=100, deadline=None)
+@given(small_instances(max_candidates=1024))
+def test_enumerate_yields_verified_conversions(inst):
+    # The walk yields coset members without a per-candidate check: every
+    # Y must still verify and carry classify_symbols' report.
+    for y, report in enumerate_conversions(inst):
+        assert verify_conversion(inst, y)
+        assert report == classify_symbols(inst, y)
 
-    def corrupted(inst, lim):
-        space = search_space(inst, lim)
-        cosets = list(space.cosets)
-        cosets[syndrome] = [c ^ 1 for c in cosets[syndrome]]
-        return space._replace(cosets=cosets)
 
-    monkeypatch.setattr(oracle, "_search_space", corrupted)
-    yielded = []
-    with pytest.raises(ConversionError):
-        for item in enumerate_conversions(inst):
-            yielded.append(item)
-    assert yielded == []
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_enumerate_permutes_reference_stream(inst):
+    # The same conversions with the same reports as the reference walk,
+    # each once, in stage 1's order of M instead of enumerate_invertible's.
+    stream = [(y.y.row_words, r) for y, r in enumerate_conversions(inst)]
+    reference = dict((y.y.row_words, r) for y, r in reference_conversions(inst))
+    assert len(stream) == len(reference) == candidate_count(inst)
+    assert dict(stream) == reference
 
 
 def test_enumerate_eliminates_only_in_set_up(eliminations):
-    # Building the instance eliminates (from_generator); the stream built
-    # on it eliminates nothing: the coset table comes from computed
-    # syndromes, and each candidate gets a product check.
+    # Building the instance eliminates (from_generator).  The first stream
+    # eliminates at most once: the final code's echelon form, cached on the
+    # code.  The coset table comes from computed syndromes and nothing is
+    # checked per candidate, so a second stream on the same instance
+    # eliminates nothing, and a solve only once, in verifying its pick
+    # (classify_symbols takes the rank of G_I . Y).
     inst = tiny_instance()
     del eliminations[:]
     assert sum(1 for _ in enumerate_conversions(inst)) == candidate_count(inst)
+    assert len(eliminations) <= 1
+    del eliminations[:]
+    assert sum(1 for _ in enumerate_conversions(inst)) == candidate_count(inst)
     assert eliminations == []
+    min_access_cost(inst)
+    assert len(eliminations) == 1
