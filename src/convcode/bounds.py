@@ -4,11 +4,15 @@ All evaluators take a plain parameter set, so the caller may supply the
 final distance and dual distance either from the exhaustive scan or
 from a known formula.  Bounds that do not apply to the given parameters
 are reported as inapplicable rather than omitted.
+
+Each bound is one public function plus one entry in _build_report: a
+BoundRecord with its name, code index, value, observed count and sense
+(upper, lower or equal), which judges itself once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -118,15 +122,35 @@ def delta_sign_check(p: ParamSet, i: int) -> bool:
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One evaluated bound: value, applicability, and (when audited
-    against a cost report) satisfaction and slack."""
+    """One evaluated bound, judged once when it is built.
+
+    sense is "upper" (observed <= value), "lower" (observed >= value) or
+    "equal".  A bound with a value is applicable; audited against an
+    observed count it also stores satisfied and slack (the margin by
+    which the count clears value, or for "equal" its distance from
+    value), else both stay None.  The verdict is stored, not recomputed
+    on each read, as oracle sweeps read it for every candidate."""
 
     name: str
     index: Optional[int]  # 0-based code index, None for global bounds
     value: Optional[int]
-    applicable: bool
-    satisfied: Optional[bool] = None
-    slack: Optional[int] = None
+    observed: Optional[int]
+    sense: str
+    applicable: bool = field(init=False)
+    satisfied: Optional[bool] = field(init=False)
+    slack: Optional[int] = field(init=False)
+
+    def __post_init__(self):
+        if self.sense not in ("upper", "lower", "equal"):
+            raise BoundsError(f"unknown bound sense {self.sense!r}")
+        satisfied = slack = None
+        if self.value is not None and self.observed is not None:
+            gap = self.observed - self.value
+            slack = {"upper": -gap, "lower": gap, "equal": abs(gap)}[self.sense]
+            satisfied = gap == 0 if self.sense == "equal" else slack >= 0
+        object.__setattr__(self, "applicable", self.value is not None)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "slack", slack)
 
     @property
     def tight(self) -> Optional[bool]:
@@ -197,111 +221,42 @@ def audit(p: ParamSet, report: CostReport) -> BoundReport:
     return _audit_counts(p, u, report.read_counts)
 
 
-def _rec(
-    name: str,
-    index: Optional[int],
-    value: Optional[int],
-    observed: Optional[int],
-    direction: str,
-) -> BoundRecord:
-    applicable = value is not None
-    if not applicable or observed is None:
-        return BoundRecord(name, index, value, applicable)
-    if direction == "upper":
-        return BoundRecord(
-            name, index, value, True, observed <= value, value - observed
-        )
-    if direction == "lower":
-        return BoundRecord(
-            name, index, value, True, observed >= value, observed - value
-        )
-    # equality
-    return BoundRecord(
-        name, index, value, True, observed == value, abs(observed - value)
-    )
-
-
 def _build_report(
     p: ParamSet,
     u: Optional[Tuple[int, ...]],
     r: Optional[Tuple[int, ...]],
 ) -> BoundReport:
     """Every bound for p, audited against the counts u (unchanged) and r
-    (read) per code when given."""
+    (read) per code when given: one entry per bound, in record order."""
+    total = None if u is None else sum(u)
     records: List[BoundRecord] = []
     for i in range(p.lam):
-        copied = u is not None and u[i] > p.n_initial[i]
-        records.append(
-            _rec(
-                "unchanged_upper_singleton",
-                i,
-                None if copied else unchanged_upper_singleton(p, i),
-                None if u is None else u[i],
-                "upper",
-            )
+        u_i = None if u is None else u[i]
+        r_i = None if r is None else r[i]
+        copied = u_i is not None and u_i > p.n_initial[i]
+        records += (
+            BoundRecord("unchanged_upper_singleton", i, None if copied
+                        else unchanged_upper_singleton(p, i), u_i, "upper"),
+            BoundRecord("unchanged_upper_dual", i, unchanged_upper_dual(p, i),
+                        u_i, "upper"),
+            BoundRecord("unchanged_lower_complement", i,
+                        unchanged_lower_complement(p, i),
+                        None if u is None else total - u_i, "lower"),
+            BoundRecord("read_lower_delta", i, None if u is None
+                        else read_lower_delta(p, i, u_i), r_i, "lower"),
+            BoundRecord("read_lower_omega", i, read_lower_omega(p, i), r_i,
+                        "lower"),
         )
-        records.append(
-            _rec(
-                "unchanged_upper_dual",
-                i,
-                unchanged_upper_dual(p, i),
-                None if u is None else u[i],
-                "upper",
-            )
-        )
-        others_obs = None if u is None else sum(u) - u[i]
-        records.append(
-            _rec(
-                "unchanged_lower_complement",
-                i,
-                unchanged_lower_complement(p, i),
-                others_obs,
-                "lower",
-            )
-        )
-        delta_value = (
-            None if u is None else read_lower_delta(p, i, u[i])
-        )
-        records.append(
-            _rec(
-                "read_lower_delta",
-                i,
-                delta_value,
-                None if r is None else r[i],
-                "lower",
-            )
-        )
-        records.append(
-            _rec(
-                "read_lower_omega",
-                i,
-                read_lower_omega(p, i),
-                None if r is None else r[i],
-                "lower",
-            )
-        )
-    records.append(
-        _rec(
-            "unchanged_total_lower",
-            None,
-            unchanged_total_lower(p),
-            None if u is None else sum(u),
-            "lower",
-        )
-    )
     # Pinch: when the dual cap applies to every code and lambda >= 2, the
     # upper and lower bounds force |U| = k_F exactly.
     pinch_applies = p.lam >= 2 and all(
         unchanged_upper_dual(p, i) is not None for i in range(p.lam)
     )
-    records.append(
-        _rec(
-            "unchanged_total_pinch",
-            None,
-            p.k_final if pinch_applies else None,
-            None if u is None else sum(u),
-            "equal",
-        )
+    records += (
+        BoundRecord("unchanged_total_lower", None, unchanged_total_lower(p),
+                    total, "lower"),
+        BoundRecord("unchanged_total_pinch", None,
+                    p.k_final if pinch_applies else None, total, "equal"),
     )
     return BoundReport(tuple(records))
 

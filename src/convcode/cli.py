@@ -157,6 +157,14 @@ def _bound_lines(bound_report: bounds_mod.BoundReport) -> List[str]:
     return lines
 
 
+def _audit_lines(
+    costs: CostReport, bound_report: bounds_mod.BoundReport
+) -> List[str]:
+    """The cost lines, then the audited bounds, as merge and report print
+    them."""
+    return [*_format_cost_text(costs), "bounds:", *_bound_lines(bound_report)]
+
+
 def _code_distances(code: LinearCode) -> Tuple[Optional[int], Optional[int]]:
     """d and d_dual of the code; None where the scan exceeds the limit."""
     d = min_distance(code) if code.k <= DISTANCE_K_LIMIT else None
@@ -216,10 +224,7 @@ def cmd_merge(args) -> int:
         print(json.dumps(_report_record(p, costs, bound_report), indent=2))
     else:
         print(f"merge RM({r},{m-1}) x RM({r-1},{m-1}) -> RM({r},{m})")
-        for line in _format_cost_text(costs):
-            print(line)
-        print("bounds:")
-        for line in _bound_lines(bound_report):
+        for line in _audit_lines(costs, bound_report):
             print(line)
     return FAIL if bound_report.violations else OK
 
@@ -263,10 +268,7 @@ def cmd_report(args) -> int:
             print(f"m={m} r={r}: n_I={list(p.n_initial)} k_I={list(p.k_initial)} "
                   f"n_F={p.n_final} k_F={p.k_final} d_F={p.d_final} "
                   f"d_F_dual={p.d_final_dual}")
-            for line in _format_cost_text(costs):
-                print("  " + line)
-            print("  bounds:")
-            for line in _bound_lines(bound_report):
+            for line in _audit_lines(costs, bound_report):
                 print("  " + line)
     if any(br.violations for *_, br, _ in records):
         return FAIL

@@ -41,10 +41,9 @@ from .gf2 import (
     block_diag,
     mat_mul,
     rank,
-    rref,
     vec_mat,
 )
-from .codes import LinearCode, contains, first_information_set
+from .codes import LinearCode, _echelon, contains, first_information_set
 from .reedmuller import (_check_bits, _check_m, _systematic_rows,
                          _weight_masks, rm_code)
 
@@ -286,8 +285,9 @@ def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
     initial code, keep those k_F symbols in place on an information set
     of the final code, and write the remaining n_F - k_F symbols.
 
-    The rows of rref(G_F) are the final code's systematic generator on its
-    first information set, so the s-th kept symbol's Y row is row s.
+    The reduced rows of G_F's cached echelon form, in pivot order, are
+    the final code's systematic generator on its first information set,
+    so the s-th kept symbol's Y row is the s-th of them.
     """
     starts = inst.block_starts()
     kept_rows = [  # stacked coordinates of the kept symbols
@@ -295,10 +295,10 @@ def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
         for i, c in enumerate(inst.initial_codes)
         for j in first_information_set(c)
     ]
-    reduced, _ = rref(inst.final_code.generator)
+    pivots, _, reduced = _echelon(inst.final_code)
     words = [0] * inst.total_initial_length
-    for row, w in zip(kept_rows, reduced.row_words):
-        words[row] = w
+    for row, p in zip(kept_rows, pivots):
+        words[row] = reduced[p]
     return ConversionMatrix(BitMatrix(words, inst.n_final), inst.n_initial)
 
 

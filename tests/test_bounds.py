@@ -1,8 +1,13 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from convcode import bounds
 from convcode.bounds import (
+    BoundRecord,
+    BoundReport,
     BoundsError,
     ParamSet,
     audit,
@@ -34,6 +39,175 @@ def rm_params(r, m):
         1 << (m - r), 1 << (r + 1),
     )
     return p, report
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """BoundRecord as it was before records judged themselves: the
+    verdict is passed in, worked out by _rec below."""
+
+    name: str
+    index: Optional[int]
+    value: Optional[int]
+    applicable: bool
+    satisfied: Optional[bool] = None
+    slack: Optional[int] = None
+
+    @property
+    def tight(self) -> Optional[bool]:
+        if self.satisfied is None:
+            return None
+        return self.satisfied and self.slack == 0
+
+    def to_record(self) -> dict:
+        return {
+            "name": self.name,
+            "i": None if self.index is None else self.index + 1,
+            "value": self.value,
+            "applicable": self.applicable,
+            "satisfied": self.satisfied,
+            "tight": self.tight,
+        }
+
+
+def _rec(
+    name: str,
+    index: Optional[int],
+    value: Optional[int],
+    observed: Optional[int],
+    direction: str,
+) -> ReferenceRecord:
+    applicable = value is not None
+    if not applicable or observed is None:
+        return ReferenceRecord(name, index, value, applicable)
+    if direction == "upper":
+        return ReferenceRecord(
+            name, index, value, True, observed <= value, value - observed
+        )
+    if direction == "lower":
+        return ReferenceRecord(
+            name, index, value, True, observed >= value, observed - value
+        )
+    # equality
+    return ReferenceRecord(
+        name, index, value, True, observed == value, abs(observed - value)
+    )
+
+
+def build_report_reference(p, u, r) -> BoundReport:
+    """bounds._build_report as it was, one hand-written _rec per bound:
+    the reference the one-entry-per-bound report is checked against."""
+    records = []
+    for i in range(p.lam):
+        copied = u is not None and u[i] > p.n_initial[i]
+        records.append(
+            _rec(
+                "unchanged_upper_singleton",
+                i,
+                None if copied else unchanged_upper_singleton(p, i),
+                None if u is None else u[i],
+                "upper",
+            )
+        )
+        records.append(
+            _rec(
+                "unchanged_upper_dual",
+                i,
+                unchanged_upper_dual(p, i),
+                None if u is None else u[i],
+                "upper",
+            )
+        )
+        others_obs = None if u is None else sum(u) - u[i]
+        records.append(
+            _rec(
+                "unchanged_lower_complement",
+                i,
+                unchanged_lower_complement(p, i),
+                others_obs,
+                "lower",
+            )
+        )
+        delta_value = (
+            None if u is None else read_lower_delta(p, i, u[i])
+        )
+        records.append(
+            _rec(
+                "read_lower_delta",
+                i,
+                delta_value,
+                None if r is None else r[i],
+                "lower",
+            )
+        )
+        records.append(
+            _rec(
+                "read_lower_omega",
+                i,
+                read_lower_omega(p, i),
+                None if r is None else r[i],
+                "lower",
+            )
+        )
+    records.append(
+        _rec(
+            "unchanged_total_lower",
+            None,
+            unchanged_total_lower(p),
+            None if u is None else sum(u),
+            "lower",
+        )
+    )
+    pinch_applies = p.lam >= 2 and all(
+        unchanged_upper_dual(p, i) is not None for i in range(p.lam)
+    )
+    records.append(
+        _rec(
+            "unchanged_total_pinch",
+            None,
+            p.k_final if pinch_applies else None,
+            None if u is None else sum(u),
+            "equal",
+        )
+    )
+    return BoundReport(tuple(records))
+
+
+@st.composite
+def params_and_counts(draw):
+    """A valid ParamSet (lambda 1 to 4) and either no counts or counts u
+    (unchanged) and r (read) per code.  u_i may be 0 or exceed n_Ii, as
+    a final code with repeated coordinates allows (copied symbols)."""
+    lam = draw(st.integers(1, 4))
+    k_i = [draw(st.integers(1, 4)) for _ in range(lam)]
+    n_i = [k + draw(st.integers(0, 3)) for k in k_i]
+    k_f = sum(k_i)
+    n_f = k_f + draw(st.integers(0, 6))
+    p = ParamSet(n_i, k_i, n_f, k_f, draw(st.integers(1, n_f - k_f + 1)),
+                 draw(st.integers(1, k_f + 1)))
+    if draw(st.booleans()):
+        return p, None, None
+    u = tuple(draw(st.integers(0, n + 2)) for n in n_i)
+    r = tuple(draw(st.integers(0, k + 2)) for k in k_i)
+    return p, u, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(params_and_counts())
+def test_build_report_matches_reference(case):
+    p, u, r = case
+    report = bounds._build_report(p, u, r)
+    reference = build_report_reference(p, u, r)
+    assert report.to_records() == reference.to_records()
+    verdict = ("value", "applicable", "satisfied", "slack", "tight")
+    for rec, ref in zip(report.records, reference.records):
+        assert [getattr(rec, a) for a in verdict] == \
+            [getattr(ref, a) for a in verdict]
+
+
+def test_bound_record_rejects_unknown_sense():
+    with pytest.raises(BoundsError, match="sense"):
+        BoundRecord("unchanged_total_lower", None, 4, 4, "at_least")
 
 
 def test_paramset_validation():

@@ -265,6 +265,19 @@ def test_default_conversion_example(example_instance):
     assert report.access_cost == 5
 
 
+def test_default_conversion_reads_the_cached_echelon_form(
+    eliminations, example_instance
+):
+    # The Y rows are the final code's cached reduced rows: with every
+    # code's echelon form cached, no second rref of G_F runs.
+    inst = example_instance
+    for c in (*inst.initial_codes, inst.final_code):
+        first_information_set(c)
+    before = len(eliminations)
+    default_conversion(inst)
+    assert len(eliminations) == before
+
+
 def test_default_conversion_random_instances():
     rng = random.Random(21)
     for _ in range(25):
