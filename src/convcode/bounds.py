@@ -171,11 +171,15 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class BoundReport:
-    records: Tuple[BoundRecord, ...]
+    """The bound records; violations, those judged unsatisfied, is stored
+    once, as oracle sweeps read it for every candidate."""
 
-    @property
-    def violations(self) -> Tuple[BoundRecord, ...]:
-        return tuple(r for r in self.records if r.satisfied is False)
+    records: Tuple[BoundRecord, ...]
+    violations: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        bad = tuple(r for r in self.records if r.satisfied is False)
+        object.__setattr__(self, "violations", bad)
 
     def find(self, name: str, index: Optional[int] = None) -> BoundRecord:
         for r in self.records:

@@ -6,8 +6,8 @@ information sets, encoding, and decoding from a coordinate subset.
 Codes are immutable except for two lazily filled caches, the minimum
 distances and the reduced echelon form of the generator; each is
 filled idempotently on first use.  A code built by
-reedmuller.rm_code also carries a preset membership test, which
-contains uses instead of the echelon form.
+reedmuller.rm_code also carries its preset ANF domain, which contains
+tests membership by instead of the echelon form.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class LinearCode:
     filled idempotently: ``_d`` and ``_d_dual`` (the distances) and
     ``_echelon`` (pivots and reduced rows of the generator's RREF).
     ``_degree_test`` is None except on codes built by rm_code, which
-    preset it to a membership test (steps, high) (see contains).
+    preset it to the code's ANF domain (steps, low) (see contains).
     """
 
     __slots__ = (
@@ -438,8 +438,9 @@ def _inverse_on(c: LinearCode, s: Tuple[int, ...]) -> BitMatrix:
 def contains(c: LinearCode, x: BitVector) -> bool:
     """Membership of x in the code, by a preset test or re-encoding.
 
-    On a code with a preset test (steps, high) (RM(r, m) from rm_code),
-    x is a codeword iff gf2._moebius(x, steps) has no bit in high.
+    On a code with a preset ANF domain (steps, low) (RM(r, m) from
+    rm_code), x is a codeword iff b = gf2._moebius(x, steps) has no bit
+    outside low, the monomials of degree <= r.
 
     Otherwise a codeword is fixed by its symbols at the pivots of the
     reduced echelon generator, so x is a codeword iff it equals the XOR
@@ -449,8 +450,9 @@ def contains(c: LinearCode, x: BitVector) -> bool:
     if x.n != c.n:
         raise DimensionError("vector length must equal the block length")
     if c._degree_test is not None:
-        steps, high = c._degree_test
-        return not _moebius(x.mask, steps) & high
+        steps, low = c._degree_test
+        b = _moebius(x.mask, steps)
+        return b & low == b
     if c.is_zero:
         return x.mask == 0
     _, pivot_mask, rows = _echelon(c)

@@ -18,11 +18,12 @@ of both by rows (a merge is the chain of depth 1), and one memo holds
 one verified (instance, Y, report) triple per (r, m, depth).  Since
 every RM generator row is the Moebius transform of a unit word,
 verify_conversion takes G_I . Y on RM codes by row butterflies instead
-of a matrix product.  The Y of a merge or chain carries a preset map in
-the algebraic-normal-form (ANF) domain, which apply runs instead of
-vec_mat: it checks each input and converts it in the same Moebius
-transforms.  The cost model stays Y's, as classify_symbols reports it;
-on codewords the preset computes the same values as x . Y.
+of a matrix product.  The builder and apply both read each RM code's
+algebraic-normal-form (ANF) domain as rm_code presets it, (steps, low):
+apply runs the Y of a merge or chain as a map in that domain, checking
+and converting each input in the same Moebius transforms.  The cost
+model stays Y's, as classify_symbols reports it; on codewords the ANF
+map computes the same values as x . Y.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionError,
-    _combine,
+    _butterflies,
     _moebius,
     block_diag,
     mat_mul,
@@ -44,8 +45,7 @@ from .gf2 import (
     vec_mat,
 )
 from .codes import LinearCode, _echelon, contains, first_information_set
-from .reedmuller import (_check_bits, _check_m, _systematic_rows,
-                         _weight_masks, rm_code)
+from .reedmuller import _check_bits, _check_m, rm_code
 
 
 class ConversionError(ValueError):
@@ -99,8 +99,9 @@ class ConversionMatrix:
     """Matrix Y of a linear conversion, with initial block sizes: each
     at least 1, summing to Y's row count.
 
-    _anf is None except on the Y of an RM merge or chain, which presets
-    the map that apply_conversion runs on that instance (see _run_anf).
+    _anf is None except on the Y of an RM merge or chain, where it holds
+    the initial codes Y was built for: on an instance of those very
+    codes, apply_conversion runs the ANF map (see _run_anf).
     """
 
     y: BitMatrix
@@ -182,10 +183,10 @@ def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:
     Row-space equality, not literal matrix equality: a valid conversion
     may land on any generator choice of the final code.  With rank k_F,
     the rows span the final code iff each is a codeword, as contains
-    tests: by the final code's preset test if it has one (an RM code),
-    else against its cached echelon form.  The product is exact for any
-    Y, and takes row butterflies instead of mat_mul when every initial
-    code is an RM code (see _product).
+    tests: by the final code's preset ANF domain if it has one (an RM
+    code), else against its cached echelon form.  The product is exact
+    for any Y, and takes row butterflies instead of mat_mul when every
+    initial code is an RM code (see _product).
     """
     _check_shape(inst, y)
     product = _product(inst, y.y)
@@ -320,44 +321,32 @@ def _run_matrix(
     return vec_mat(_stack_codewords(codewords), y.y)
 
 
-def _anf_preset(inst: ConvertibleInstance) -> tuple:
-    """The ANF map of the RM merge or chain on inst, from its codes'
-    degree tests (see _run_anf): the codes, one (n, steps, high, keep,
-    shift) per leaf, and the final code's steps and length.  Computes no
-    transform: keep is the complement of a later leaf's high mask."""
-    first, *rest = inst.initial_codes
-    leaves = [(first.n, *first._degree_test, 0, 0)]
-    for c in rest:
-        steps, high = c._degree_test
-        leaves.append((c.n, steps, high, ((1 << c.n) - 1) ^ high, c.n))
-    final = inst.final_code
-    return inst.initial_codes, tuple(leaves), final._degree_test[0], final.n
-
-
-def _run_anf(anf: tuple, codewords: Sequence[BitVector]) -> BitVector:
+def _run_anf(
+    inst: ConvertibleInstance, codewords: Sequence[BitVector]
+) -> BitVector:
     """Check and convert the inputs of an RM merge or chain in the ANF
-    domain.
+    domain, read from each leaf's preset (steps, low).
 
     The merge of c1 in RM(r, m-1) and c2 in RM(r-1, m-1) outputs c1 on
     the left and c2 plus the degree-r part of c1's polynomial on the
     right, so the output's ANF is a = A(c1) on the left and
-    (A(c1) & keep) ^ A(c2) on the right, keep the points of weight
-    <= r-1 (A the Moebius transform).  A chain folds each later leaf in
-    the same way, and one transform of a over the final code's steps
-    gives the output.  Each A(x) is also the input's membership test,
-    raising ConversionError if it has a bit in the leaf's high mask: a
-    merge costs 3 transforms and a chain lambda + 1.
+    (A(c1) & low) ^ A(c2) on the right (A the Moebius transform, low
+    c2's code's).  A chain folds each later leaf in the same way, and
+    one transform of a over twice the last leaf's points gives the
+    output.  Each A(x) is also the input's membership test, raising
+    ConversionError if it has a bit outside its leaf's low: a merge
+    costs 3 transforms and a chain lambda + 1.
     """
-    _, leaves, steps, n_out = anf
-    a = 0
-    for x, (n, leaf_steps, high, keep, shift) in zip(codewords, leaves):
-        if x.n != n:
+    a = None
+    for c, x in zip(inst.initial_codes, codewords):
+        if x.n != c.n:
             raise DimensionError("vector length must equal the block length")
-        b = _moebius(x.mask, leaf_steps)
-        if b & high:
+        steps, low = c._degree_test
+        b = _moebius(x.mask, steps)
+        if b & low != b:
             raise ConversionError("input is not a codeword of its code")
-        a |= ((a & keep) ^ b) << shift
-    return BitVector(n_out, _moebius(a, steps))
+        a = b if a is None else a | ((a & low) ^ b) << c.n
+    return BitVector(2 * c.n, _moebius(a, _butterflies(c.n.bit_length())))
 
 
 def apply_conversion(
@@ -377,10 +366,9 @@ def apply_conversion(
     """
     if len(codewords) != inst.lam:
         raise ConversionError("need exactly one codeword per initial code")
-    anf = y._anf
-    # LinearCode compares by identity: the codes must be the preset's own.
-    if anf is not None and anf[0] == inst.initial_codes:
-        return _run_anf(anf, codewords)
+    # LinearCode compares by identity: the codes must be Y's own.
+    if y._anf == inst.initial_codes:
+        return _run_anf(inst, codewords)
     _check_shape(inst, y)
     for c, x in zip(inst.initial_codes, codewords):
         if not contains(c, x):
@@ -395,35 +383,42 @@ def _build_rm_merge(
     the merge RM(r, m-1) x RM(r-1, m-1) -> RM(r, m).
 
     The merge into RM(r, s) has Y = [[I, T], [0, B]] on h = 2^(s-1)
-    points.  With M the Moebius transform on h points, D_r the points of
-    weight r and e_p the unit word at p, row p of T is M(M(e_p) & D_r)
-    for p of weight <= r, else 0 (reedmuller._systematic_rows), so that
-    c1 . T = M(M(c1) & D_r).  B is I when reading the second code directly
-    is no dearer than decoding it; else its rows are the systematic ones
-    of that code on its weight-<=(r-1) points, the zero columns of T.
+    points, with c1 . T = M(M(c1) & D_r): M the Moebius transform on h
+    points and D_r the points of weight r.  B is I when reading the
+    second code directly is no dearer than decoding it; else its row at
+    p is M(M(e_p) & low), e_p the unit word at p, for p in low, the
+    leaf's points of weight <= r-1, else 0: the leaf's systematic rows
+    on low, the zero columns of T.
 
-    The rows start as the identity on the first leaf, RM(r, m-depth).
-    Each stage s = m-depth+1, ..., m multiplies them by its merge: a row
-    w becomes w | (w . T) << h, and w . T reads only w's bits at the
-    points of weight <= r.  Then B's rows, shifted by h, are appended
-    for the stage's leaf RM(r-1, s-1).  That is the product of the
-    per-stage merges lifted by identity blocks, without forming it.
+    M and every mask come from rm_code's presets (steps, low).  The rows
+    start as the identity on the first leaf, RM(r, m-depth), with low_r
+    its low.  Each stage s = m-depth+1, ..., m multiplies them by its
+    merge, a row w becoming w | M(M(w) & D_r) << h with D_r = low_r ^
+    low of the stage's leaf RM(r-1, s-1); appends B's rows, shifted by
+    h; and sets low_r |= low << h, the points of weight <= r on 2h.
+    That is the product of the per-stage merges lifted by identity
+    blocks, without forming it or any intermediate RM(r, s).
     """
     leaves = [rm_code(r, m - depth)]
     words = [1 << i for i in range(leaves[0].n)]
+    low_r = leaves[0]._degree_test[1]
     for s in range(m - depth + 1, m + 1):
         half = 1 << (s - 1)
-        leaves.append(rm_code(r - 1, s - 1))
-        low = _weight_masks(r, s - 1)[r]
-        t_rows = _systematic_rows(r, s - 1, low=r)
-        words = [w | _combine(w & low, t_rows) << half for w in words]
-        if half <= 2 * leaves[-1].k:
+        leaf = rm_code(r - 1, s - 1)
+        leaves.append(leaf)
+        steps, low = leaf._degree_test
+        d_r = low_r ^ low
+        words = [w | _moebius(_moebius(w, steps) & d_r, steps) << half
+                 for w in words]
+        if half <= 2 * leaf.k:
             words += [1 << (half + j) for j in range(half)]
         else:
-            words += [b << half for b in _systematic_rows(r - 1, s - 1)]
+            words += [_moebius(_moebius(1 << p, steps) & low, steps) << half
+                      if low >> p & 1 else 0 for p in range(half)]
+        low_r |= low << half
     inst = make_instance(leaves, rm_code(r, m))
     y = BitMatrix(words, 1 << m)
-    return inst, ConversionMatrix(y, inst.n_initial, _anf=_anf_preset(inst))
+    return inst, ConversionMatrix(y, inst.n_initial, _anf=inst.initial_codes)
 
 
 _RmTriple = Tuple[ConvertibleInstance, ConversionMatrix, CostReport]
@@ -457,8 +452,8 @@ def rm_merge_apply(
     """Run the Reed-Muller merge on one codeword of each initial code.
 
     One apply_conversion with the matrix emitted by rm_merge_procedure, so
-    it runs that matrix's preset ANF map: three Moebius transforms check
-    both inputs and give the output, equal to x . Y on codewords.  The
+    it runs that matrix's ANF map: three Moebius transforms check both
+    inputs and give the output, equal to x . Y on codewords.  The
     access costs are Y's, as classify_symbols reports them.  The matrix
     is built and verified on the first call per (r, m).
     """
@@ -474,7 +469,7 @@ def rm_merge_chain(r: int, m: int, depth: int) -> _RmTriple:
     RM(r-1, m-1) and final code RM(r, m).  Its conversion matrix equals
     the product of the per-stage merges lifted by identity blocks, but is
     built by rows, stage by stage, with no matrix product (see
-    _build_rm_merge).  Its preset ANF map runs every stage at once on
+    _build_rm_merge).  Its ANF map runs every stage at once on
     codewords, in lambda + 1 Moebius transforms (see _run_anf); the
     access costs are the matrix's, as classify_symbols reports them.
     The triple is built and classified (so verified) on the first call

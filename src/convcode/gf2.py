@@ -6,13 +6,14 @@ of the matrix width.  All values are immutable after construction, and
 every bit of a row word lies below the column count.
 
 Each kernel has one implementation.  _combine (XOR the rows picked by a
-mask) serves mat_mul, vec_mat, _eliminate, codes.contains,
-codes.sampled_min_weight and the oracle's particular solutions; _reduce
-(insert a row into a pivot-indexed basis) serves _eliminate and
-enumerate_invertible; _eliminate serves rank, rref, solve, inverse and
-the kernels, and reduces each row only by the pivots it hits, so sparse,
-nearly echelon matrices such as Reed-Muller generators reduce in a few
-list lookups per row.  The information-set inverse is codes._inverse_on.
+mask) serves mat_mul, vec_mat, _eliminate, codes.contains off the RM
+preset, codes' distance scan and sampled_min_weight, and the oracle's
+syndromes; _reduce (insert a row into a pivot-indexed basis) serves
+_eliminate, enumerate_invertible and the oracle's stage 1; _eliminate
+serves rank, rref, solve, inverse and the kernels, and reduces each row
+only by the pivots it hits, so sparse, nearly echelon matrices such as
+Reed-Muller generators reduce in a few list lookups per row.  The
+information-set inverse is codes._inverse_on.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Builds the square-free monomial basis, the plain and row-transformed
 generator matrices, and the Plotkin sum.  One map, the Moebius
 transform M between evaluations and algebraic-normal-form (ANF)
 coefficients (gf2._moebius over gf2._butterflies), gives the generator
-rows, the membership test of RM(r, m) and the rows of the merge matrix.
+rows, and rm_code presets each code's ANF domain (the transform's steps
+and the mask of degree-<=r monomials), which the membership test, the
+merge matrix's rows and the merge's ANF apply all read.
 
 Conventions: evaluation points are listed in lexicographic order (point
 j is the big-endian binary expansion of j) and variable X_1 is the most
@@ -104,38 +106,21 @@ def _weight_masks(r: int, m: int) -> List[int]:
     return at_most
 
 
-def _systematic_rows(r: int, m: int, low: int = 0) -> List[int]:
-    """Rows, by point, of the systematic generator of RM(r, m) on its
-    weight-<=r points, cut to their ANF terms of degree >= low.
-
-    The row of p is 1 at p and 0 at the other weight-<=r points, so its
-    ANF coefficient at S, the XOR of its values at the points inside S,
-    is [p inside S] for |S| <= r, and 0 above.  M(e_p) is the mask of
-    the points containing p, so the row is M(M(e_p) & K), K the points
-    of weight low..r; rows of heavier points are 0.
-    """
-    steps = _butterflies(m)
-    at_most = _weight_masks(r, m)
-    keep = at_most[r] ^ (at_most[low - 1] if low else 0)
-    rows = [0] * (1 << m)
-    for p in low_weight_positions(r, m):
-        rows[p] = _moebius(_moebius(1 << p, steps) & keep, steps)
-    return rows
-
-
 def rm_code(r: int, m: int) -> LinearCode:
     """RM(r, m), built once per (r, m), with its exact distances preset:
     d = 2^(m-r) and, for r < m, d_dual = 2^(r+1) (the dual is RM(m-r-1, m)),
-    and with the membership test (steps, high) of codes.contains: no ANF
-    coefficient at high, the points of weight > r (monomials of degree > r)."""
+    and with its ANF domain preset as _degree_test = (steps, low): steps
+    the Moebius transform's (gf2._butterflies(m)) and low the points of
+    weight <= r, the monomials of degree <= r.  A word is a codeword iff
+    its ANF has no bit outside low (codes.contains), and the RM merge
+    and its ANF apply read the same preset (conversion)."""
     key = (r, m)
     if key not in _RM_CODES:
         code = from_generator(rm_generator(r, m))
         code._d = 1 << (m - r)
         if r < m:
             code._d_dual = 1 << (r + 1)
-        high = ((1 << code.n) - 1) ^ _weight_masks(r, m)[r]
-        code._degree_test = (_butterflies(m), high)
+        code._degree_test = (_butterflies(m), _weight_masks(r, m)[r])
         _RM_CODES[key] = code
     return _RM_CODES[key]
 

@@ -227,6 +227,8 @@ def test_paramset_validation():
         ParamSet((3, 3), (2, 2), 5, 4, 2, -3)    # d_F_dual < 1
     with pytest.raises(BoundsError):
         ParamSet((3, 3), (2, 2), 5, 4, 2, 6)     # dual Singleton: k_F + 1
+    with pytest.raises(BoundsError, match="k_F <= n_F"):
+        ParamSet((3, 3), (2, 2), 3, 4, 1, 1)     # k_F > n_F
     # Both Singleton limits are attained: the [5,4] parity code.
     p = ParamSet((3, 3), (2, 2), 5, 4, 2, 5)
     assert (p.d_final, p.d_final_dual) == (2, 5)
@@ -372,6 +374,29 @@ def test_audit_rejects_mismatched_report():
     p, costs = rm_params(2, 4)
     with pytest.raises(BoundsError):
         audit(example_params(), costs)
+    # Three codes' counts against the two-code parameter set.
+    costs = CostReport(
+        (frozenset({0, 1}), frozenset({2}), frozenset({3})),
+        frozenset({4}),
+        (frozenset(), frozenset(), frozenset()),
+    )
+    with pytest.raises(BoundsError, match="lambda"):
+        audit(example_params(), costs)
+
+
+def test_violations_are_stored_once():
+    # A wasteful report: |U| = 2 against the pinch's 4, so floors fail.
+    costs = CostReport(
+        (frozenset({0}), frozenset({1})),
+        frozenset({2, 3, 4}),
+        (frozenset({0, 1}), frozenset({0, 1})),
+    )
+    report = audit(example_params(), costs)
+    first = report.violations
+    assert first
+    assert report.violations is first
+    assert first == tuple(r for r in report.records if r.satisfied is False)
+    assert not evaluate_bounds(example_params()).violations
 
 
 def test_to_records_one_indexed():

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from convcode import cli
+from convcode import bounds, cli
+from convcode.bounds import BoundRecord, BoundReport, audit
 from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
@@ -206,6 +207,41 @@ def test_bounds_rejects_bad_params(capsys):
     assert "d_F" in capsys.readouterr().err
 
 
+def test_bounds_bad_integer_list_exits_2(capsys):
+    assert main(
+        ["bounds", "--nI", "3,x", "--kI", "2,2", "--nF", "5",
+         "--kF", "4", "--dF", "2", "--dFdual", "5"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad integer list: '3,x'" in captured.err
+
+
+def violating_audit(p, costs):
+    """An audit that adds one violated record: the read count of code 1
+    against a floor one above it."""
+    reads = costs.read_counts[0]
+    bad = BoundRecord("read_lower_omega", 0, reads + 1, reads, "lower")
+    return BoundReport(audit(p, costs).records + (bad,))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["merge", "--r", "2", "--m", "4"],
+    ["report", "--m-min", "4", "--m-max", "5"],
+])
+def test_violated_bound_exits_1(monkeypatch, capsys, argv, fmt):
+    monkeypatch.setattr(bounds, "audit", violating_audit)
+    assert main(argv + ["--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert "VIOLATED" in out
+    else:
+        recs = json.loads(out)
+        recs = recs if isinstance(recs, list) else [recs]
+        assert all(r["bounds"][-1]["satisfied"] is False for r in recs)
+
+
 def test_oracle_example(example_files, tmp_path, capsys):
     gi, gf, _ = example_files
     y_out = tmp_path / "best.txt"
@@ -347,6 +383,20 @@ def test_apply_y_width_not_n_f_exits_2(example_files, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "width must be n_F" in captured.err
+
+
+@pytest.mark.parametrize("text", ["2 3\n101\n011\n", "1 4\n1011\n"])
+def test_apply_input_not_one_row_of_n_i_exits_2(example_files, tmp_path,
+                                                capsys, text):
+    _, _, y = example_files
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text(text)
+    x2.write_text("1 3\n110\n")
+    assert main(["apply", "--y", str(y), "--inputs", f"{x1},{x2}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a 1x3 matrix" in captured.err
 
 
 def test_apply_block_below_1_exits_2(example_files, tmp_path, capsys):

@@ -13,6 +13,7 @@ from convcode.codes import (
     from_generator,
     random_code,
     systematic_generator,
+    zero_code,
 )
 from convcode.conversion import (
     ConversionError,
@@ -61,6 +62,10 @@ def test_make_instance_checks_dimension_sum(example_codes):
     c1, c2, cf = example_codes
     with pytest.raises(ConversionError):
         make_instance([c1], cf)
+    with pytest.raises(ConversionError, match="at least one"):
+        make_instance([], cf)
+    with pytest.raises(ConversionError, match="dimension >= 1"):
+        make_instance([zero_code(3), c1, c2], cf)
     inst = make_instance([c1, c2], cf)
     assert inst.lam == 2
     assert inst.n_initial == (3, 3)
@@ -707,9 +712,9 @@ def test_anf_apply_matches_plan_on_rm_merges_and_chains(monkeypatch):
     fused = []
     run_anf = conversion._run_anf
 
-    def counting(anf, codewords):
+    def counting(inst, codewords):
         fused.append(1)
-        return run_anf(anf, codewords)
+        return run_anf(inst, codewords)
 
     monkeypatch.setattr(conversion, "_run_anf", counting)
 
@@ -842,7 +847,7 @@ def test_rm_chain_by_rows_matches_composed_product():
         assert inst.initial_codes == tuple(leaves)
         assert inst.final_code is rm_code(r, m)
         assert y.blocks == inst.n_initial
-        assert y._anf == conversion._anf_preset(inst)
+        assert y._anf is inst.initial_codes
 
 
 def test_rm_product_matches_mat_mul_on_rm_merges_and_chains(monkeypatch):

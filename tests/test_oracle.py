@@ -346,6 +346,27 @@ def test_size_guards(example_instance):
         min_access_cost(example_instance, SearchLimits(max_kernel_dim=1))
 
 
+def test_candidate_cap_refuses_before_building(monkeypatch):
+    # A [3,2] and a [4,3] code into an [8,5] code pass every shape cap
+    # (k_F = 5, kernel dim 2, n_F = 8) but have 2^16 |GL(5, 2)|
+    # candidates: refused before the coset table is built.
+    inst = make_instance(
+        [from_generator(BitMatrix([0b101, 0b110], 3)),
+         from_generator(BitMatrix([0b1001, 0b1010, 0b1100], 4))],
+        from_generator(BitMatrix([(1 << i) | 0xE0 for i in range(5)], 8)),
+    )
+    assert candidate_count(inst) == 655_318_056_960 > oracle.MAX_CANDIDATES
+
+    def unbuilt(*args):
+        raise AssertionError("the candidate space was built")
+
+    monkeypatch.setattr(oracle, "_transpose_words", unbuilt)
+    with pytest.raises(SizeGuardError, match="candidates"):
+        min_access_cost(inst)
+    with pytest.raises(SizeGuardError, match="candidates"):
+        next(enumerate_conversions(inst))
+
+
 def test_time_budget(example_instance):
     with pytest.raises(SizeGuardError):
         min_access_cost(example_instance, SearchLimits(time_budget=0.0))

@@ -11,7 +11,7 @@ from convcode.codes import (
     min_distance,
     same_code,
 )
-from convcode import reedmuller
+from convcode import conversion, reedmuller
 from convcode.gf2 import BitMatrix, SizeGuardError, rank
 from convcode.reedmuller import (
     evaluate_monomial,
@@ -85,13 +85,16 @@ def test_rm_builders_refuse_past_bit_budget(monkeypatch):
             builder(10, 20)
 
 
-def test_systematic_rows_build_no_code():
-    # The merge matrix's rows come from the transform alone: building
-    # them builds no RM code (no generator, no rank).
+@pytest.mark.parametrize("r,m,depth", [(4, 9, 1), (3, 9, 2), (2, 7, 2)])
+def test_rm_merge_builds_only_its_own_codes(r, m, depth):
+    # The merge matrix's rows come from the leaves' preset ANF domains
+    # alone: building them builds the instance's codes and no
+    # intermediate RM(r, s).
     assert reedmuller._RM_CODES == {}
-    rows = reedmuller._systematic_rows(4, 9, low=4)
-    assert len(rows) == 1 << 9
-    assert reedmuller._RM_CODES == {}
+    inst, _ = conversion._build_rm_merge(r, m, depth)
+    built = {*inst.initial_codes, inst.final_code}
+    assert len(built) == depth + 2
+    assert set(reedmuller._RM_CODES.values()) == built
 
 
 def test_monomial_order_degree_then_lex():
