@@ -9,8 +9,9 @@ inherited unchanged from an initial symbol; heavier columns mark new
 symbols, and their support rows are the symbols that must be read.
 
 classify_symbols splits Y's columns into weight 1 and weight >= 2 in
-one walk over Y's rows.  apply checks the inputs and computes x . Y on
-the stacked input with gf2.vec_mat, for any Y.
+one walk over Y's rows, and returns the one shared report of that
+classification from a bounded cache.  apply checks the inputs and
+computes x . Y on the stacked input with gf2.vec_mat, for any Y.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
 -> RM(r, m) and its recursive multi-code chain.  One builder makes the Y
@@ -54,34 +55,32 @@ class ConversionError(ValueError):
 
 @dataclass(frozen=True)
 class ConvertibleInstance:
-    """Initial codes plus a final code with matching total dimension."""
+    """Initial codes plus a final code with matching total dimension.
+
+    Its shape (n_initial, k_initial, n_final, k_final and
+    total_initial_length) is stored once, when it is built, as the oracle
+    reads it for every candidate and apply for every codeword."""
 
     initial_codes: Tuple[LinearCode, ...]
     final_code: LinearCode
+    n_initial: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    k_initial: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    n_final: int = field(init=False, compare=False, repr=False)
+    k_final: int = field(init=False, compare=False, repr=False)
+    total_initial_length: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = tuple(c.n for c in self.initial_codes)
+        k = tuple(c.k for c in self.initial_codes)
+        for name, value in (("n_initial", n), ("k_initial", k),
+                            ("n_final", self.final_code.n),
+                            ("k_final", self.final_code.k),
+                            ("total_initial_length", sum(n))):
+            object.__setattr__(self, name, value)
 
     @property
     def lam(self) -> int:
         return len(self.initial_codes)
-
-    @property
-    def n_initial(self) -> Tuple[int, ...]:
-        return tuple(c.n for c in self.initial_codes)
-
-    @property
-    def k_initial(self) -> Tuple[int, ...]:
-        return tuple(c.k for c in self.initial_codes)
-
-    @property
-    def n_final(self) -> int:
-        return self.final_code.n
-
-    @property
-    def k_final(self) -> int:
-        return self.final_code.k
-
-    @property
-    def total_initial_length(self) -> int:
-        return sum(self.n_initial)
 
     def block_starts(self) -> Tuple[int, ...]:
         starts = [0]
@@ -101,7 +100,8 @@ class ConversionMatrix:
 
     _anf is None except on the Y of an RM merge or chain, where it holds
     the initial codes Y was built for: on an instance of those very
-    codes, apply_conversion runs the ANF map (see _run_anf).
+    codes and a final code as wide as Y, apply_conversion runs the ANF
+    map (see _run_anf).
     """
 
     y: BitMatrix
@@ -121,35 +121,32 @@ class CostReport:
 
     unchanged_per_code[i] holds FINAL coordinates inherited from code i;
     read_per_code[i] holds LOCAL coordinates of code i that are read.
+    The counts and costs are stored once, when it is built, as oracle
+    sweeps read them for every candidate; equality, hashing and repr see
+    only the three sets.
     """
 
     unchanged_per_code: Tuple[frozenset, ...]
     new_symbols: frozenset
     read_per_code: Tuple[frozenset, ...]
+    unchanged_counts: Tuple[int, ...] = field(init=False, compare=False,
+                                              repr=False)
+    unchanged_total: int = field(init=False, compare=False, repr=False)
+    write_cost: int = field(init=False, compare=False, repr=False)
+    read_counts: Tuple[int, ...] = field(init=False, compare=False,
+                                         repr=False)
+    read_cost: int = field(init=False, compare=False, repr=False)
+    access_cost: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def unchanged_counts(self) -> Tuple[int, ...]:
-        return tuple(len(u) for u in self.unchanged_per_code)
-
-    @property
-    def unchanged_total(self) -> int:
-        return sum(self.unchanged_counts)
-
-    @property
-    def write_cost(self) -> int:
-        return len(self.new_symbols)
-
-    @property
-    def read_counts(self) -> Tuple[int, ...]:
-        return tuple(len(r) for r in self.read_per_code)
-
-    @property
-    def read_cost(self) -> int:
-        return sum(self.read_counts)
-
-    @property
-    def access_cost(self) -> int:
-        return self.read_cost + self.write_cost
+    def __post_init__(self):
+        u = tuple(map(len, self.unchanged_per_code))
+        r = tuple(map(len, self.read_per_code))
+        w = len(self.new_symbols)
+        for name, value in (("unchanged_counts", u),
+                            ("unchanged_total", sum(u)), ("write_cost", w),
+                            ("read_counts", r), ("read_cost", sum(r)),
+                            ("access_cost", sum(r) + w)):
+            object.__setattr__(self, name, value)
 
     def to_record(self) -> dict:
         return {
@@ -245,12 +242,6 @@ def classify_symbols(
     return _classify_rows(inst, y.y.row_words)
 
 
-@lru_cache(maxsize=256)
-def _bit_set(mask: int) -> frozenset:
-    """Positions of the set bits of mask (shared: reports repeat masks)."""
-    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
-
-
 def _classify_rows(
     inst: ConvertibleInstance, rows: Sequence[int]
 ) -> CostReport:
@@ -260,25 +251,47 @@ def _classify_rows(
     valid conversion matrix for inst.  One pass over the rows splits the
     columns into single (weight 1: unchanged) and multi (weight >= 2:
     new).  A code's unchanged coordinates are the single columns its rows
-    meet; its reads are its rows meeting multi.
+    meet; its reads are its rows meeting multi.  Those masks determine
+    the report, which comes shared from _report.
     """
     once = multi = 0
     for w in rows:
         multi |= once & w
         once |= w
     single = once & ~multi
-    unchanged, reads = [], []
+    kept, reads = [], []
     words = iter(rows)
     for n in inst.n_initial:
-        kept = read = 0
+        keep = read = 0
         for local, w in enumerate(islice(words, n)):
-            kept |= w
+            keep |= w
             if w & multi:
                 read |= 1 << local
-        unchanged.append(_bit_set(kept & single))
-        reads.append(_bit_set(read))
-    new = _bit_set(~single & ((1 << inst.n_final) - 1))
-    return CostReport(tuple(unchanged), new, tuple(reads))
+        kept.append(keep & single)
+        reads.append(read)
+    return _report(inst.n_final, tuple(kept), tuple(reads))
+
+
+def _bit_set(mask: int) -> frozenset:
+    """Positions of the set bits of mask."""
+    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+
+
+# Bounded: an oracle sweep meets a few thousand classifications, and over
+# 90% of its candidates hit the 512 held.
+@lru_cache(maxsize=512)
+def _report(
+    n_final: int, kept: Tuple[int, ...], reads: Tuple[int, ...]
+) -> CostReport:
+    """The one shared, immutable report of a classification, given per
+    initial code its kept (weight-1) columns and its read rows as masks.
+    Every weight-1 column is kept by the one code its row is in, so every
+    other of the n_final columns is new."""
+    new = (1 << n_final) - 1
+    for mask in kept:
+        new &= ~mask
+    return CostReport(tuple(map(_bit_set, kept)), _bit_set(new),
+                      tuple(map(_bit_set, reads)))
 
 
 def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:
@@ -358,16 +371,18 @@ def apply_conversion(
 
     Each input is checked to be a codeword of its initial code, and a
     non-codeword raises ConversionError.  On the Y of an RM merge or
-    chain, applied to an instance of the very codes it was built from,
-    the check and the conversion are one ANF map (_run_anf).  Any other
-    Y or instance must have inst's shape (else DimensionError), and
-    after the checks runs vec_mat (_run_matrix).  Both give x . Y on
-    codewords; the access costs are Y's, as classify_symbols reports them.
+    chain, applied to an instance of the very codes it was built from
+    and a final code as wide as Y, the check and the conversion are one
+    ANF map (_run_anf).  Any other Y or instance must have inst's shape
+    (else DimensionError), and after the checks runs vec_mat
+    (_run_matrix).  Both give x . Y on codewords; the access costs are
+    Y's, as classify_symbols reports them.
     """
     if len(codewords) != inst.lam:
         raise ConversionError("need exactly one codeword per initial code")
-    # LinearCode compares by identity: the codes must be Y's own.
-    if y._anf == inst.initial_codes:
+    # LinearCode compares by identity: the codes must be Y's own, and the
+    # final code as wide as Y, else the generic path's shape check raises.
+    if y._anf == inst.initial_codes and y.y.cols == inst.n_final:
         return _run_anf(inst, codewords)
     _check_shape(inst, y)
     for c, x in zip(inst.initial_codes, codewords):

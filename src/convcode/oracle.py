@@ -104,20 +104,27 @@ class _Space(NamedTuple):
     cosets: List[List[int]]  # per syndrome v in [0, 2^k_F)
     forced: List[bool]  # cosets[v] has no weight-1 member
     least: List[int]  # least member weight of cosets[v]
+    # spread[y]: bit i of y moved to bit i * n_F, so the OR of
+    # spread[column j] << j over Y's columns packs Y's row i into bits
+    # [i * n_F, (i + 1) * n_F).
+    spread: List[int]
 
 
 def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     """Check the limits, then build the walk's candidate space.
 
     syn[y] = G_I . y for every y in [0, 2^N), doubled over G_I's columns
-    at one XOR each; every y then joins the bucket of its syndrome.  G_I
-    has full row rank, so no bucket is empty.
+    at one XOR each, and spread[y] beside it at one OR each; every y then
+    joins the bucket of its syndrome.  G_I has full row rank, so no
+    bucket is empty.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
-    syn = [0]
+    syn, spread, bit = [0], [0], 1
     for col in _transpose_words(g_stack.row_words, g_stack.cols):
         syn += [s ^ col for s in syn]
+        spread += [s | bit for s in spread]
+        bit <<= inst.n_final
     cosets: List[List[int]] = [[] for _ in range(1 << inst.k_final)]
     for y, v in enumerate(syn):
         cosets[v].append(y)
@@ -125,22 +132,23 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
-    return _Space(deadline, cosets,
-                  [1 not in w for w in weights], [min(w) for w in weights])
+    return _Space(deadline, cosets, [1 not in w for w in weights],
+                  [min(w) for w in weights], spread)
 
 
 def _walk(
-    inst: ConvertibleInstance, lim: SearchLimits
+    inst: ConvertibleInstance, space: _Space
 ) -> Generator[Tuple[int, int, List[int]], Optional[int], None]:
-    """The module's walk of inst's candidate space, after the limits are
-    checked; the deadline is checked at each pick and each coset member.
+    """The module's walk of inst's candidate space, built (so the limits
+    checked) by _search_space; the deadline is checked at each pick and
+    each coset member.
 
     Yields (writes, reads, columns) for each Y not cut: its columns as
     masks (one list, overwritten as the walk goes on), how many do not
     have weight 1, and their OR.  The incumbent cost is the value sent
     back: None, as next sends, cuts nothing.
     """
-    deadline, table, forced, least = _search_space(inst, lim)
+    deadline, table, forced, least, _ = space
     k, n_final = inst.k_final, inst.n_final
     pivots, _, reduced = _echelon(inst.final_code)
     # Column j of N . rref(G_F) is the XOR of N's columns over support[j].
@@ -231,14 +239,20 @@ def enumerate_conversions(
     each column's coset members in ascending order, the last column
     fastest; each Y appears exactly once.  Each coset member has its
     column's syndrome by the table's construction and M is invertible, so
-    every Y passes verify_conversion without a check; its rows go straight
-    to classify_symbols' classifier.  A time budget in lim is checked at
+    every Y passes verify_conversion without a check; its rows, packed
+    from the spread table in one pass over its columns, go straight to
+    classify_symbols' classifier.  A time budget in lim is checked at
     every pick and every coset member.
     """
-    total_rows, blocks = inst.total_initial_length, inst.n_initial
-    for _, _, columns in _walk(inst, lim):
-        # Members lie below 2^N, so from_columns' masking is skipped (7%).
-        y = BitMatrix(_transpose_words(columns, total_rows), inst.n_final)
+    space = _search_space(inst, lim)
+    spread, blocks, n_final = space.spread, inst.n_initial, inst.n_final
+    shifts = range(0, inst.total_initial_length * n_final, n_final)
+    mask = (1 << n_final) - 1
+    for _, _, columns in _walk(inst, space):
+        packed = 0
+        for j, c in enumerate(columns):
+            packed |= spread[c] << j
+        y = BitMatrix([packed >> s & mask for s in shifts], n_final)
         yield ConversionMatrix(y, blocks), _classify_rows(inst, y.row_words)
 
 
@@ -255,7 +269,7 @@ def min_access_cost(
     checked at every pick and every coset member.
     """
     total_rows = inst.total_initial_length
-    walk = _walk(inst, lim)
+    walk = _walk(inst, _search_space(inst, lim))
     best_key, best_cols = None, []
     try:
         writes, reads, columns = next(walk)

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import pytest
@@ -382,6 +382,39 @@ def test_audit_rejects_mismatched_report():
     )
     with pytest.raises(BoundsError, match="lambda"):
         audit(example_params(), costs)
+
+
+@pytest.mark.parametrize("sets", [
+    ((frozenset({0, 1}), frozenset({2, 3})), frozenset({4}),
+     (frozenset({2}), frozenset({2}))),
+    ((frozenset({0}), frozenset({1})), frozenset({2, 3, 4}),
+     (frozenset({0, 1}), frozenset({0, 1}))),
+    ((frozenset({0, 1, 2}), frozenset({3, 4})), frozenset(),
+     (frozenset(), frozenset())),
+])
+def test_report_counts_are_stored_from_its_sets(sets):
+    unchanged, new, reads = sets
+    costs = CostReport(*sets)
+    u, r = tuple(map(len, unchanged)), tuple(map(len, reads))
+    assert (costs.unchanged_counts, costs.read_counts) == (u, r)
+    assert costs.unchanged_total == sum(u)
+    assert costs.write_cost == len(new)
+    assert costs.read_cost == sum(r)
+    assert costs.access_cost == sum(r) + len(new)
+    # Equality, hashing and repr see only the three sets.
+    stored = [f for f in fields(CostReport) if not f.init]
+    assert {f.name for f in stored} == {
+        "unchanged_counts", "unchanged_total", "write_cost", "read_counts",
+        "read_cost", "access_cost"}
+    assert not any(f.compare or f.repr for f in stored)
+    twin = CostReport(*sets)
+    object.__setattr__(twin, "access_cost", -1)
+    assert twin == costs and hash(twin) == hash(costs)
+    assert repr(twin) == (f"CostReport(unchanged_per_code={unchanged!r}, "
+                          f"new_symbols={new!r}, read_per_code={reads!r})")
+    # audit gets the records it got when it counted the sets on each read.
+    p = example_params()
+    assert audit(p, costs) == bounds._build_report(p, u, r)
 
 
 def test_violations_are_stored_once():

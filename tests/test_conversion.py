@@ -182,6 +182,42 @@ def test_enumerated_reports_match_old_classification(inst):
     assert count > 0
 
 
+def test_shared_reports_match_column_reference_on_rm_merges_and_chains():
+    # Each memoised report came through the classifier's cache; the column
+    # reference rebuilds it from Y's columns, and classifying again returns
+    # the very report the memo holds.
+    cases = [rm_merge_procedure(r, m) for m in range(2, 9) for r in range(1, m)]
+    cases += [rm_merge_chain(r, m, depth)
+              for m in range(2, 8) for depth in range(1, m)
+              for r in range(depth, m - depth + 1)]
+    assert len(cases) == 28 + 34
+    for inst, y, report in cases:
+        assert report_sets(report) == classify_by_owner(inst, y)
+        assert classify_symbols(inst, y) is report
+
+
+def test_equal_masks_of_another_width_get_their_own_report():
+    # Two [1, 1] codes into the [3, 2] parity code, and into the same code
+    # with a zero column 3: the Y with rows 101 and 011 has the same
+    # single, kept and read masks in both, but the wider code has one more
+    # new symbol, so the report cache must key on n_F as well.
+    reports = []
+    for n_final in (3, 4):
+        inst = make_instance(
+            [from_generator(BitMatrix([1], 1)) for _ in range(2)],
+            from_generator(BitMatrix([0b101, 0b110], n_final)),
+        )
+        stream = {}
+        for y, report in enumerate_conversions(inst):
+            assert report_sets(report) == classify_by_owner(inst, y)
+            stream[y.y.row_words] = report
+        reports.append(stream[(0b101, 0b110)])
+    narrow, wide = reports
+    assert narrow.unchanged_per_code == wide.unchanged_per_code
+    assert narrow.read_per_code == wide.read_per_code
+    assert (narrow.new_symbols, wide.new_symbols) == ({2}, {2, 3})
+
+
 def perturbed_default(inst, data):
     """default_conversion with right-kernel vectors added to its columns
     (still valid) and optionally one flip outside the kernel, which
@@ -422,6 +458,22 @@ def test_apply_conversion_checks_y_shape(example_instance, example_y):
             verify_conversion(example_instance, y)
         with pytest.raises(DimensionError):
             apply_conversion(example_instance, y, words)
+
+
+def test_anf_apply_needs_a_final_code_as_wide_as_y():
+    # The (1, 3) merge's Y on its own initial codes, but with a final code
+    # of 4 symbols where Y writes 8: the width check of the generic path
+    # refuses it, as it refuses the same matrix without its ANF map.
+    inst, y, _ = rm_merge_procedure(1, 3)
+    narrow = make_instance(inst.initial_codes, rm_code(2, 2))
+    words = random_codewords(inst, random.Random(3))
+    plain = ConversionMatrix(y.y, y.blocks)
+    for matrix in (y, plain):
+        with pytest.raises(DimensionError, match="width"):
+            apply_conversion(narrow, matrix, words)
+    assert apply_conversion(inst, y, words) == vec_mat(
+        _stack_codewords(words), y.y
+    )
 
 
 @pytest.mark.parametrize("blocks", [(0, 6), (-1, 7), (6, 0)])

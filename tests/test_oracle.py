@@ -2,9 +2,9 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from convcode import oracle
+from convcode import conversion, oracle
 from convcode.codes import from_generator, random_code
 from convcode.conversion import (
     ConversionMatrix,
@@ -41,6 +41,20 @@ def tiny_instance():
     rep2 = from_generator(BitMatrix.from_rows([[1, 1]]))
     final = from_generator(BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
     return make_instance([rep, rep2], final)
+
+
+def wide_instance():
+    # Two [1,1] codes merged into a [12,2] code: 6 candidates whose rows
+    # are wider than one byte, past the default n_F cap of 8.
+    one = from_generator(BitMatrix([1], 1))
+    one2 = from_generator(BitMatrix([1], 1))
+    final = from_generator(BitMatrix([0b010110101001, 0b001101101100], 12))
+    inst = make_instance([one, one2], final)
+    assert candidate_count(inst) == 6
+    return inst
+
+
+WIDE = SearchLimits(max_n_final=16)
 
 
 def brute_force_valid(inst):
@@ -461,13 +475,41 @@ def test_enumerate_yields_verified_conversions(inst):
 
 @settings(max_examples=100, deadline=None)
 @given(small_instances())
+@example(wide_instance())
 def test_enumerate_permutes_reference_stream(inst):
     # The same conversions with the same reports as the reference walk,
     # each once, in stage 1's order of M instead of enumerate_invertible's.
-    stream = [(y.y.row_words, r) for y, r in enumerate_conversions(inst)]
+    stream = [(y.y.row_words, r) for y, r in enumerate_conversions(inst, WIDE)]
     reference = dict((y.y.row_words, r) for y, r in reference_conversions(inst))
     assert len(stream) == len(reference) == candidate_count(inst)
     assert dict(stream) == reference
+
+
+@pytest.mark.parametrize("make,distinct", [(tiny_instance, 43),
+                                           (wide_instance, 6)])
+def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
+    # Y's rows come from the spread table built with the coset table, so
+    # the uncut stream transposes only in set-up (G_I's columns and the
+    # final code's supports), and its reports come from one cache: one
+    # CostReport per distinct classification, shared by every Y with it.
+    inst = make()
+    transposes, built = [], []
+    transpose, report = oracle._transpose_words, conversion.CostReport
+    monkeypatch.setattr(oracle, "_transpose_words",
+                        lambda words, width: transposes.append(1)
+                        or transpose(words, width))
+    monkeypatch.setattr(conversion, "CostReport",
+                        lambda *sets: built.append(1) or report(*sets))
+    conversion._report.cache_clear()
+    stream = enumerate_conversions(inst, WIDE)
+    reports = [next(stream)[1]]
+    assert len(transposes) == 2
+    reports += [r for _, r in stream]
+    assert len(transposes) == 2
+    assert len(reports) == candidate_count(inst)
+    shared = {}
+    assert all(shared.setdefault(r, r) is r for r in reports)
+    assert len(built) == len(shared) == distinct
 
 
 def test_enumerate_eliminates_only_in_set_up(eliminations):
