@@ -36,7 +36,12 @@ from .conversion import (
 )
 from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError
 from .oracle import SearchLimits, min_access_cost
-from .reedmuller import rm_generator, rm_transformed_generator
+from .reedmuller import (
+    _check_bits,
+    _check_m,
+    rm_generator,
+    rm_transformed_generator,
+)
 
 OK, FAIL, USAGE = 0, 1, 2
 DISTANCE_K_LIMIT = DEFAULT_K_LIMIT
@@ -248,6 +253,10 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     if args.m_min > args.m_max:
         raise CliError("empty range: --m-min must be <= --m-max")
+    if args.m_max >= 4:
+        # The merge's guard is monotone in m: refuse before building any.
+        _check_m(args.m_max)
+        _check_bits(1 << args.m_max, args.m_max)
     records = []
     for m in range(args.m_min, args.m_max + 1):
         if m < 4:

@@ -10,12 +10,16 @@ access cost found here a true optimum.
 _search_space, the one builder of that space, buckets every y by its
 syndrome once per instance (the coset of that syndrome), with whether
 each coset is forced (it has no weight-1 member, so the column must be
-written) and its least member weight.
+written) and its least member weight, and spreads every y into the
+column slot of Y's packed rows.
 
 _walk, the one walk of that space, goes depth first in two stages.  It
 cuts only where even the cheapest completion costs strictly more than an
 incumbent: min_access_cost lowers one as it goes, enumerate_conversions
-has none.
+has none.  It packs Y's rows from the spread table as it descends, so
+each leaf is three ints, and _unpack, the one builder of Y, turns a leaf
+into the ConversionMatrix either entry point returns; nothing is
+transposed per candidate.
 
 1. rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
    with N = M . A^-1 ranging over GL(k_F, 2) as M does.  N's columns v_t,
@@ -106,7 +110,7 @@ class _Space(NamedTuple):
     least: List[int]  # least member weight of cosets[v]
     # spread[y]: bit i of y moved to bit i * n_F, so the OR of
     # spread[column j] << j over Y's columns packs Y's row i into bits
-    # [i * n_F, (i + 1) * n_F).
+    # [i * n_F, (i + 1) * n_F); _walk ORs in one column per level.
     spread: List[int]
 
 
@@ -138,17 +142,17 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
 
 def _walk(
     inst: ConvertibleInstance, space: _Space
-) -> Generator[Tuple[int, int, List[int]], Optional[int], None]:
+) -> Generator[Tuple[int, int, int], Optional[int], None]:
     """The module's walk of inst's candidate space, built (so the limits
     checked) by _search_space; the deadline is checked at each pick and
     each coset member.
 
-    Yields (writes, reads, columns) for each Y not cut: its columns as
-    masks (one list, overwritten as the walk goes on), how many do not
-    have weight 1, and their OR.  The incumbent cost is the value sent
-    back: None, as next sends, cuts nothing.
+    Yields (writes, reads, packed) for each Y not cut: how many of its
+    columns do not have weight 1, their OR, and Y's rows packed from the
+    spread table, row i in bits [i * n_F, (i + 1) * n_F).  The incumbent
+    cost is the value sent back: None, as next sends, cuts nothing.
     """
-    deadline, table, forced, least, _ = space
+    deadline, table, forced, least, spread = space
     k, n_final = inst.k_final, inst.n_final
     pivots, _, reduced = _echelon(inst.final_code)
     # Column j of N . rref(G_F) is the XOR of N's columns over support[j].
@@ -163,9 +167,10 @@ def _walk(
     # pivot_of[:t]; the columns they fix have writes1[t] forced writes and
     # largest least weight reads1[t].
     images, basis, pivot_of, writes1, reads1 = ([0] * k for _ in range(5))
-    # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes
-    # and reads2[j] reads; members[j] walks column j's coset.
-    columns, writes2, reads2 = ([0] * n_final for _ in range(3))
+    # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes,
+    # reads2[j] reads and packs2[j] their packed rows; members[j] walks
+    # column j's coset.
+    writes2, reads2, packs2 = ([0] * n_final for _ in range(3))
     members: List[Iterator[int]] = [iter(())] * n_final
     after = [0] * n_final  # forced columns after column j
     best: Optional[int] = None
@@ -213,7 +218,6 @@ def _walk(
             if y is None:
                 j -= 1
                 continue
-            columns[j] = y
             if y.bit_count() == 1:  # unchanged symbol: free
                 writes, reads = writes2[j], reads2[j]
             else:  # one write plus its reads
@@ -222,12 +226,22 @@ def _walk(
                 raise SizeGuardError("time budget exhausted")
             if best is not None and writes + reads.bit_count() + after[j] > best:
                 continue
+            packed = packs2[j] | spread[y] << j
             if j + 1 == n_final:  # the floor is now the cost
-                best = yield writes, reads, columns
+                best = yield writes, reads, packed
                 continue
             j += 1
-            writes2[j], reads2[j] = writes, reads
+            writes2[j], reads2[j], packs2[j] = writes, reads, packed
             members[j] = iter(table[syndromes[j]])
+
+
+def _unpack(inst: ConvertibleInstance, packed: int) -> ConversionMatrix:
+    """The Y of a leaf of the walk, from its packed rows."""
+    n_final = inst.n_final
+    mask = (1 << n_final) - 1
+    shifts = range(0, inst.total_initial_length * n_final, n_final)
+    y = BitMatrix([packed >> s & mask for s in shifts], n_final)
+    return ConversionMatrix(y, inst.n_initial)
 
 
 def enumerate_conversions(
@@ -239,21 +253,14 @@ def enumerate_conversions(
     each column's coset members in ascending order, the last column
     fastest; each Y appears exactly once.  Each coset member has its
     column's syndrome by the table's construction and M is invertible, so
-    every Y passes verify_conversion without a check; its rows, packed
-    from the spread table in one pass over its columns, go straight to
-    classify_symbols' classifier.  A time budget in lim is checked at
-    every pick and every coset member.
+    every Y passes verify_conversion without a check; its rows, packed by
+    the walk from the spread table, go straight to classify_symbols'
+    classifier.  A time budget in lim is checked at every pick and every
+    coset member.
     """
-    space = _search_space(inst, lim)
-    spread, blocks, n_final = space.spread, inst.n_initial, inst.n_final
-    shifts = range(0, inst.total_initial_length * n_final, n_final)
-    mask = (1 << n_final) - 1
-    for _, _, columns in _walk(inst, space):
-        packed = 0
-        for j, c in enumerate(columns):
-            packed |= spread[c] << j
-        y = BitMatrix([packed >> s & mask for s in shifts], n_final)
-        yield ConversionMatrix(y, blocks), _classify_rows(inst, y.row_words)
+    for _, _, packed in _walk(inst, _search_space(inst, lim)):
+        y = _unpack(inst, packed)
+        yield y, _classify_rows(inst, y.y.row_words)
 
 
 def min_access_cost(
@@ -265,23 +272,24 @@ def min_access_cost(
     Both cuts are strict, so every tie is visited, and each Y comes from
     exactly one M, so the pick does not depend on the walk's order.  Ties
     are broken by write cost, then by the lexicographic row-major bit
-    string of Y, so results are deterministic.  A time budget in lim is
-    checked at every pick and every coset member.
+    string of Y, so results are deterministic.  That string is the walk's
+    packed rows read from bit 0 up, Y[0][0] first, so the key reverses
+    their fixed-width binary form; no candidate is transposed.  A time
+    budget in lim is checked at every pick and every coset member.
     """
-    total_rows = inst.total_initial_length
+    width = f"0{inst.total_initial_length * inst.n_final}b"
     walk = _walk(inst, _search_space(inst, lim))
-    best_key, best_cols = None, []
+    best_key, best_packed = None, 0
     try:
-        writes, reads, columns = next(walk)
+        writes, reads, packed = next(walk)
         while True:
-            # Row-major bit string of Y, column 0 most significant.
-            rows = tuple(_transpose_words(columns[::-1], total_rows))
-            key = (writes + reads.bit_count(), writes, rows)
+            # Row-major bit string of Y, Y[0][0] most significant.
+            key = (writes + reads.bit_count(), writes,
+                   int(format(packed, width)[::-1], 2))
             if best_key is None or key < best_key:
-                best_key, best_cols = key, list(columns)
-            writes, reads, columns = walk.send(best_key[0])
+                best_key, best_packed = key, packed
+            writes, reads, packed = walk.send(best_key[0])
     except StopIteration:
         pass
-    y = BitMatrix(_transpose_words(best_cols, total_rows), inst.n_final)
-    y = ConversionMatrix(y, inst.n_initial)
+    y = _unpack(inst, best_packed)
     return y, classify_symbols(inst, y)

@@ -159,6 +159,21 @@ def test_report_refuses_an_empty_range(capsys, fmt):
     assert captured.err.startswith("error: ")
 
 
+def test_report_refuses_a_range_past_the_guard_before_building(
+    capsys, monkeypatch
+):
+    # The merge's size guard grows with m, so the last m decides: nothing
+    # in the range is built when it is refused.
+    def fail(r, m):
+        raise AssertionError(f"built the merge ({r}, {m})")
+
+    monkeypatch.setattr(cli, "rm_merge_procedure", fail)
+    assert main(["report", "--m-min", "4", "--m-max", "15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_report_skips_small_m(capsys):
     assert main(["report", "--m-min", "3", "--m-max", "4"]) == 0
     captured = capsys.readouterr()

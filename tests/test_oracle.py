@@ -132,18 +132,26 @@ def test_min_access_cost_never_beats_oracle():
 def test_min_access_cost_cuts_by_its_incumbent(monkeypatch, example_instance):
     # The worked example has 20,643,840 candidates.  min_access_cost sends
     # the walk its incumbent cost, so only about a thousand of them reach
-    # it, and it transposes each; an uncut walk would reach all of them.
+    # it; an uncut walk would reach all of them.  The wrapper counts the
+    # candidates the walk yields and forwards each incumbent sent back.
     calls = []
-    transpose = oracle._transpose_words
+    walk = oracle._walk
 
-    def counting(words, width):
-        calls.append(1)
-        assert len(calls) < 10_000, "the walk is not cut"
-        return transpose(words, width)
+    def counting(inst, space):
+        inner, sent = walk(inst, space), None
+        while True:
+            try:
+                leaf = inner.send(sent)
+            except StopIteration:
+                return
+            calls.append(1)
+            assert len(calls) < 10_000, "the walk is not cut"
+            sent = yield leaf
 
-    monkeypatch.setattr(oracle, "_transpose_words", counting)
+    monkeypatch.setattr(oracle, "_walk", counting)
     _, report = min_access_cost(example_instance)
     assert report.access_cost == 3
+    assert calls
 
 
 def test_min_access_cost_deterministic(example_instance):
@@ -172,12 +180,14 @@ def tie_break_triple(y, report):
 
 @settings(max_examples=100, deadline=None)
 @given(small_instances())
+@example(wide_instance())
 def test_min_access_cost_pick_is_least_triple(inst):
     # The pick is the least (access, write, row-major Y) over every valid
-    # conversion, also when the final code repeats or zeroes a coordinate.
-    y, report = min_access_cost(inst)
+    # conversion, also when the final code repeats or zeroes a coordinate,
+    # and when Y's rows are wider than one byte.
+    y, report = min_access_cost(inst, WIDE)
     assert tie_break_triple(y, report) == min(
-        tie_break_triple(*cand) for cand in enumerate_conversions(inst)
+        tie_break_triple(*cand) for cand in enumerate_conversions(inst, WIDE)
     )
 
 
@@ -489,9 +499,10 @@ def test_enumerate_permutes_reference_stream(inst):
                                            (wide_instance, 6)])
 def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
     # Y's rows come from the spread table built with the coset table, so
-    # the uncut stream transposes only in set-up (G_I's columns and the
-    # final code's supports), and its reports come from one cache: one
-    # CostReport per distinct classification, shared by every Y with it.
+    # the uncut stream and a solve each transpose only in set-up (G_I's
+    # columns and the final code's supports), and the stream's reports
+    # come from one cache: one CostReport per distinct classification,
+    # shared by every Y with it.
     inst = make()
     transposes, built = [], []
     transpose, report = oracle._transpose_words, conversion.CostReport
@@ -510,6 +521,9 @@ def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
     shared = {}
     assert all(shared.setdefault(r, r) is r for r in reports)
     assert len(built) == len(shared) == distinct
+    del transposes[:]
+    min_access_cost(inst, WIDE)
+    assert len(transposes) == 2
 
 
 def test_enumerate_eliminates_only_in_set_up(eliminations):
