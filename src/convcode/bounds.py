@@ -25,7 +25,13 @@ class BoundsError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Merge-instance parameters used by the bound formulas."""
+    """Merge-instance parameters used by the bound formulas.
+
+    Its hash, that of the tuple of the six fields, is stored once, when
+    it is built, as audit looks its memo up by the parameter set for
+    every candidate of an oracle sweep; equality and repr see only the
+    six fields.
+    """
 
     n_initial: Tuple[int, ...]
     k_initial: Tuple[int, ...]
@@ -33,6 +39,7 @@ class ParamSet:
     k_final: int
     d_final: int
     d_final_dual: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Tuples keep the parameter set hashable, so audit can memoise it.
@@ -51,6 +58,12 @@ class ParamSet:
             raise BoundsError("need 1 <= d_F <= n_F - k_F + 1 (Singleton)")
         if not 1 <= self.d_final_dual <= self.k_final + 1:
             raise BoundsError("need 1 <= d_F_dual <= k_F + 1 (dual Singleton)")
+        object.__setattr__(self, "_hash", hash((
+            self.n_initial, self.k_initial, self.n_final, self.k_final,
+            self.d_final, self.d_final_dual)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def lam(self) -> int:

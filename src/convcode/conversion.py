@@ -10,7 +10,9 @@ symbols, and their support rows are the symbols that must be read.
 
 classify_symbols splits Y's columns into weight 1 and weight >= 2 in
 one walk over Y's rows, and returns the one shared report of that
-classification from a bounded cache.  apply checks the inputs and
+classification from a bounded cache, keyed by two masks (each code's
+kept columns, and the read rows) that the oracle's walk also builds for
+its candidates.  apply checks the inputs and
 computes x . Y on the stacked input with gf2.vec_mat, for any Y.
 
 Also provides the explicit Reed-Muller merge RM(r, m-1) x RM(r-1, m-1)
@@ -247,29 +249,30 @@ def _classify_rows(
 ) -> CostReport:
     """Cost report of the conversion with these Y rows, unverified.
 
-    The one classifier: callers must already know that the rows form a
+    The classifier of an arbitrary Y, as classify_symbols, the RM merges
+    and chains have it: callers must already know that the rows form a
     valid conversion matrix for inst.  One pass over the rows splits the
     columns into single (weight 1: unchanged) and multi (weight >= 2:
     new).  A code's unchanged coordinates are the single columns its rows
-    meet; its reads are its rows meeting multi.  Those masks determine
-    the report, which comes shared from _report.
+    meet; the read rows are those meeting multi.  Those masks are
+    _report's key, which the oracle's walk also builds, for each of its
+    leaves, as it descends.
     """
     once = multi = 0
     for w in rows:
         multi |= once & w
         once |= w
     single = once & ~multi
-    kept, reads = [], []
-    words = iter(rows)
-    for n in inst.n_initial:
-        keep = read = 0
-        for local, w in enumerate(islice(words, n)):
+    keeps = reads = 0
+    words = enumerate(rows)
+    for i, n in enumerate(inst.n_initial):
+        keep = 0
+        for row, w in islice(words, n):
             keep |= w
             if w & multi:
-                read |= 1 << local
-        kept.append(keep & single)
-        reads.append(read)
-    return _report(inst.n_final, tuple(kept), tuple(reads))
+                reads |= 1 << row
+        keeps |= (keep & single) << i * inst.n_final
+    return _report(inst.n_initial, inst.n_final, keeps, reads)
 
 
 def _bit_set(mask: int) -> frozenset:
@@ -281,17 +284,23 @@ def _bit_set(mask: int) -> frozenset:
 # 90% of its candidates hit the 512 held.
 @lru_cache(maxsize=512)
 def _report(
-    n_final: int, kept: Tuple[int, ...], reads: Tuple[int, ...]
+    n_initial: Tuple[int, ...], n_final: int, keeps: int, reads: int
 ) -> CostReport:
-    """The one shared, immutable report of a classification, given per
-    initial code its kept (weight-1) columns and its read rows as masks.
-    Every weight-1 column is kept by the one code its row is in, so every
-    other of the n_final columns is new."""
-    new = (1 << n_final) - 1
-    for mask in kept:
+    """The one shared, immutable report of a classification, keyed by the
+    instance's shape and two masks: keeps, code i's kept (weight-1)
+    columns in bits [i * n_final, (i + 1) * n_final), and reads, the read
+    rows of Y in stacked coordinates.  Every weight-1 column is kept by
+    the one code its row is in, so every other of the n_final columns is
+    new."""
+    full = (1 << n_final) - 1
+    new, kept, read, start = full, [], [], 0
+    for i, n in enumerate(n_initial):
+        mask = keeps >> i * n_final & full
         new &= ~mask
-    return CostReport(tuple(map(_bit_set, kept)), _bit_set(new),
-                      tuple(map(_bit_set, reads)))
+        kept.append(_bit_set(mask))
+        read.append(_bit_set(reads >> start & (1 << n) - 1))
+        start += n
+    return CostReport(tuple(kept), _bit_set(new), tuple(read))
 
 
 def default_conversion(inst: ConvertibleInstance) -> ConversionMatrix:

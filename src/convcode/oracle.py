@@ -10,16 +10,18 @@ access cost found here a true optimum.
 _search_space, the one builder of that space, buckets every y by its
 syndrome once per instance (the coset of that syndrome), with whether
 each coset is forced (it has no weight-1 member, so the column must be
-written) and its least member weight, and spreads every y into the
-column slot of Y's packed rows.
+written) and its least member weight, spreads every y into the column
+slot of Y's packed rows, and gives each unit word its code's slot.
 
 _walk, the one walk of that space, goes depth first in two stages.  It
 cuts only where even the cheapest completion costs strictly more than an
 incumbent: min_access_cost lowers one as it goes, enumerate_conversions
-has none.  It packs Y's rows from the spread table as it descends, so
-each leaf is three ints, and _unpack, the one builder of Y, turns a leaf
-into the ConversionMatrix either entry point returns; nothing is
-transposed per candidate.
+has none.  It classifies as it descends: each leaf is four ints, Y's
+cost, its packed rows and the two masks that key its shared CostReport.
+enumerate_conversions looks that report up with no row pass, and
+_unpacker, the one builder of Y, turns a leaf into the ConversionMatrix
+either entry point returns, with the blocks checked once per walk;
+nothing is transposed or re-checked per candidate.
 
 1. rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
    with N = M . A^-1 ranging over GL(k_F, 2) as M does.  N's columns v_t,
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Generator, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Generator, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 from .gf2 import (
     BitMatrix,
@@ -52,7 +55,7 @@ from .conversion import (
     ConversionMatrix,
     ConvertibleInstance,
     CostReport,
-    _classify_rows,
+    _report,
     classify_symbols,
 )
 
@@ -112,6 +115,10 @@ class _Space(NamedTuple):
     # spread[column j] << j over Y's columns packs Y's row i into bits
     # [i * n_F, (i + 1) * n_F); _walk ORs in one column per level.
     spread: List[int]
+    # slot[y]: for y of weight 1 with its bit in code i's rows,
+    # 1 << i * n_F, so the OR of slot[column j] << j packs code i's kept
+    # columns into bits [i * n_F, (i + 1) * n_F); 0 for any other y.
+    slot: List[int]
 
 
 def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
@@ -120,7 +127,7 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     syn[y] = G_I . y for every y in [0, 2^N), doubled over G_I's columns
     at one XOR each, and spread[y] beside it at one OR each; every y then
     joins the bucket of its syndrome.  G_I has full row rank, so no
-    bucket is empty.
+    bucket is empty.  slot is set at the N unit words.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
@@ -132,27 +139,35 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     cosets: List[List[int]] = [[] for _ in range(1 << inst.k_final)]
     for y, v in enumerate(syn):
         cosets[v].append(y)
+    code_of_row = [i for i, n in enumerate(inst.n_initial) for _ in range(n)]
+    slot = [0] * len(syn)
+    for row, i in enumerate(code_of_row):
+        slot[1 << row] = 1 << i * inst.n_final
     weights = [list(map(int.bit_count, c)) for c in cosets]
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
     return _Space(deadline, cosets, [1 not in w for w in weights],
-                  [min(w) for w in weights], spread)
+                  [min(w) for w in weights], spread, slot)
 
 
 def _walk(
     inst: ConvertibleInstance, space: _Space
-) -> Generator[Tuple[int, int, int], Optional[int], None]:
+) -> Generator[Tuple[int, int, int, int], Optional[int], None]:
     """The module's walk of inst's candidate space, built (so the limits
     checked) by _search_space; the deadline is checked at each pick and
     each coset member.
 
-    Yields (writes, reads, packed) for each Y not cut: how many of its
-    columns do not have weight 1, their OR, and Y's rows packed from the
-    spread table, row i in bits [i * n_F, (i + 1) * n_F).  The incumbent
-    cost is the value sent back: None, as next sends, cuts nothing.
+    Yields (writes, reads, packed, keeps) for each Y not cut: how many of
+    its columns do not have weight 1, their OR (the read rows, stacked),
+    Y's rows packed from the spread table, row i in bits
+    [i * n_F, (i + 1) * n_F), and the weight-1 columns packed from the
+    slot table, code i's kept columns in bits [i * n_F, (i + 1) * n_F).
+    Every other column is new, so (keeps, reads) is conversion._report's
+    key for Y.  The incumbent cost is the value sent back: None, as next
+    sends, cuts nothing.
     """
-    deadline, table, forced, least, spread = space
+    deadline, table, forced, least, spread, slot = space
     k, n_final = inst.k_final, inst.n_final
     pivots, _, reduced = _echelon(inst.final_code)
     # Column j of N . rref(G_F) is the XOR of N's columns over support[j].
@@ -168,9 +183,9 @@ def _walk(
     # largest least weight reads1[t].
     images, basis, pivot_of, writes1, reads1 = ([0] * k for _ in range(5))
     # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes,
-    # reads2[j] reads and packs2[j] their packed rows; members[j] walks
-    # column j's coset.
-    writes2, reads2, packs2 = ([0] * n_final for _ in range(3))
+    # reads2[j] reads, packs2[j] their packed rows and keeps2[j] their
+    # kept columns per code; members[j] walks column j's coset.
+    writes2, reads2, packs2, keeps2 = ([0] * n_final for _ in range(4))
     members: List[Iterator[int]] = [iter(())] * n_final
     after = [0] * n_final  # forced columns after column j
     best: Optional[int] = None
@@ -218,30 +233,54 @@ def _walk(
             if y is None:
                 j -= 1
                 continue
-            if y.bit_count() == 1:  # unchanged symbol: free
+            kept = slot[y]
+            if kept:  # unchanged symbol: free
                 writes, reads = writes2[j], reads2[j]
+                keeps = keeps2[j] | kept << j
             else:  # one write plus its reads
-                writes, reads = writes2[j] + 1, reads2[j] | y
+                writes, reads, keeps = writes2[j] + 1, reads2[j] | y, keeps2[j]
             if deadline is not None and time.monotonic() > deadline:
                 raise SizeGuardError("time budget exhausted")
             if best is not None and writes + reads.bit_count() + after[j] > best:
                 continue
             packed = packs2[j] | spread[y] << j
             if j + 1 == n_final:  # the floor is now the cost
-                best = yield writes, reads, packed
+                best = yield writes, reads, packed, keeps
                 continue
             j += 1
-            writes2[j], reads2[j], packs2[j] = writes, reads, packed
+            writes2[j], reads2[j], packs2[j], keeps2[j] = (writes, reads,
+                                                           packed, keeps)
             members[j] = iter(table[syndromes[j]])
 
 
-def _unpack(inst: ConvertibleInstance, packed: int) -> ConversionMatrix:
-    """The Y of a leaf of the walk, from its packed rows."""
-    n_final = inst.n_final
+def _unpacker(inst: ConvertibleInstance) -> Callable[[int], ConversionMatrix]:
+    """The builder of Y for one walk of inst: packed rows to the
+    ConversionMatrix either entry point returns.
+
+    The blocks are checked once, by building one ConversionMatrix of
+    inst's shape.  Every row is packed >> s & mask, so it lies in the
+    column range by construction, and each Y is made by __new__ and its
+    fields filled in with no re-check; the public constructors keep
+    theirs.
+    """
+    n_final, blocks = inst.n_final, inst.n_initial
+    rows = inst.total_initial_length
+    ConversionMatrix(BitMatrix.zeros(rows, n_final), blocks)
     mask = (1 << n_final) - 1
-    shifts = range(0, inst.total_initial_length * n_final, n_final)
-    y = BitMatrix([packed >> s & mask for s in shifts], n_final)
-    return ConversionMatrix(y, inst.n_initial)
+    shifts = range(0, rows * n_final, n_final)
+    new_matrix, new_conversion = BitMatrix.__new__, ConversionMatrix.__new__
+
+    def unpack(packed: int) -> ConversionMatrix:
+        y = new_matrix(BitMatrix)
+        y.rows, y.cols = rows, n_final
+        y.row_words = tuple([packed >> s & mask for s in shifts])
+        conversion = new_conversion(ConversionMatrix)
+        # The frozen dataclass refuses attribute assignment; one update of
+        # its __dict__ sets the three fields, as its __init__ would.
+        conversion.__dict__.update(y=y, blocks=blocks, _anf=None)
+        return conversion
+
+    return unpack
 
 
 def enumerate_conversions(
@@ -253,14 +292,16 @@ def enumerate_conversions(
     each column's coset members in ascending order, the last column
     fastest; each Y appears exactly once.  Each coset member has its
     column's syndrome by the table's construction and M is invertible, so
-    every Y passes verify_conversion without a check; its rows, packed by
-    the walk from the spread table, go straight to classify_symbols'
-    classifier.  A time budget in lim is checked at every pick and every
+    every Y passes verify_conversion without a check.  Each leaf carries
+    its classification, so its report is looked up by the leaf's masks
+    with no row pass, and its Y comes from _unpacker with no per-candidate
+    re-check.  A time budget in lim is checked at every pick and every
     coset member.
     """
-    for _, _, packed in _walk(inst, _search_space(inst, lim)):
-        y = _unpack(inst, packed)
-        yield y, _classify_rows(inst, y.y.row_words)
+    space = _search_space(inst, lim)
+    unpack, n_initial, n_final = _unpacker(inst), inst.n_initial, inst.n_final
+    for _, reads, packed, keeps in _walk(inst, space):
+        yield unpack(packed), _report(n_initial, n_final, keeps, reads)
 
 
 def min_access_cost(
@@ -281,15 +322,15 @@ def min_access_cost(
     walk = _walk(inst, _search_space(inst, lim))
     best_key, best_packed = None, 0
     try:
-        writes, reads, packed = next(walk)
+        writes, reads, packed, _ = next(walk)
         while True:
             # Row-major bit string of Y, Y[0][0] most significant.
             key = (writes + reads.bit_count(), writes,
                    int(format(packed, width)[::-1], 2))
             if best_key is None or key < best_key:
                 best_key, best_packed = key, packed
-            writes, reads, packed = walk.send(best_key[0])
+            writes, reads, packed, _ = walk.send(best_key[0])
     except StopIteration:
         pass
-    y = _unpack(inst, best_packed)
+    y = _unpacker(inst)(best_packed)
     return y, classify_symbols(inst, y)

@@ -469,6 +469,29 @@ def test_audit_memo_is_bounded_and_shared():
     assert audit(listed, costs) is first
 
 
+def test_param_set_hashes_once():
+    p = example_params()
+    q = ParamSet([3, 3], [2, 2], 5, 4, 2, 5)
+    fields_tuple = ((3, 3), (2, 2), 5, 4, 2, 5)
+    assert p == q and hash(p) == hash(q)
+    assert p._hash == hash(fields_tuple) == hash(p)
+    # Equality and repr see only the six fields.
+    assert repr(p) == ("ParamSet(n_initial=(3, 3), k_initial=(2, 2), "
+                       "n_final=5, k_final=4, d_final=2, d_final_dual=5)")
+    assert p != ParamSet((3, 3), (2, 2), 5, 4, 2, 4)
+    # hash returns the stored value; it does not hash the fields again.
+    object.__setattr__(q, "_hash", 12345)
+    assert hash(q) == 12345
+    # A fresh but equal parameter set finds the very memoised report.
+    costs = CostReport(
+        (frozenset({0, 1}), frozenset({2, 3})),
+        frozenset({4}),
+        (frozenset({2}), frozenset({2})),
+    )
+    first = audit(p, costs)
+    assert audit(ParamSet(*fields_tuple), costs) is first
+
+
 def test_audit_error_is_not_memoised():
     # Four unchanged and two new symbols: six final coordinates, not n_F = 5.
     costs = CostReport(

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from convcode.conversion import (
 from convcode.gf2 import (
     BitMatrix,
     BitVector,
+    DimensionError,
     SizeGuardError,
     _combine,
     _transpose_words,
@@ -504,19 +506,26 @@ def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
     # come from one cache: one CostReport per distinct classification,
     # shared by every Y with it.
     inst = make()
-    transposes, built = [], []
+    transposes, built, checked, classified = [], [], [], []
     transpose, report = oracle._transpose_words, conversion.CostReport
+    check, classify = ConversionMatrix.__post_init__, conversion._classify_rows
     monkeypatch.setattr(oracle, "_transpose_words",
                         lambda words, width: transposes.append(1)
                         or transpose(words, width))
     monkeypatch.setattr(conversion, "CostReport",
                         lambda *sets: built.append(1) or report(*sets))
+    # The stream's blocks are checked once, before its first candidate.
+    monkeypatch.setattr(ConversionMatrix, "__post_init__",
+                        lambda self: checked.append(1) or check(self))
+    # Each leaf carries its report's key: no row pass per candidate.
+    monkeypatch.setattr(conversion, "_classify_rows",
+                        lambda *args: classified.append(1) or classify(*args))
     conversion._report.cache_clear()
     stream = enumerate_conversions(inst, WIDE)
     reports = [next(stream)[1]]
-    assert len(transposes) == 2
+    assert len(transposes) == 2 and len(checked) == 1
     reports += [r for _, r in stream]
-    assert len(transposes) == 2
+    assert len(transposes) == 2 and len(checked) == 1 and classified == []
     assert len(reports) == candidate_count(inst)
     shared = {}
     assert all(shared.setdefault(r, r) is r for r in reports)
@@ -524,6 +533,57 @@ def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
     del transposes[:]
     min_access_cost(inst, WIDE)
     assert len(transposes) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+@example(wide_instance())
+def test_walk_leaf_key_is_the_row_classification(inst):
+    # Each leaf's (keeps, reads) keys the very report that the classifier
+    # of arbitrary Y returns for the leaf's rows, and the leaves are the
+    # reference stream's conversions, each once.
+    n_final, rows = inst.n_final, inst.total_initial_length
+    mask = (1 << n_final) - 1
+    leaves = []
+    for writes, reads, packed, keeps in oracle._walk(
+            inst, oracle._search_space(inst, WIDE)):
+        words = tuple(packed >> (i * n_final) & mask for i in range(rows))
+        report = conversion._report(inst.n_initial, n_final, keeps, reads)
+        assert report is conversion._classify_rows(inst, words)
+        assert (writes, writes + reads.bit_count()) == \
+            (report.write_cost, report.access_cost)
+        leaves.append((words, report))
+    reference = [(y.y.row_words, r) for y, r in reference_conversions(inst)]
+    assert Counter(leaves) == Counter(reference)
+    assert len(leaves) == candidate_count(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+@example(wide_instance())
+def test_enumerate_yields_trusted_y(inst):
+    # The stream fills its Y in without the constructors' checks: each is
+    # indistinguishable from the one the public constructors build.
+    for y, _ in enumerate_conversions(inst, WIDE):
+        built = ConversionMatrix(BitMatrix(y.y.row_words, inst.n_final),
+                                 inst.n_initial)
+        assert y == built and hash(y) == hash(built)
+        assert repr(y) == repr(built)
+        assert y.blocks == built.blocks == inst.n_initial
+        assert y.y.row_words == built.y.row_words
+        assert (y.y.rows, y.y.cols) == (built.y.rows, built.y.cols)
+        assert y._anf is None
+        assert vars(y) == vars(built)
+
+
+def test_public_constructors_keep_their_checks():
+    with pytest.raises(ValueError, match="column range"):
+        BitMatrix([8], 3)
+    y = BitMatrix.identity(3)
+    with pytest.raises(DimensionError, match=">= 1"):
+        ConversionMatrix(y, (0, 3))
+    with pytest.raises(DimensionError, match="sum to the row count"):
+        ConversionMatrix(y, (1, 1))
 
 
 def test_enumerate_eliminates_only_in_set_up(eliminations):
