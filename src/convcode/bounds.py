@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .conversion import CostReport
+if TYPE_CHECKING:
+    from .conversion import CostReport
 
 
 class BoundsError(ValueError):

@@ -4,6 +4,10 @@ Subcommands: rm, merge, verify, report, bounds, oracle, apply, info.
 Exit codes: 0 success, 1 semantic failure (e.g. an invalid conversion
 matrix), 2 usage/parameter/I-O errors.  Coordinates in text output are
 1-indexed; JSON output uses the documented report schema.
+
+Each command imports only the modules it runs: the module level loads
+gf2, codes, reedmuller and matio, and the commands that need
+conversion, bounds or oracle import them when they are called.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from . import bounds as bounds_mod
 from . import matio
 from .codes import (
     DEFAULT_K_LIMIT,
@@ -23,25 +26,17 @@ from .codes import (
     from_generator,
     min_distance,
 )
-from .conversion import (
-    ConversionError,
-    ConversionMatrix,
-    ConvertibleInstance,
-    CostReport,
-    _run_matrix,
-    apply_conversion,
-    classify_symbols,
-    make_instance,
-    rm_merge_procedure,
-)
 from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError
-from .oracle import SearchLimits, min_access_cost
 from .reedmuller import (
     _check_bits,
     _check_m,
     rm_generator,
     rm_transformed_generator,
 )
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport, ParamSet
+    from .conversion import ConvertibleInstance, CostReport
 
 OK, FAIL, USAGE = 0, 1, 2
 DISTANCE_K_LIMIT = DEFAULT_K_LIMIT
@@ -100,6 +95,8 @@ def _split_blocks(g: BitMatrix, blocks: Tuple[int, ...]) -> List[LinearCode]:
 def _instance_from_files(
     gi_path: str, gf_path: str, flag_blocks: Tuple[int, ...]
 ) -> ConvertibleInstance:
+    from .conversion import make_instance
+
     gi, file_blocks = _load_matrix(gi_path)
     blocks = _blocks(flag_blocks, file_blocks)
     gf, _ = _load_matrix(gf_path)
@@ -123,7 +120,7 @@ def _format_cost_text(report: CostReport) -> List[str]:
     return lines
 
 
-def _params_record(p: bounds_mod.ParamSet) -> dict:
+def _params_record(p: ParamSet) -> dict:
     return {
         "lambda": p.lam,
         "n_I": list(p.n_initial),
@@ -136,9 +133,9 @@ def _params_record(p: bounds_mod.ParamSet) -> dict:
 
 
 def _report_record(
-    p: bounds_mod.ParamSet,
+    p: ParamSet,
     costs: CostReport,
-    bound_report: bounds_mod.BoundReport,
+    bound_report: BoundReport,
 ) -> dict:
     return {
         "params": _params_record(p),
@@ -147,7 +144,7 @@ def _report_record(
     }
 
 
-def _bound_lines(bound_report: bounds_mod.BoundReport) -> List[str]:
+def _bound_lines(bound_report: BoundReport) -> List[str]:
     lines = []
     for rec in bound_report.records:
         where = "total" if rec.index is None else f"i={rec.index + 1}"
@@ -163,7 +160,7 @@ def _bound_lines(bound_report: bounds_mod.BoundReport) -> List[str]:
 
 
 def _audit_lines(
-    costs: CostReport, bound_report: bounds_mod.BoundReport
+    costs: CostReport, bound_report: BoundReport
 ) -> List[str]:
     """The cost lines, then the audited bounds, as merge and report print
     them."""
@@ -204,6 +201,9 @@ def _merge_audit(r: int, m: int, source: str):
     "exhaustive" scans a fresh copy of the final code and its dual, keeping
     the formula where the scan limit stops a scan.  Also returns sources.
     """
+    from .bounds import ParamSet, audit
+    from .conversion import rm_merge_procedure
+
     inst, y, costs = rm_merge_procedure(r, m)
     final = inst.final_code
     dists = [min_distance(final), dual_distance(final)]
@@ -213,11 +213,11 @@ def _merge_audit(r: int, m: int, source: str):
         for j, d in enumerate(scanned):
             if d is not None:
                 dists[j], sources[j] = d, "exhaustive"
-    p = bounds_mod.ParamSet(
+    p = ParamSet(
         inst.n_initial, inst.k_initial, inst.n_final, inst.k_final, *dists
     )
     distance_source = dict(zip(("d_F", "d_F_dual"), sources))
-    return inst, y, costs, p, bounds_mod.audit(p, costs), distance_source
+    return inst, y, costs, p, audit(p, costs), distance_source
 
 
 def cmd_merge(args) -> int:
@@ -235,6 +235,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .conversion import ConversionError, ConversionMatrix, classify_symbols
+
     flag_blocks = _parse_int_list(args.blocks)
     inst = _instance_from_files(args.gi, args.gf, flag_blocks)
     y_mat, y_blocks = _load_matrix(args.y)
@@ -285,12 +287,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import ParamSet, evaluate_bounds
+
     n_i = _parse_int_list(args.nI)
     k_i = _parse_int_list(args.kI)
     if args.lam is not None and args.lam != len(n_i):
         raise CliError("--lambda disagrees with the length of --nI")
-    p = bounds_mod.ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
-    bound_report = bounds_mod.evaluate_bounds(p)
+    p = ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
+    bound_report = evaluate_bounds(p)
     if args.format == "json":
         print(json.dumps(
             {"params": _params_record(p), "bounds": bound_report.to_records()},
@@ -303,6 +307,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import SearchLimits, min_access_cost
+
     inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
     lim = SearchLimits(max_k_final=args.max_kf)
     y, report = min_access_cost(inst, lim)
@@ -315,6 +321,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .conversion import (ConversionError, ConversionMatrix, _run_matrix,
+                             apply_conversion)
+
     if args.gi and not args.gf:
         raise CliError("--gi requires --gf for membership checking")
     if args.gf and not args.gi:

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -42,6 +46,19 @@ def row_space_by_rref(m):
     comparison that verify_conversion and same_code used to make)."""
     reduced, pivots = cc.rref(m)
     return reduced.row_words[: len(pivots)]
+
+
+def run_fresh(*argv: str) -> str:
+    """Stdout of `python -c *argv` in a fresh interpreter that imports the
+    convcode package under test, for checks of what an import loads."""
+    src = str(Path(cc.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src] + ([path] if path else [])))
+    return subprocess.run(
+        [sys.executable, "-c", *argv], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    ).stdout
 
 
 def reference_conversions(inst):

@@ -3,12 +3,13 @@ import sys
 
 import pytest
 
-from convcode import bounds, cli
+from convcode import bounds, cli, conversion
 from convcode.bounds import BoundRecord, BoundReport, audit
 from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
 from convcode.reedmuller import rm_code, rm_generator, rm_transformed_generator
+from tests.conftest import run_fresh
 
 
 def test_rm_stdout(capsys):
@@ -167,7 +168,7 @@ def test_report_refuses_a_range_past_the_guard_before_building(
     def fail(r, m):
         raise AssertionError(f"built the merge ({r}, {m})")
 
-    monkeypatch.setattr(cli, "rm_merge_procedure", fail)
+    monkeypatch.setattr(conversion, "rm_merge_procedure", fail)
     assert main(["report", "--m-min", "4", "--m-max", "15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -529,3 +530,34 @@ def test_matrix_text_is_written_one_row_at_a_time(monkeypatch):
     writes = files["g.txt"].writes
     assert "".join(writes) == format_matrix(mat, blocks, block_sep=" ")
     assert max(map(len, writes)) == mat.cols + 1
+
+
+# Each command, and modules it must not load: rm and info run no
+# conversion, bound or search, bounds no conversion or search, and merge
+# no search.
+_HEAVY = ("convcode.conversion", "convcode.bounds", "convcode.oracle",
+          "dataclasses")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["rm", "--r", "2", "--m", "6", "--out", "{tmp}/o.txt"], _HEAVY),
+    (["info", "{tmp}/g.txt"], _HEAVY),
+    (["bounds", "--nI", "3,3", "--kI", "2,2", "--nF", "5", "--kF", "4",
+      "--dF", "2", "--dFdual", "5"], ("convcode.conversion", "convcode.oracle")),
+    (["merge", "--r", "2", "--m", "4", "--format", "json"],
+     ("convcode.oracle",)),
+], ids=["rm", "info", "bounds", "merge"])
+def test_each_command_imports_only_what_it_runs(argv, unloaded, tmp_path):
+    (tmp_path / "g.txt").write_text(format_matrix(rm_generator(1, 3)))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    # A fresh interpreter: this one has imported every module already.
+    rc, loaded = json.loads(run_fresh(
+        "import json, sys\n"
+        "from convcode import cli\n"
+        "rc = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n",
+        json.dumps(argv),
+    ).splitlines()[-1])
+    assert rc == 0
+    assert "convcode.cli" in loaded
+    assert not set(unloaded) & set(loaded)
