@@ -15,8 +15,8 @@ import importlib
 # Public name -> the module that defines it.
 _HOME = {name: module for module, names in {
     "gf2": """BitMatrix BitVector DimensionError SizeGuardError block_diag
-        enumerate_invertible gl2_order inverse mat_mul mat_vec rank
-        right_kernel_basis rref solve vec_mat vstack""",
+        enumerate_invertible gl2_order inverse mat_mul rank
+        right_kernel_basis rref solve vec_mat""",
     "codes": """CodeError LinearCode contains decode_from_positions dual
         dual_distance encode first_information_set from_generator
         is_information_set min_distance puncture random_code same_code

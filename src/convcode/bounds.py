@@ -143,7 +143,8 @@ class BoundRecord:
     observed count it also stores satisfied and slack (the margin by
     which the count clears value, or for "equal" its distance from
     value), else both stay None.  The verdict is stored, not recomputed
-    on each read, as oracle sweeps read it for every candidate."""
+    on each read; audits are memoised, so a sweep reads a record's
+    verdict only when its BoundReport is built."""
 
     name: str
     index: Optional[int]  # 0-based code index, None for global bounds

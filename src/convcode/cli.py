@@ -7,13 +7,12 @@ matrix), 2 usage/parameter/I-O errors.  Coordinates in text output are
 
 Each command imports only the modules it runs: the module level loads
 gf2, codes, reedmuller and matio, and the commands that need
-conversion, bounds or oracle import them when they are called.
+conversion, bounds, oracle or json import them when they are called.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,12 +26,7 @@ from .codes import (
     min_distance,
 )
 from .gf2 import BitMatrix, BitVector, DimensionError, SizeGuardError
-from .reedmuller import (
-    _check_bits,
-    _check_m,
-    rm_generator,
-    rm_transformed_generator,
-)
+from .reedmuller import rm_generator, rm_transformed_generator
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, ParamSet
@@ -226,6 +220,8 @@ def cmd_merge(args) -> int:
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
     if args.format == "json":
+        import json
+
         print(json.dumps(_report_record(p, costs, bound_report), indent=2))
     else:
         print(f"merge RM({r},{m-1}) x RM({r-1},{m-1}) -> RM({r},{m})")
@@ -253,12 +249,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .conversion import _check_merge_size
+
     if args.m_min > args.m_max:
         raise CliError("empty range: --m-min must be <= --m-max")
     if args.m_max >= 4:
         # The merge's guard is monotone in m: refuse before building any.
-        _check_m(args.m_max)
-        _check_bits(1 << args.m_max, args.m_max)
+        _check_merge_size(args.m_max)
     records = []
     for m in range(args.m_min, args.m_max + 1):
         if m < 4:
@@ -273,6 +270,8 @@ def cmd_report(args) -> int:
         rec["distance_source"] = distance_source
         records.append((m, r, p, costs, bound_report, rec))
     if args.format == "json":
+        import json
+
         print(json.dumps([rec for *_, rec in records], indent=2))
     else:
         for m, r, p, costs, bound_report, _ in records:
@@ -296,6 +295,8 @@ def cmd_bounds(args) -> int:
     p = ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
     bound_report = evaluate_bounds(p)
     if args.format == "json":
+        import json
+
         print(json.dumps(
             {"params": _params_record(p), "bounds": bound_report.to_records()},
             indent=2,

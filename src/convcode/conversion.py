@@ -60,8 +60,8 @@ class ConvertibleInstance:
     """Initial codes plus a final code with matching total dimension.
 
     Its shape (n_initial, k_initial, n_final, k_final and
-    total_initial_length) is stored once, when it is built, as the oracle
-    reads it for every candidate and apply for every codeword."""
+    total_initial_length) is stored once, when it is built, as apply
+    reads it for every codeword and the oracle once per walk."""
 
     initial_codes: Tuple[LinearCode, ...]
     final_code: LinearCode
@@ -449,6 +449,14 @@ _RmTriple = Tuple[ConvertibleInstance, ConversionMatrix, CostReport]
 _RM_MERGES: Dict[Tuple[int, int, int], _RmTriple] = {}
 
 
+def _check_merge_size(m: int) -> None:
+    """Refuse (SizeGuardError) a merge or chain into RM(r, m) with m past
+    reedmuller.MAX_M or its 2^m x 2^m matrix Y past reedmuller.MAX_BITS.
+    Monotone in m, and independent of r and the depth."""
+    _check_m(m)
+    _check_bits(1 << m, m)
+
+
 def rm_merge_procedure(r: int, m: int) -> _RmTriple:
     """The explicit merge RM(r, m-1) x RM(r-1, m-1) -> RM(r, m).
 
@@ -505,8 +513,7 @@ def rm_merge_chain(r: int, m: int, depth: int) -> _RmTriple:
         raise ConversionError("need 1 <= depth <= r <= m - depth")
     key = (r, m, depth)
     if key not in _RM_MERGES:
-        _check_m(m)
-        _check_bits(1 << m, m)
+        _check_merge_size(m)
         inst, y = _build_rm_merge(r, m, depth)
         _RM_MERGES[key] = (inst, y, classify_symbols(inst, y))
     return _RM_MERGES[key]

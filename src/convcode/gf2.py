@@ -5,15 +5,18 @@ column j, so a row elimination step is one word-parallel XOR regardless
 of the matrix width.  All values are immutable after construction, and
 every bit of a row word lies below the column count.
 
-Each kernel has one implementation.  _combine (XOR the rows picked by a
-mask) serves mat_mul, vec_mat, _eliminate, codes.contains off the RM
-preset, codes' distance scan and sampled_min_weight, and the oracle's
-syndromes; _reduce (insert a row into a pivot-indexed basis) serves
-_eliminate, enumerate_invertible and the oracle's stage 1; _eliminate
-serves rank, rref, solve, inverse and the kernels, and reduces each row
-only by the pivots it hits, so sparse, nearly echelon matrices such as
-Reed-Muller generators reduce in a few list lookups per row.  The
-information-set inverse is codes._inverse_on.
+Each kernel has one implementation.  _transpose_words (one transpose,
+by byte spreading) serves transpose, from_columns, select_columns,
+codes' distance scan and the oracle's syndrome tables; _combine (XOR
+the rows picked by a mask) serves every product (mat_mul and vec_mat),
+_eliminate, codes.contains off the RM preset, codes' distance scan and
+sampled_min_weight, and the oracle's syndromes; _reduce (insert a row
+into a pivot-indexed basis) serves _eliminate, enumerate_invertible
+and the oracle's stage 1; _eliminate serves rank, rref, solve, inverse
+and the kernels, and reduces each row only by the pivots it hits, so
+sparse, nearly echelon matrices such as Reed-Muller generators reduce
+in a few list lookups per row.  The information-set inverse is
+codes._inverse_on.
 """
 
 from __future__ import annotations
@@ -201,8 +204,6 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
 
 
-# Widest word that _transpose_words walks bit by bit.
-_NARROW = 64
 # Byte j of int.from_bytes(format(w, "0{width}b").encode().translate(...),
 # "big") is bit j of w.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -211,23 +212,13 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _transpose_words(words: Sequence[int], width: int) -> List[int]:
     """Transpose packed bit rows: bit j of words[i] becomes bit i of out[j].
 
-    Words of at most _NARROW bits are walked by their set bits, O(popcount)
-    plus O(width).  Wider words would be copied once per set bit that way,
-    so they are spread to one byte per bit instead: eight words shifted
-    into the bits of each byte make the output's bytes, interleaved so
-    that the bytes of out[j] are adjacent, O(len(words) * width / 8).
-    Every bit must lie below width.
+    Each word is spread to one byte per bit; eight words shifted into the
+    bits of each byte make the output's bytes, interleaved so that the
+    bytes of out[j] are adjacent, O(len(words) * width / 8) byte work
+    whatever the words' density.  Every bit must lie below width.
     """
-    if width <= _NARROW or not words:
-        out = [0] * width
-        bit = 1
-        for w in words:
-            while w:
-                low = w & -w
-                out[low.bit_length() - 1] |= bit
-                w ^= low
-            bit <<= 1
-        return out
+    if not words:
+        return [0] * width
     nb = (len(words) + 7) >> 3  # bytes per output word
     buf = bytearray(width * nb)
     fmt = f"0{width}b"
@@ -266,12 +257,6 @@ def _butterflies(m: int) -> Tuple[Tuple[int, int], ...]:
     for t in range(m):
         lows = [low | low << (1 << t) for low in lows] + [(1 << (1 << t)) - 1]
     return tuple((low, 1 << b) for b, low in enumerate(lows))
-
-
-def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.cols != b.cols:
-        raise DimensionError("vstack needs equal column counts")
-    return BitMatrix(list(a.row_words) + list(b.row_words), a.cols)
 
 
 def block_diag(blocks: Sequence[BitMatrix]) -> BitMatrix:
@@ -366,16 +351,6 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         )
     brow = b.row_words
     return BitMatrix([_combine(w, brow) for w in a.row_words], b.cols)
-
-
-def mat_vec(a: BitMatrix, x: BitVector) -> BitVector:
-    """Product a . x (column vector on the right)."""
-    if a.cols != x.n:
-        raise DimensionError("matrix/vector size mismatch")
-    mask = 0
-    for i, w in enumerate(a.row_words):
-        mask |= ((w & x.mask).bit_count() & 1) << i
-    return BitVector(a.rows, mask)
 
 
 def vec_mat(x: BitVector, a: BitMatrix) -> BitVector:

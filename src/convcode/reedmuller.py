@@ -20,9 +20,8 @@ import math
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .gf2 import (BitMatrix, BitVector, SizeGuardError, _butterflies,
-                  _moebius, vstack)
-from .codes import LinearCode, from_generator
+from .gf2 import BitMatrix, BitVector, SizeGuardError, _butterflies, _moebius
+from .codes import LinearCode, from_generator, zero_code
 
 MAX_M = 20
 # Bits of the largest matrix built: a generator of k rows of 2^m bits,
@@ -126,14 +125,18 @@ def rm_code(r: int, m: int) -> LinearCode:
 
 
 def plotkin_sum(c: LinearCode, d: LinearCode) -> LinearCode:
-    """The [2n, k_c + k_d] code {(x, x + y) : x in c, y in d}."""
+    """The [2n, k_c + k_d] code {(x, x + y) : x in c, y in d}.
+
+    Its rows are [x | x] per row x of c and [0 | y] per row y of d; a
+    zero code adds none, and two zero codes give zero_code(2n).
+    """
     if c.n != d.n:
         raise ValueError("Plotkin sum needs equal block lengths")
-    top = BitMatrix(
-        [w | (w << c.n) for w in c.generator.row_words], 2 * c.n
-    )
-    bottom = BitMatrix([w << c.n for w in d.generator.row_words], 2 * c.n)
-    return from_generator(vstack(top, bottom))
+    n = c.n
+    top = () if c.is_zero else c.generator.row_words
+    bottom = () if d.is_zero else d.generator.row_words
+    rows = [w | w << n for w in top] + [w << n for w in bottom]
+    return from_generator(BitMatrix(rows, 2 * n)) if rows else zero_code(2 * n)
 
 
 def low_weight_positions(r: int, m: int) -> Tuple[int, ...]:

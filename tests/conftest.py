@@ -41,6 +41,13 @@ def eliminations(monkeypatch):
     return calls
 
 
+def raises_exactly(err, call):
+    """Check that call() raises err itself, not a subclass or a base."""
+    with pytest.raises(err) as info:
+        call()
+    assert type(info.value) is err
+
+
 def row_space_by_rref(m):
     """Reference canonical form of a row space: the nonzero RREF rows (the
     comparison that verify_conversion and same_code used to make)."""

@@ -312,6 +312,18 @@ def test_evaluate_bounds_has_no_verdicts():
     assert rec.value == 2 and rec.applicable and rec.tight is None
 
 
+@pytest.mark.parametrize("name, index", [
+    ("no_such_bound", None),
+    ("unchanged_upper_singleton", None),  # a per-code bound, asked as total
+    ("unchanged_upper_singleton", 2),  # past lambda = 2
+    ("unchanged_total_lower", 0),  # a total bound, asked per code
+])
+def test_find_refuses_a_record_not_in_the_report(name, index):
+    with pytest.raises(KeyError) as info:
+        evaluate_bounds(example_params()).find(name, index)
+    assert info.value.args == ((name, index),)
+
+
 def test_audit_rm_2_4():
     p, costs = rm_params(2, 4)
     assert (p.n_initial, p.k_initial) == ((8, 8), (7, 4))

@@ -533,10 +533,10 @@ def test_matrix_text_is_written_one_row_at_a_time(monkeypatch):
 
 
 # Each command, and modules it must not load: rm and info run no
-# conversion, bound or search, bounds no conversion or search, and merge
-# no search.
+# conversion, bound, search or JSON, bounds no conversion or search, and
+# merge no search.
 _HEAVY = ("convcode.conversion", "convcode.bounds", "convcode.oracle",
-          "dataclasses")
+          "dataclasses", "json")
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -551,13 +551,14 @@ def test_each_command_imports_only_what_it_runs(argv, unloaded, tmp_path):
     (tmp_path / "g.txt").write_text(format_matrix(rm_generator(1, 3)))
     argv = [a.format(tmp=tmp_path) for a in argv]
     # A fresh interpreter: this one has imported every module already.
-    rc, loaded = json.loads(run_fresh(
-        "import json, sys\n"
+    # The script itself imports nothing but sys and the CLI.
+    rc, *loaded = run_fresh(
+        "import sys\n"
         "from convcode import cli\n"
-        "rc = cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([rc, sorted(sys.modules)]))\n",
-        json.dumps(argv),
-    ).splitlines()[-1])
-    assert rc == 0
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, *sorted(sys.modules))\n",
+        *argv,
+    ).splitlines()[-1].split()
+    assert rc == "0"
     assert "convcode.cli" in loaded
     assert not set(unloaded) & set(loaded)

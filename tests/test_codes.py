@@ -38,7 +38,7 @@ from convcode.gf2 import (
 )
 from convcode.reedmuller import rm_code, rm_generator
 
-from tests.conftest import GF_ROWS, GI1_ROWS, row_space_by_rref
+from tests.conftest import GF_ROWS, GI1_ROWS, raises_exactly, row_space_by_rref
 
 
 def repetition(n):
@@ -652,3 +652,43 @@ def test_information_set_inverse_matches_solve_and_inverse(n, seed):
         assert (want is CodeError) == (
             size != c.k or not is_information_set(c, s)
         )
+
+
+_RM13 = rm_code(1, 3)  # [8, 4, 4]
+_ZERO = zero_code(8)
+
+
+@pytest.mark.parametrize("err, call", [
+    (CodeError, lambda: LinearCode(0, None)),
+    (CodeError, lambda: LinearCode(3, BitMatrix.identity(2))),
+    (CodeError, lambda: puncture(_RM13, [8])),
+    (CodeError, lambda: shorten(_RM13, [-1])),
+    (CodeError, lambda: puncture(_RM13, [])),
+    (CodeError, lambda: shorten(_RM13, [])),
+    (CodeError, lambda: is_information_set(_ZERO, [])),
+    (CodeError, lambda: first_information_set(_ZERO)),
+    (CodeError, lambda: encode(_ZERO, BitVector(1))),
+    (CodeError, lambda: decode_from_positions(_ZERO, [0], BitVector(1))),
+    (CodeError, lambda: systematic_generator(_ZERO, [])),
+    (CodeError, lambda: sampled_min_weight(_ZERO)),
+    (DimensionError, lambda: encode(_RM13, BitVector(3))),
+    (DimensionError, lambda: decode_from_positions(
+        _RM13, [0, 1, 2, 4], BitVector(3))),
+    (CodeError, lambda: random_code(4, 0, random.Random(0))),
+    (CodeError, lambda: random_code(4, 5, random.Random(0))),
+], ids=["length-0", "width-mismatch", "coord-high", "coord-negative",
+        "puncture-empty", "shorten-empty", "zero-information-set",
+        "zero-first-information-set", "zero-encode", "zero-decode",
+        "zero-systematic", "zero-sampled-weight", "encode-length",
+        "decode-length", "random-k0", "random-k-above-n"])
+def test_refusals_raise_their_typed_error(err, call):
+    raises_exactly(err, call)
+
+
+def test_shorten_to_the_zero_code():
+    # No nonzero codeword of RM(1, 3) (d = 4) lies inside {0}: the
+    # kernel is empty.  A zero code shortens to the zero code.
+    short = shorten(_RM13, [0])
+    assert short.is_zero and short.n == 1
+    short = shorten(_ZERO, [5, 1])
+    assert short.is_zero and short.n == 2

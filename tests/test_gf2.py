@@ -15,7 +15,6 @@ from convcode.gf2 import (
     gl2_order,
     inverse,
     mat_mul,
-    mat_vec,
     rank,
     right_kernel_basis,
     rref,
@@ -23,7 +22,7 @@ from convcode.gf2 import (
     vec_mat,
 )
 from convcode.reedmuller import rm_generator
-from tests.conftest import GI1_ROWS, GI2_ROWS
+from tests.conftest import GI1_ROWS, GI2_ROWS, raises_exactly
 
 
 def stacked_gi() -> BitMatrix:
@@ -89,7 +88,7 @@ def test_solve_underdetermined_any_valid():
     b = BitVector.from_bits([1])
     x = solve(a, b)
     assert x is not None
-    assert mat_vec(a, x) == b
+    assert vec_mat(x, a.transpose()) == b
 
 
 def test_solve_inconsistent():
@@ -128,7 +127,7 @@ def test_kernel_vectors_annihilate():
         basis = right_kernel_basis(m)
         assert len(basis) == 8 - rank(m)
         for v in basis:
-            assert mat_vec(m, v).mask == 0
+            assert vec_mat(v, m.transpose()).mask == 0
         if basis:
             stacked = BitMatrix([v.mask for v in basis], 8)
             assert rank(stacked) == len(basis)
@@ -153,7 +152,7 @@ def test_solve_consistency_property():
         b = BitVector(3, rng.getrandbits(3))
         x = solve(a, b)
         if x is not None:
-            assert mat_vec(a, x) == b
+            assert vec_mat(x, a.transpose()) == b
 
 
 def test_enumerate_invertible_k1():
@@ -290,7 +289,7 @@ def test_from_columns_matches_bit_loop(rows, col_masks):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 20), st.integers(65, 300), st.data())
 def test_wide_transpose_matches_bit_loops(rows, cols, data):
-    # Words past 64 bits are spread to bytes, eight rows per byte.
+    # Wide words, each spread to one byte per bit, eight rows per byte.
     words = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
     m = BitMatrix(words, cols)
     t = m.transpose()
@@ -516,3 +515,41 @@ def test_products_match_row_loops(rows, inner, cols, seed):
 def test_enumerate_invertible_matches_dict_reference_order(k):
     got = [m.row_words for m in enumerate_invertible(k)]
     assert got == list(enumerate_invertible_by_dict(k))
+
+
+@pytest.mark.parametrize("err, call", [
+    (DimensionError, lambda: BitVector(0)),
+    (ValueError, lambda: BitVector(3, 0b1000)),
+    (ValueError, lambda: BitVector(3, -1)),
+    (ValueError, lambda: BitVector.from_bits([0, 2])),
+    (ValueError, lambda: BitMatrix.from_rows([[1, 0], [0, -1]])),
+    (DimensionError, lambda: BitMatrix.from_rows([])),
+    (DimensionError, lambda: BitMatrix.from_rows([[1, 0], [1]])),
+    (IndexError, lambda: BitVector(3)[3]),
+    (IndexError, lambda: BitVector(3)[-1]),
+    (IndexError, lambda: BitMatrix.identity(2).get(2, 0)),
+    (IndexError, lambda: BitMatrix.identity(2).get(0, -1)),
+    (IndexError, lambda: BitMatrix.identity(2).column_mask(2)),
+    (DimensionError, lambda: BitVector(2) ^ BitVector(3)),
+    (DimensionError, lambda: cc.block_diag([])),
+    (DimensionError, lambda: inverse(BitMatrix.from_rows([[1, 0, 0],
+                                                          [0, 1, 0]]))),
+    (ValueError, lambda: enumerate_invertible(0)),
+], ids=["vector-empty", "vector-mask-high", "vector-mask-negative",
+        "from-bits-entry", "from-rows-entry", "from-rows-empty",
+        "from-rows-ragged", "getitem-high", "getitem-negative", "get-row",
+        "get-col", "column-mask", "xor-length", "block-diag-empty",
+        "inverse-non-square", "invertible-k0"])
+def test_refusals_raise_their_typed_error(err, call):
+    raises_exactly(err, call)
+
+
+def test_bit_vector_length_weight_support_and_hash():
+    v = BitVector.from_bits([1, 0, 1, 1, 0])
+    assert len(v) == 5
+    assert v.weight() == 3
+    assert v.support() == (0, 2, 3)
+    assert BitVector(5).weight() == 0 and BitVector(5).support() == ()
+    assert hash(v) == hash(BitVector(5, 0b01101))
+    assert {v, BitVector(5, 0b01101), BitVector(6, 0b01101)} == {
+        v, BitVector(6, 0b01101)}

@@ -6,13 +6,15 @@ import pytest
 from convcode.codes import (
     dual,
     dual_distance,
+    encode,
     from_generator,
     is_information_set,
     min_distance,
     same_code,
+    zero_code,
 )
 from convcode import conversion, reedmuller
-from convcode.gf2 import BitMatrix, SizeGuardError, rank
+from convcode.gf2 import BitMatrix, BitVector, SizeGuardError, rank
 from convcode.reedmuller import (
     evaluate_monomial,
     low_weight_positions,
@@ -23,6 +25,7 @@ from convcode.reedmuller import (
     rm_generator,
     rm_transformed_generator,
 )
+from tests.conftest import raises_exactly
 
 
 def points(m):
@@ -263,3 +266,43 @@ def test_rm_code_presets_distance_cache():
     c = rm_code(2, 5)
     assert (c._d, c._d_dual) == (8, 8)
     assert rm_code(3, 3)._d_dual is None  # the full space: its dual is zero
+
+
+def _codewords(code):
+    if code.is_zero:
+        return {0}
+    return {encode(code, BitVector(code.k, u)).mask
+            for u in range(1 << code.k)}
+
+
+def _span(words, n):
+    """The code spanned by a set of n-bit words, by greedy rank tests."""
+    basis = []
+    for w in sorted(words):
+        if rank(BitMatrix(basis + [w], n)) > len(basis):
+            basis.append(w)
+    return from_generator(BitMatrix(basis, n)) if basis else zero_code(n)
+
+
+@pytest.mark.parametrize("c, d", [
+    (rm_code(1, 3), zero_code(8)),
+    (zero_code(8), rm_code(1, 3)),
+    (zero_code(8), zero_code(8)),
+], ids=["second-zero", "first-zero", "both-zero"])
+def test_plotkin_sum_with_a_zero_code(c, d):
+    # The code {(x, x + y) : x in c, y in d}, the zero code contributing
+    # only its zero word.
+    expected = {x | (x ^ y) << 8 for x in _codewords(c) for y in _codewords(d)}
+    got = plotkin_sum(c, d)
+    assert same_code(got, _span(expected, 16))
+    assert _codewords(got) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monomial_basis(-1, 3),
+    lambda: monomial_basis(4, 3),
+    lambda: monomial_basis(0, 0),
+    lambda: plotkin_sum(rm_code(1, 3), rm_code(1, 2)),
+], ids=["r-negative", "r-above-m", "m-0", "plotkin-lengths"])
+def test_refusals_raise_value_error(call):
+    raises_exactly(ValueError, call)
