@@ -232,6 +232,7 @@ def audit(p: ParamSet, report: CostReport) -> BoundReport:
     (p, unchanged_counts, read_counts) and shared between reports with
     the same counts; a BoundsError is not memoised and raises every time.
     """
+    # CostReport holds as many read sets as unchanged sets.
     if len(report.unchanged_per_code) != p.lam:
         raise BoundsError("report and parameter set disagree on lambda")
     u = report.unchanged_counts

@@ -308,11 +308,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import SearchLimits, min_access_cost
+    from .oracle import min_access_cost
 
     inst = _instance_from_files(args.gi, args.gf, _parse_int_list(args.blocks))
-    lim = SearchLimits(max_k_final=args.max_kf)
-    y, report = min_access_cost(inst, lim)
+    y, report = min_access_cost(inst)
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
     print(f"optimal access cost: {report.access_cost}")
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--gi", required=True)
     p_oracle.add_argument("--blocks")
     p_oracle.add_argument("--gf", required=True)
-    p_oracle.add_argument("--max-kf", dest="max_kf", type=int, default=5)
     p_oracle.add_argument("--emit-y", dest="emit_y")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -59,8 +59,10 @@ class ConversionError(ValueError):
 class ConvertibleInstance:
     """Initial codes plus a final code with matching total dimension.
 
-    Its shape (n_initial, k_initial, n_final, k_final and
-    total_initial_length) is stored once, when it is built, as apply
+    It refuses, with ConversionError, what breaks the merge regime: no
+    initial code, sum(k_I) != k_F, or an initial code of dimension 0;
+    make_instance is the class.  Its shape (n_initial, k_initial,
+    n_final, k_final, total_initial_length) is stored once, as apply
     reads it for every codeword and the oracle once per walk."""
 
     initial_codes: Tuple[LinearCode, ...]
@@ -72,10 +74,18 @@ class ConvertibleInstance:
     total_initial_length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = tuple(c.n for c in self.initial_codes)
-        k = tuple(c.k for c in self.initial_codes)
-        for name, value in (("n_initial", n), ("k_initial", k),
-                            ("n_final", self.final_code.n),
+        initial = tuple(self.initial_codes)
+        if not initial:
+            raise ConversionError("need at least one initial code")
+        k = tuple(c.k for c in initial)
+        if sum(k) != self.final_code.k:
+            raise ConversionError("merge regime requires sum(k_I) = k_F, "
+                                  f"got {sum(k)} != {self.final_code.k}")
+        if 0 in k:
+            raise ConversionError("initial codes must have dimension >= 1")
+        n = tuple(c.n for c in initial)
+        for name, value in (("initial_codes", initial), ("n_initial", n),
+                            ("k_initial", k), ("n_final", self.final_code.n),
                             ("k_final", self.final_code.k),
                             ("total_initial_length", sum(n))):
             object.__setattr__(self, name, value)
@@ -93,6 +103,9 @@ class ConvertibleInstance:
     def stacked_generator(self) -> BitMatrix:
         """Block-diagonal stack of the initial generators."""
         return block_diag([c.generator for c in self.initial_codes])
+
+
+make_instance = ConvertibleInstance
 
 
 @dataclass(frozen=True)
@@ -123,9 +136,10 @@ class CostReport:
 
     unchanged_per_code[i] holds FINAL coordinates inherited from code i;
     read_per_code[i] holds LOCAL coordinates of code i that are read.
-    The counts and costs are stored once, when it is built, as oracle
-    sweeps read them for every candidate; equality, hashing and repr see
-    only the three sets.
+    Both tuples hold one set per initial code, so they have the same
+    length, else DimensionError.  The counts and costs are stored once,
+    when it is built, as oracle sweeps read them for every candidate;
+    equality, hashing and repr see only the three sets.
     """
 
     unchanged_per_code: Tuple[frozenset, ...]
@@ -143,6 +157,8 @@ class CostReport:
     def __post_init__(self):
         u = tuple(map(len, self.unchanged_per_code))
         r = tuple(map(len, self.read_per_code))
+        if len(u) != len(r):
+            raise DimensionError("need one read set per unchanged set")
         w = len(self.new_symbols)
         for name, value in (("unchanged_counts", u),
                             ("unchanged_total", sum(u)), ("write_cost", w),
@@ -157,23 +173,6 @@ class CostReport:
             "R": list(self.read_counts),
             "access": self.access_cost,
         }
-
-
-def make_instance(
-    initial: Sequence[LinearCode], final: LinearCode
-) -> ConvertibleInstance:
-    initial = tuple(initial)
-    if not initial:
-        raise ConversionError("need at least one initial code")
-    total_k = sum(c.k for c in initial)
-    if total_k != final.k:
-        raise ConversionError(
-            f"merge regime requires sum(k_I) = k_F, got {total_k} != {final.k}"
-        )
-    for c in initial:
-        if c.is_zero:
-            raise ConversionError("initial codes must have dimension >= 1")
-    return ConvertibleInstance(initial, final)
 
 
 def verify_conversion(inst: ConvertibleInstance, y: ConversionMatrix) -> bool:

@@ -20,8 +20,8 @@ has none.  It classifies as it descends: each leaf is four ints, Y's
 cost, its packed rows and the two masks that key its shared CostReport.
 enumerate_conversions looks that report up with no row pass, and
 _unpacker, the one builder of Y, turns a leaf into the ConversionMatrix
-either entry point returns, with the blocks checked once per walk;
-nothing is transposed or re-checked per candidate.
+either entry point returns.  It checks no blocks, since the instance
+guarantees them; nothing is transposed or re-checked per candidate.
 
 1. rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
    with N = M . A^-1 ranging over GL(k_F, 2) as M does.  N's columns v_t,
@@ -64,15 +64,14 @@ MAX_CANDIDATES = 10**9
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Hard caps keeping the exhaustive search at desk scale."""
+    """Hard caps keeping the search at desk scale; MAX_CANDIDATES caps k_F."""
 
-    max_k_final: int = 5
     max_kernel_dim: int = 6
     max_n_final: int = 8
     time_budget: Optional[float] = None  # seconds, None = unlimited
 
     def __post_init__(self):
-        caps = (self.max_k_final, self.max_kernel_dim, self.max_n_final)
+        caps = (self.max_kernel_dim, self.max_n_final)
         if not all(v >= 1 for v in caps):  # also refuses a NaN cap
             raise ValueError("limits must be positive")
         if self.time_budget is not None and not self.time_budget >= 0:
@@ -86,9 +85,8 @@ def candidate_count(inst: ConvertibleInstance) -> int:
 
 
 def _check_limits(inst: ConvertibleInstance, lim: SearchLimits) -> None:
+    """Refuse inst past lim's caps or MAX_CANDIDATES, which bounds k_F."""
     kernel_dim = inst.total_initial_length - inst.k_final
-    if inst.k_final > lim.max_k_final:
-        raise SizeGuardError(f"k_F = {inst.k_final} > {lim.max_k_final}")
     if kernel_dim > lim.max_kernel_dim:
         raise SizeGuardError(f"kernel dim {kernel_dim} > {lim.max_kernel_dim}")
     if inst.n_final > lim.max_n_final:
@@ -257,15 +255,14 @@ def _unpacker(inst: ConvertibleInstance) -> Callable[[int], ConversionMatrix]:
     """The builder of Y for one walk of inst: packed rows to the
     ConversionMatrix either entry point returns.
 
-    The blocks are checked once, by building one ConversionMatrix of
-    inst's shape.  Every row is packed >> s & mask, so it lies in the
-    column range by construction, and each Y is made by __new__ and its
-    fields filled in with no re-check; the public constructors keep
-    theirs.
+    The instance guarantees the blocks: each n_i >= 1, as k_i >= 1, and
+    they sum to Y's row count.  Every row is packed >> s & mask, so it
+    lies in the column range by construction, and each Y is made by
+    __new__ and its fields filled in with no check; the public
+    constructors keep theirs.
     """
     n_final, blocks = inst.n_final, inst.n_initial
     rows = inst.total_initial_length
-    ConversionMatrix(BitMatrix.zeros(rows, n_final), blocks)
     mask = (1 << n_final) - 1
     shifts = range(0, rows * n_final, n_final)
     new_matrix, new_conversion = BitMatrix.__new__, ConversionMatrix.__new__

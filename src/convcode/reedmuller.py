@@ -55,6 +55,8 @@ def monomial_basis(r: int, m: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def rm_dimension(r: int, m: int) -> int:
+    if not 0 <= r <= m:
+        raise ValueError("need 0 <= r <= m")
     return sum(math.comb(m, i) for i in range(r + 1))
 
 
@@ -147,6 +149,8 @@ def low_weight_positions(r: int, m: int) -> Tuple[int, ...]:
     containment order).
     """
     _check_m(m)
+    if not 0 <= r <= m:
+        raise ValueError("need 0 <= r <= m")
     return tuple(j for j in range(1 << m) if j.bit_count() <= r)
 
 

@@ -22,6 +22,7 @@ from convcode.bounds import (
 )
 from convcode.codes import dual_distance, min_distance
 from convcode.conversion import CostReport, rm_merge_procedure
+from convcode.gf2 import DimensionError
 from convcode.oracle import enumerate_conversions
 
 from tests.conftest import small_instances
@@ -394,6 +395,18 @@ def test_audit_rejects_mismatched_report():
     )
     with pytest.raises(BoundsError, match="lambda"):
         audit(example_params(), costs)
+
+
+@pytest.mark.parametrize("reads", [
+    (frozenset({2}),),
+    (frozenset({2}), frozenset({2}), frozenset()),
+], ids=["fewer-read-sets", "more-read-sets"])
+def test_report_needs_one_read_set_per_unchanged_set(reads):
+    # Both tuples hold one set per initial code: a report with fewer read
+    # sets would crash audit, and one with more would lose the extras.
+    with pytest.raises(DimensionError, match="one read set"):
+        CostReport((frozenset({0, 1}), frozenset({2, 3})), frozenset({4}),
+                   reads)
 
 
 @pytest.mark.parametrize("sets", [

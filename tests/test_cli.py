@@ -288,12 +288,30 @@ def test_oracle_unwritable_emit_y_prints_nothing(example_files, tmp_path,
     assert "no-such-dir" in captured.err
 
 
-def test_oracle_respects_max_kf(example_files, capsys):
+def test_oracle_refuses_k_final_6_by_its_candidate_count(tmp_path, capsys):
+    # I_6 in blocks 3,3 into [I_6 | 1]: inside the shape caps, but
+    # |GL(6, 2)| candidates exceed MAX_CANDIDATES.
+    gi, gf = tmp_path / "gi6.txt", tmp_path / "gf6.txt"
+    gi.write_text(format_matrix(BitMatrix.identity(6)))
+    gf.write_text(format_matrix(
+        BitMatrix([(1 << i) | 1 << 6 for i in range(6)], 7)))
+    code = main(["oracle", "--gi", str(gi), "--blocks", "3,3",
+                 "--gf", str(gf)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: search would evaluate 20158709760 "
+                            "candidates (> 1000000000)\n")
+
+
+def test_oracle_has_no_max_kf_option(example_files, capsys):
     gi, gf, _ = example_files
     assert main(
-        ["oracle", "--gi", str(gi), "--gf", str(gf), "--max-kf", "2"]
+        ["oracle", "--gi", str(gi), "--gf", str(gf), "--max-kf", "5"]
     ) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-kf 5" in captured.err
 
 
 def test_apply_plain(example_files, tmp_path, capsys):

@@ -18,6 +18,7 @@ from convcode.codes import (
 from convcode.conversion import (
     ConversionError,
     ConversionMatrix,
+    ConvertibleInstance,
     _run_matrix,
     _stack_codewords,
     apply_conversion,
@@ -59,14 +60,22 @@ from tests.conftest import (
 
 
 def test_make_instance_checks_dimension_sum(example_codes):
+    # The class is the one way to build an instance, and it refuses what
+    # breaks the merge regime: such an instance would crash the oracle
+    # with a bare ValueError.
     c1, c2, cf = example_codes
-    with pytest.raises(ConversionError):
-        make_instance([c1], cf)
-    with pytest.raises(ConversionError, match="at least one"):
-        make_instance([], cf)
-    with pytest.raises(ConversionError, match="dimension >= 1"):
-        make_instance([zero_code(3), c1, c2], cf)
-    inst = make_instance([c1, c2], cf)
+    assert make_instance is ConvertibleInstance
+    for initial, message in [
+        ((c1,), "merge regime requires sum(k_I) = k_F, got 2 != 4"),
+        ((), "need at least one initial code"),
+        ((zero_code(3), c1, c2), "initial codes must have dimension >= 1"),
+    ]:
+        with pytest.raises(ConversionError) as err:
+            ConvertibleInstance(initial, cf)
+        assert str(err.value) == message
+    inst = ConvertibleInstance([c1, c2], cf)
+    assert inst.initial_codes == (c1, c2)
+    assert hash(inst) == hash(ConvertibleInstance((c1, c2), cf))
     assert inst.lam == 2
     assert inst.n_initial == (3, 3)
     assert inst.k_initial == (2, 2)

@@ -365,8 +365,6 @@ def test_search_space_matches_kernel_cosets_on_fixed_instances(
 
 def test_size_guards(example_instance):
     with pytest.raises(SizeGuardError):
-        min_access_cost(example_instance, SearchLimits(max_k_final=2))
-    with pytest.raises(SizeGuardError):
         min_access_cost(example_instance, SearchLimits(max_n_final=4))
     with pytest.raises(SizeGuardError):
         min_access_cost(example_instance, SearchLimits(max_kernel_dim=1))
@@ -390,6 +388,30 @@ def test_candidate_cap_refuses_before_building(monkeypatch):
     with pytest.raises(SizeGuardError, match="candidates"):
         min_access_cost(inst)
     with pytest.raises(SizeGuardError, match="candidates"):
+        next(enumerate_conversions(inst))
+
+
+def test_k_final_6_is_refused_by_the_candidate_cap(monkeypatch):
+    # There is no k_F cap: MAX_CANDIDATES refuses every k_F >= 6, since
+    # |GL(5, 2)| <= MAX_CANDIDATES < |GL(6, 2)|, before the coset table
+    # is built.  I_6 in blocks 3,3 merged into [I_6 | 1] passes the shape
+    # caps (kernel dim 0, n_F = 7).
+    assert gl2_order(5) <= oracle.MAX_CANDIDATES < gl2_order(6)
+    full = from_generator(BitMatrix([0b001, 0b010, 0b100], 3))
+    inst = make_instance(
+        [full, full],
+        from_generator(BitMatrix([(1 << i) | 1 << 6 for i in range(6)], 7)),
+    )
+    assert inst.k_final == 6
+    assert candidate_count(inst) == gl2_order(6) == 20_158_709_760
+
+    def unbuilt(*args):
+        raise AssertionError("the candidate space was built")
+
+    monkeypatch.setattr(oracle, "_transpose_words", unbuilt)
+    with pytest.raises(SizeGuardError, match="20158709760 candidates"):
+        min_access_cost(inst)
+    with pytest.raises(SizeGuardError, match="20158709760 candidates"):
         next(enumerate_conversions(inst))
 
 
@@ -462,12 +484,12 @@ def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
 
 
 def test_limits_must_be_positive():
-    with pytest.raises(ValueError):
-        SearchLimits(max_k_final=0)
+    for cap in ("max_kernel_dim", "max_n_final"):
+        with pytest.raises(ValueError):
+            SearchLimits(**{cap: 0})
 
 
-@pytest.mark.parametrize("cap", ["max_k_final", "max_kernel_dim",
-                                 "max_n_final"])
+@pytest.mark.parametrize("cap", ["max_kernel_dim", "max_n_final"])
 def test_nan_limit_is_refused(cap):
     # Every comparison with NaN is false, so a NaN cap would switch its
     # guard off instead of bounding the search.
@@ -514,7 +536,7 @@ def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
                         or transpose(words, width))
     monkeypatch.setattr(conversion, "CostReport",
                         lambda *sets: built.append(1) or report(*sets))
-    # The stream's blocks are checked once, before its first candidate.
+    # The instance guarantees the blocks: the stream checks none.
     monkeypatch.setattr(ConversionMatrix, "__post_init__",
                         lambda self: checked.append(1) or check(self))
     # Each leaf carries its report's key: no row pass per candidate.
@@ -523,9 +545,9 @@ def test_enumerate_transposes_only_in_set_up(monkeypatch, make, distinct):
     conversion._report.cache_clear()
     stream = enumerate_conversions(inst, WIDE)
     reports = [next(stream)[1]]
-    assert len(transposes) == 2 and len(checked) == 1
+    assert len(transposes) == 2 and checked == []
     reports += [r for _, r in stream]
-    assert len(transposes) == 2 and len(checked) == 1 and classified == []
+    assert len(transposes) == 2 and checked == [] and classified == []
     assert len(reports) == candidate_count(inst)
     shared = {}
     assert all(shared.setdefault(r, r) is r for r in reports)

@@ -303,6 +303,12 @@ def test_plotkin_sum_with_a_zero_code(c, d):
     lambda: monomial_basis(4, 3),
     lambda: monomial_basis(0, 0),
     lambda: plotkin_sum(rm_code(1, 3), rm_code(1, 2)),
-], ids=["r-negative", "r-above-m", "m-0", "plotkin-lengths"])
+    lambda: rm_dimension(-1, 3),
+    lambda: rm_dimension(5, 3),
+    lambda: low_weight_positions(-1, 3),
+    lambda: low_weight_positions(4, 3),
+], ids=["r-negative", "r-above-m", "m-0", "plotkin-lengths",
+        "dimension-r-negative", "dimension-r-above-m",
+        "low-weight-r-negative", "low-weight-r-above-m"])
 def test_refusals_raise_value_error(call):
     raises_exactly(ValueError, call)
