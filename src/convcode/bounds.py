@@ -28,10 +28,12 @@ class BoundsError(ValueError):
 class ParamSet:
     """Merge-instance parameters used by the bound formulas.
 
-    Its hash, that of the tuple of the six fields, is stored once, when
-    it is built, as audit looks its memo up by the parameter set for
-    every candidate of an oracle sweep; equality and repr see only the
-    six fields.
+    It refuses sum(k_I) != k_F, so the formulas take each sum_{j!=i} k_Ij
+    as k_F - k_Ii.  Its hash, that of the tuple of the six fields, is
+    stored once, when it is built, as _hash (int), since audit looks its
+    memo up by the parameter set for every candidate of an oracle sweep.
+    _hash is an attribute, not a field, so equality and repr see only
+    the six fields.
     """
 
     n_initial: Tuple[int, ...]
@@ -40,7 +42,6 @@ class ParamSet:
     k_final: int
     d_final: int
     d_final_dual: int
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Tuples keep the parameter set hashable, so audit can memoise it.
@@ -78,7 +79,7 @@ class ParamSet:
 def unchanged_upper_singleton(p: ParamSet, i: int) -> int:
     """Singleton-type cap: |U_i| <= min{n_Ii, n_F - d_F - sum_{j!=i} k_Ij + 1}."""
     p._check_index(i)
-    others = sum(k for j, k in enumerate(p.k_initial) if j != i)
+    others = p.k_final - p.k_initial[i]
     return min(p.n_initial[i], p.n_final - p.d_final - others + 1)
 
 
@@ -95,7 +96,7 @@ def unchanged_lower_complement(p: ParamSet, i: int) -> Optional[int]:
     p._check_index(i)
     if p.lam < 2:
         return None
-    return sum(k for j, k in enumerate(p.k_initial) if j != i)
+    return p.k_final - p.k_initial[i]
 
 
 def unchanged_total_lower(p: ParamSet) -> Optional[int]:
@@ -121,8 +122,7 @@ def read_lower_delta(p: ParamSet, i: int, u_i: int) -> int:
 def read_lower_omega(p: ParamSet, i: int) -> int:
     """Report-free read floor from omega_i = n_F - 2 d_F - sum_{j!=i} k_Ij + 2."""
     p._check_index(i)
-    others = sum(k for j, k in enumerate(p.k_initial) if j != i)
-    omega = p.n_final - 2 * p.d_final - others + 2
+    omega = p.n_final - 2 * p.d_final - (p.k_final - p.k_initial[i]) + 2
     if omega <= 0:
         return p.k_initial[i]
     return max(p.k_initial[i] - omega, 0)
@@ -186,11 +186,12 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The bound records; violations, those judged unsatisfied, is stored
-    once, as oracle sweeps read it for every candidate."""
+    """The bound records.  violations (Tuple[BoundRecord, ...]), those
+    judged unsatisfied, is stored once, as oracle sweeps read it for
+    every candidate; it is an attribute, not a field, so equality,
+    hashing and repr see only the records."""
 
     records: Tuple[BoundRecord, ...]
-    violations: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bad = tuple(r for r in self.records if r.satisfied is False)
@@ -270,8 +271,7 @@ def _build_report(
     # Pinch: when the dual cap applies to every code and lambda >= 2, the
     # upper and lower bounds force |U| = k_F exactly.
     pinch_applies = p.lam >= 2 and all(
-        unchanged_upper_dual(p, i) is not None for i in range(p.lam)
-    )
+        r.applicable for r in records if r.name == "unchanged_upper_dual")
     records += (
         BoundRecord("unchanged_total_lower", None, unchanged_total_lower(p),
                     total, "lower"),

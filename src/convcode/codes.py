@@ -13,7 +13,6 @@ tests membership by instead of the echelon form.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2 import (
@@ -143,7 +142,6 @@ _MAX_LOW = 13
 _OP_BITS = 1 << 12
 
 
-@lru_cache(maxsize=256)
 def _split(n: int, k: int) -> Tuple[int, int, int]:
     """Split sizes (kb, kg, kl) of a k-bit message for _min_weight.
 
@@ -151,7 +149,7 @@ def _split(n: int, k: int) -> Tuple[int, int, int]:
     4^kg * L for its group sums (L = n.bit_length() planes), each an
     operation on 2^kl bits that costs about _OP_BITS + 2^kl.  kg and
     1 <= kl <= _MAX_LOW minimise that total, the larger kl and then the
-    larger kg on a tie; kb takes the remaining bits.  Memoised.
+    larger kg on a tie; kb takes the remaining bits.
     """
     planes = n.bit_length()
 

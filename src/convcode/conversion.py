@@ -61,17 +61,14 @@ class ConvertibleInstance:
 
     It refuses, with ConversionError, what breaks the merge regime: no
     initial code, sum(k_I) != k_F, or an initial code of dimension 0;
-    make_instance is the class.  Its shape (n_initial, k_initial,
-    n_final, k_final, total_initial_length) is stored once, as apply
-    reads it for every codeword and the oracle once per walk."""
+    make_instance is the class.  Its shape is stored once, as apply
+    reads it for every codeword and the oracle once per walk:
+    n_initial and k_initial (Tuple[int, ...]), n_final, k_final and
+    total_initial_length (int).  These are attributes, not fields, so
+    equality, hashing and repr see only the two codes."""
 
     initial_codes: Tuple[LinearCode, ...]
     final_code: LinearCode
-    n_initial: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    k_initial: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    n_final: int = field(init=False, compare=False, repr=False)
-    k_final: int = field(init=False, compare=False, repr=False)
-    total_initial_length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         initial = tuple(self.initial_codes)
@@ -111,7 +108,7 @@ make_instance = ConvertibleInstance
 @dataclass(frozen=True)
 class ConversionMatrix:
     """Matrix Y of a linear conversion, with initial block sizes: each
-    at least 1, summing to Y's row count.
+    at least 1, summing to Y's row count, and stored as a tuple.
 
     _anf is None except on the Y of an RM merge or chain, where it holds
     the initial codes Y was built for: on an instance of those very
@@ -124,6 +121,7 @@ class ConversionMatrix:
     _anf: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.blocks and min(self.blocks) < 1:
             raise DimensionError("block sizes must be >= 1")
         if self.y.rows != sum(self.blocks):
@@ -138,21 +136,15 @@ class CostReport:
     read_per_code[i] holds LOCAL coordinates of code i that are read.
     Both tuples hold one set per initial code, so they have the same
     length, else DimensionError.  The counts and costs are stored once,
-    when it is built, as oracle sweeps read them for every candidate;
-    equality, hashing and repr see only the three sets.
+    when it is built, as oracle sweeps read them for every candidate:
+    unchanged_counts and read_counts (Tuple[int, ...]), unchanged_total,
+    write_cost, read_cost and access_cost (int).  These are attributes,
+    not fields, so equality, hashing and repr see only the three sets.
     """
 
     unchanged_per_code: Tuple[frozenset, ...]
     new_symbols: frozenset
     read_per_code: Tuple[frozenset, ...]
-    unchanged_counts: Tuple[int, ...] = field(init=False, compare=False,
-                                              repr=False)
-    unchanged_total: int = field(init=False, compare=False, repr=False)
-    write_cost: int = field(init=False, compare=False, repr=False)
-    read_counts: Tuple[int, ...] = field(init=False, compare=False,
-                                         repr=False)
-    read_cost: int = field(init=False, compare=False, repr=False)
-    access_cost: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         u = tuple(map(len, self.unchanged_per_code))

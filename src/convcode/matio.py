@@ -1,10 +1,11 @@
 """Text serialization of binary matrices.
 
-Format (shared across the repo): first line ``ROWS COLS`` as ASCII
-decimals, then ROWS lines of exactly COLS characters from {0,1}, where
-character j of a line is column j (bit j of the row word).
+Format (shared across the repo): first line ``ROWS COLS``, each ASCII
+decimal digits only, then ROWS lines of exactly COLS characters from
+{0,1}, where character j of a line is column j (bit j of the row word).
 Optional trailing comment lines start with ``#``; the ``#blocks`` comment
-carries block sizes for conversion matrices and transformed generators.
+carries block sizes for conversion matrices and transformed generators,
+each ASCII decimal digits only, separated by commas or whitespace.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
     if not lines:
         raise MatrixFormatError("empty matrix text")
     header = lines[0].split()
-    if len(header) != 2:
+    # Checked first, as for the row lines: int() alone also takes signs,
+    # "_" and non-ASCII digits, and refuses over 4300 digits itself.
+    if len(header) != 2 or not all(h.isascii() and h.isdigit()
+                                   for h in header):
         raise MatrixFormatError(f"bad header line: {lines[0]!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
@@ -66,6 +70,8 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
             if stripped.startswith("blocks"):
                 rest = stripped[len("blocks"):].strip()
                 parts = [p for p in re.split(r"[,\s]+", rest) if p]
+                if not all(p.isascii() and p.isdigit() for p in parts):
+                    raise MatrixFormatError(f"bad #blocks line: {ln!r}")
                 try:
                     blocks = tuple(int(p) for p in parts)
                 except ValueError as exc:

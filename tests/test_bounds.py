@@ -1,4 +1,4 @@
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Optional
 
 import pytest
@@ -426,12 +426,10 @@ def test_report_counts_are_stored_from_its_sets(sets):
     assert costs.write_cost == len(new)
     assert costs.read_cost == sum(r)
     assert costs.access_cost == sum(r) + len(new)
-    # Equality, hashing and repr see only the three sets.
-    stored = [f for f in fields(CostReport) if not f.init]
-    assert {f.name for f in stored} == {
-        "unchanged_counts", "unchanged_total", "write_cost", "read_counts",
-        "read_cost", "access_cost"}
-    assert not any(f.compare or f.repr for f in stored)
+    # The three sets are its only fields, so equality, hashing and repr
+    # see only them.
+    assert [f.name for f in fields(CostReport)] == [
+        "unchanged_per_code", "new_symbols", "read_per_code"]
     twin = CostReport(*sets)
     object.__setattr__(twin, "access_cost", -1)
     assert twin == costs and hash(twin) == hash(costs)
@@ -440,6 +438,50 @@ def test_report_counts_are_stored_from_its_sets(sets):
     # audit gets the records it got when it counted the sets on each read.
     p = example_params()
     assert audit(p, costs) == bounds._build_report(p, u, r)
+
+
+# Each record, its constructor's inputs and the values its __post_init__
+# derives from them.
+@pytest.mark.parametrize("build, inputs, derived", [
+    (lambda: rm_merge_procedure(2, 4)[0], ("initial_codes", "final_code"),
+     ("n_initial", "k_initial", "n_final", "k_final",
+      "total_initial_length")),
+    (lambda: rm_merge_procedure(2, 4)[2],
+     ("unchanged_per_code", "new_symbols", "read_per_code"),
+     ("unchanged_counts", "unchanged_total", "write_cost", "read_counts",
+      "read_cost", "access_cost")),
+    (example_params, ("n_initial", "k_initial", "n_final", "k_final",
+                      "d_final", "d_final_dual"), ("_hash",)),
+    (lambda: evaluate_bounds(example_params()), ("records",),
+     ("violations",)),
+], ids=["ConvertibleInstance", "CostReport", "ParamSet", "BoundReport"])
+def test_derived_values_are_frozen_attributes_not_fields(build, inputs,
+                                                         derived):
+    record = build()
+    assert tuple(f.name for f in fields(record)) == inputs
+    for name in derived:
+        # Set once, on the instance, when it is built.
+        assert name in vars(record)
+        assert f"{name}=" not in repr(record)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+
+
+@settings(max_examples=400, deadline=None)
+@given(params_and_counts())
+def test_bounds_match_their_sums_over_the_other_codes(case):
+    # ParamSet refuses sum(k_I) != k_F, so k_F - k_Ii is the sum of the
+    # other codes' dimensions that the paper's formulas state.
+    p = case[0]
+    for i in range(p.lam):
+        others = sum(k for j, k in enumerate(p.k_initial) if j != i)
+        assert unchanged_upper_singleton(p, i) == min(
+            p.n_initial[i], p.n_final - p.d_final - others + 1)
+        assert unchanged_lower_complement(p, i) == (
+            others if p.lam >= 2 else None)
+        omega = p.n_final - 2 * p.d_final - others + 2
+        assert read_lower_omega(p, i) == (
+            p.k_initial[i] if omega <= 0 else max(p.k_initial[i] - omega, 0))
 
 
 def test_violations_are_stored_once():

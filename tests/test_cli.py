@@ -457,6 +457,29 @@ def test_info_rejects_rank_deficient(tmp_path, capsys):
     assert main(["info", str(path)]) == 2
 
 
+def test_non_decimal_header_or_blocks_stops_at_parse(example_files, tmp_path,
+                                                     capsys):
+    # int() takes "+1" and "-1", but the format's fields are ASCII digits.
+    header = tmp_path / "h.txt"
+    header.write_text("+1 3\n101\n")
+    assert main(["info", str(header)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read matrix from" in captured.err
+    assert "bad header line" in captured.err
+    _, _, y = example_files
+    signed = tmp_path / "y.txt"
+    signed.write_text(y.read_text().replace("#blocks 3,3", "#blocks -1,7"))
+    x1 = tmp_path / "x1.txt"
+    x2 = tmp_path / "x2.txt"
+    x1.write_text("1 3\n101\n")
+    x2.write_text("1 3\n110\n")
+    assert main(["apply", "--y", str(signed), "--inputs", f"{x1},{x2}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad #blocks line: '#blocks -1,7'" in captured.err
+
+
 def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["merge"]) == 2

@@ -491,6 +491,14 @@ def test_conversion_matrix_refuses_blocks_below_1(blocks):
         ConversionMatrix(BitMatrix.identity(6), blocks)
 
 
+def test_conversion_matrix_stores_its_blocks_as_a_tuple(example_instance,
+                                                        example_y):
+    listed = ConversionMatrix(example_y.y, [3, 3])
+    assert listed.blocks == (3, 3)
+    assert listed == example_y and hash(listed) == hash(example_y)
+    assert verify_conversion(example_instance, listed)
+
+
 def test_rm_merge_2_4_costs():
     inst, y, report = rm_merge_procedure(2, 4)
     assert inst.k_initial == (rm_dimension(2, 3), rm_dimension(1, 3))

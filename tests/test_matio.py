@@ -68,6 +68,21 @@ def test_parse_crlf():
         "1 2\n012\n",
         "1 2\n1\n",
         "1 2\n10\n#blocks a,b\n",
+        # int() takes each of these, but header fields and #blocks
+        # entries are ASCII decimal digits.
+        "+1 3\n101\n",
+        "1 +3\n101\n",
+        "0_1 3\n101\n",
+        "\u0661 3\n101\n",
+        "1 \uff13\n101\n",
+        "1 3\n101\n#blocks +3\n",
+        "1 3\n101\n#blocks 1_0\n",
+        "1 3\n101\n#blocks -1,7\n",
+        "1 3\n101\n#blocks \u0663\n",
+        # Past int()'s 4300-digit limit, which raises a bare ValueError.
+        pytest.param("1" * 5000 + " 2\n10\n", id="header-past-4300-digits"),
+        pytest.param("1 2\n10\n#blocks " + "1" * 5000 + "\n",
+                     id="blocks-past-4300-digits"),
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -143,3 +158,4 @@ def test_row_parse_matches_per_bit_reference(cols, line):
 def test_parse_rejects_what_int_accepts(row):
     with pytest.raises(MatrixFormatError):
         parse_matrix(f"1 3\n{row}\n")
+
