@@ -71,6 +71,17 @@ class ParamSet:
     def lam(self) -> int:
         return len(self.n_initial)
 
+    def to_record(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "n_I": list(self.n_initial),
+            "k_I": list(self.k_initial),
+            "n_F": self.n_final,
+            "k_F": self.k_final,
+            "d_F": self.d_final,
+            "d_F_dual": self.d_final_dual,
+        }
+
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.lam:
             raise BoundsError(f"code index {i} out of range")

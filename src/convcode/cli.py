@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 semantic failure (e.g. an invalid conversion
 matrix), 2 usage/parameter/I-O errors.  Coordinates in text output are
 1-indexed; JSON output uses the documented report schema.
 
+Stdout has two writers: _emit prints a command's text lines, or its
+record as JSON under --format json, and matio.write_matrix streams
+matrix text to --out or stdout.  Stderr carries warnings and errors.
+
 Each command imports only the modules it runs: the module level loads
 gf2, codes, reedmuller and matio, and the commands that need
 conversion, bounds, oracle or json import them when they are called.
@@ -114,25 +118,13 @@ def _format_cost_text(report: CostReport) -> List[str]:
     return lines
 
 
-def _params_record(p: ParamSet) -> dict:
-    return {
-        "lambda": p.lam,
-        "n_I": list(p.n_initial),
-        "k_I": list(p.k_initial),
-        "n_F": p.n_final,
-        "k_F": p.k_final,
-        "d_F": p.d_final,
-        "d_F_dual": p.d_final_dual,
-    }
-
-
 def _report_record(
     p: ParamSet,
     costs: CostReport,
     bound_report: BoundReport,
 ) -> dict:
     return {
-        "params": _params_record(p),
+        "params": p.to_record(),
         "costs": costs.to_record(),
         "bounds": bound_report.to_records(),
     }
@@ -169,22 +161,25 @@ def _code_distances(code: LinearCode) -> Tuple[Optional[int], Optional[int]]:
     return d, d_dual
 
 
-def _write_out(path: Optional[str], lines: Iterable[str]) -> None:
-    """Write the lines to the --out path, or to stdout when none is given."""
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+def _emit(lines: Iterable[str], record: object = None, fmt: str = "text") -> None:
+    """Print the command's record as JSON when fmt is "json", else its
+    text lines."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps(record, indent=2))
     else:
-        sys.stdout.writelines(lines)
+        for line in lines:
+            print(line)
 
 
 def cmd_rm(args) -> int:
     if args.transformed:
-        mat, row_blocks = rm_transformed_generator(args.r, args.m)
-        lines = matio._matrix_lines(mat, blocks=row_blocks, block_sep=" ")
+        mat, blocks = rm_transformed_generator(args.r, args.m)
     else:
-        lines = matio._matrix_lines(rm_generator(args.r, args.m))
-    _write_out(args.out, lines)
+        mat, blocks = rm_generator(args.r, args.m), None
+    # --out '' writes to stdout, as no --out does.
+    matio.write_matrix(args.out or None, mat, blocks, block_sep=" ")
     return OK
 
 
@@ -219,14 +214,9 @@ def cmd_merge(args) -> int:
     inst, y, costs, p, bound_report, _ = _merge_audit(r, m, "formula")
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(_report_record(p, costs, bound_report), indent=2))
-    else:
-        print(f"merge RM({r},{m-1}) x RM({r-1},{m-1}) -> RM({r},{m})")
-        for line in _audit_lines(costs, bound_report):
-            print(line)
+    _emit([f"merge RM({r},{m-1}) x RM({r-1},{m-1}) -> RM({r},{m})",
+           *_audit_lines(costs, bound_report)],
+          _report_record(p, costs, bound_report), args.format)
     return FAIL if bound_report.violations else OK
 
 
@@ -240,11 +230,9 @@ def cmd_verify(args) -> int:
     try:
         report = classify_symbols(inst, y)
     except ConversionError:
-        print("INVALID: matrix does not convert the initial codes to the final code")
+        _emit(["INVALID: matrix does not convert the initial codes to the final code"])
         return FAIL
-    print("VALID conversion")
-    for line in _format_cost_text(report):
-        print(line)
+    _emit(["VALID conversion", *_format_cost_text(report)])
     return OK
 
 
@@ -256,7 +244,7 @@ def cmd_report(args) -> int:
     if args.m_max >= 4:
         # The merge's guard is monotone in m: refuse before building any.
         _check_merge_size(args.m_max)
-    records = []
+    records, lines, violated = [], [], False
     for m in range(args.m_min, args.m_max + 1):
         if m < 4:
             print(f"warning: skipping m={m} (analysis assumes m = r+2 >= 4)",
@@ -266,23 +254,15 @@ def cmd_report(args) -> int:
         _, _, costs, p, bound_report, distance_source = _merge_audit(
             r, m, "exhaustive"
         )
-        rec = _report_record(p, costs, bound_report)
-        rec["distance_source"] = distance_source
-        records.append((m, r, p, costs, bound_report, rec))
-    if args.format == "json":
-        import json
-
-        print(json.dumps([rec for *_, rec in records], indent=2))
-    else:
-        for m, r, p, costs, bound_report, _ in records:
-            print(f"m={m} r={r}: n_I={list(p.n_initial)} k_I={list(p.k_initial)} "
-                  f"n_F={p.n_final} k_F={p.k_final} d_F={p.d_final} "
-                  f"d_F_dual={p.d_final_dual}")
-            for line in _audit_lines(costs, bound_report):
-                print("  " + line)
-    if any(br.violations for *_, br, _ in records):
-        return FAIL
-    return OK
+        records.append({**_report_record(p, costs, bound_report),
+                        "distance_source": distance_source})
+        lines.append(f"m={m} r={r}: n_I={list(p.n_initial)} k_I={list(p.k_initial)} "
+                     f"n_F={p.n_final} k_F={p.k_final} d_F={p.d_final} "
+                     f"d_F_dual={p.d_final_dual}")
+        lines += ["  " + line for line in _audit_lines(costs, bound_report)]
+        violated |= bool(bound_report.violations)
+    _emit(lines, records, args.format)
+    return FAIL if violated else OK
 
 
 def cmd_bounds(args) -> int:
@@ -294,16 +274,9 @@ def cmd_bounds(args) -> int:
         raise CliError("--lambda disagrees with the length of --nI")
     p = ParamSet(n_i, k_i, args.nF, args.kF, args.dF, args.dFdual)
     bound_report = evaluate_bounds(p)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(
-            {"params": _params_record(p), "bounds": bound_report.to_records()},
-            indent=2,
-        ))
-    else:
-        for line in _bound_lines(bound_report):
-            print(line)
+    _emit(_bound_lines(bound_report),
+          {"params": p.to_record(), "bounds": bound_report.to_records()},
+          args.format)
     return OK
 
 
@@ -314,9 +287,8 @@ def cmd_oracle(args) -> int:
     y, report = min_access_cost(inst)
     if args.emit_y:
         matio.write_matrix(args.emit_y, y.y, blocks=inst.n_initial)
-    print(f"optimal access cost: {report.access_cost}")
-    for line in _format_cost_text(report):
-        print(line)
+    _emit([f"optimal access cost: {report.access_cost}",
+           *_format_cost_text(report)])
     return OK
 
 
@@ -345,11 +317,11 @@ def cmd_apply(args) -> int:
         try:
             out = apply_conversion(inst, y, words)
         except ConversionError as exc:
-            print(f"INVALID input: {exc}")
+            _emit([f"INVALID input: {exc}"])
             return FAIL
     else:
         out = _run_matrix(y, words)
-    _write_out(args.out, matio._matrix_lines(BitMatrix([out.mask], out.n)))
+    matio.write_matrix(args.out or None, BitMatrix([out.mask], out.n))
     return OK
 
 
@@ -359,7 +331,7 @@ def cmd_info(args) -> int:
     d, d_dual = _code_distances(code)
     d_str = str(d) if d is not None else "unknown"
     dd_str = str(d_dual) if d_dual is not None else "unknown"
-    print(f"n={code.n} k={code.k} d={d_str} d_dual={dd_str}")
+    _emit([f"n={code.n} k={code.k} d={d_str} d_dual={dd_str}"])
     return OK
 
 

@@ -3,18 +3,27 @@
 Format (shared across the repo): first line ``ROWS COLS``, each ASCII
 decimal digits only, then ROWS lines of exactly COLS characters from
 {0,1}, where character j of a line is column j (bit j of the row word).
-Optional trailing comment lines start with ``#``; the ``#blocks`` comment
-carries block sizes for conversion matrices and transformed generators,
-each ASCII decimal digits only, separated by commas or whitespace.
+Optional trailing comment lines start with ``#``.  The ``#blocks``
+comment (``#``, optional blanks, then ``blocks`` ending the line or
+followed by a blank or a comma) carries block sizes for conversion
+matrices and transformed generators, each ASCII decimal digits only,
+separated by commas or blanks.  The text is ASCII: lines end at ``\\n``
+(a trailing ``\\r`` is dropped), and the only blanks are space and tab.
+write_matrix streams the text one row per write, to stdout when the
+path is None.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .gf2 import BitMatrix
+
+# Group 1 holds the block sizes.
+_BLOCK_LINE = re.compile(r"#[ \t]*blocks([ \t,].*)?")
 
 
 class MatrixFormatError(ValueError):
@@ -45,11 +54,11 @@ def format_matrix(
 
 def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
     """Parse matrix text; returns (matrix, blocks-or-None)."""
-    lines = [ln.rstrip("\r") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln.removesuffix("\r") for ln in text.split("\n")]
+    lines = [ln for ln in lines if ln.strip(" \t")]
     if not lines:
         raise MatrixFormatError("empty matrix text")
-    header = lines[0].split()
+    header = re.findall(r"[^ \t]+", lines[0])
     # Checked first, as for the row lines: int() alone also takes signs,
     # "_" and non-ASCII digits, and refuses over 4300 digits itself.
     if len(header) != 2 or not all(h.isascii() and h.isdigit()
@@ -66,10 +75,9 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
     row_lines: List[str] = []
     for ln in body:
         if ln.startswith("#"):
-            stripped = ln[1:].strip()
-            if stripped.startswith("blocks"):
-                rest = stripped[len("blocks"):].strip()
-                parts = [p for p in re.split(r"[,\s]+", rest) if p]
+            block_line = _BLOCK_LINE.fullmatch(ln)
+            if block_line:
+                parts = re.findall(r"[^, \t]+", block_line[1] or "")
                 if not all(p.isascii() and p.isdigit() for p in parts):
                     raise MatrixFormatError(f"bad #blocks line: {ln!r}")
                 try:
@@ -77,7 +85,7 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
                 except ValueError as exc:
                     raise MatrixFormatError(f"bad #blocks line: {ln!r}") from exc
             continue
-        row_lines.append(ln.strip())
+        row_lines.append(ln.strip(" \t"))
     if len(row_lines) != rows:
         raise MatrixFormatError(
             f"expected {rows} row lines, found {len(row_lines)}"
@@ -91,14 +99,22 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
 
 
 def read_matrix(path: Union[str, Path]) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
+    """Parse the file's text, read with universal newlines: its \\r and
+    \\r\\n line ends reach parse_matrix as \\n."""
     return parse_matrix(Path(path).read_text())
 
 
 def write_matrix(
-    path: Union[str, Path],
+    path: Optional[Union[str, Path]],
     m: BitMatrix,
     blocks: Optional[Tuple[int, ...]] = None,
     block_sep: str = ",",
 ) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(_matrix_lines(m, blocks, block_sep))
+    """Write the matrix text to path, or to stdout when path is None, one
+    row per write, so the whole text is never built."""
+    lines = _matrix_lines(m, blocks, block_sep)
+    if path is None:
+        sys.stdout.writelines(lines)
+    else:
+        with open(path, "w") as fh:
+            fh.writelines(lines)

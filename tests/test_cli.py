@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from convcode import bounds, cli, conversion
+from convcode import bounds, conversion, matio
 from convcode.bounds import BoundRecord, BoundReport, audit
 from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
@@ -204,6 +204,18 @@ def test_bounds_json(capsys):
     assert "read_lower_omega" in names
     pinch = [b for b in rec["bounds"] if b["name"] == "unchanged_total_pinch"]
     assert pinch[0]["applicable"] is True and pinch[0]["value"] == 4
+
+
+def test_params_record_is_the_param_sets_own(capsys):
+    p = bounds.ParamSet((3, 3), (2, 2), 5, 4, 2, 5)
+    assert list(p.to_record()) == ["lambda", "n_I", "k_I", "n_F", "k_F",
+                                   "d_F", "d_F_dual"]
+    assert main(
+        ["bounds", "--nI", "3,3", "--kI", "2,2", "--nF", "5",
+         "--kF", "4", "--dF", "2", "--dFdual", "5", "--format", "json"]
+    ) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert list(params.items()) == list(p.to_record().items())
 
 
 def test_bounds_rejects_bad_params(capsys):
@@ -564,7 +576,7 @@ def test_matrix_text_is_written_one_row_at_a_time(monkeypatch):
         assert mode == "w"
         return files.setdefault(path, WriteRecorder())
 
-    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(matio, "open", recording_open, raising=False)
     assert main(["rm", "--r", "2", "--m", "10", "--transformed",
                  "--out", "g.txt"]) == 0
     mat, blocks = rm_transformed_generator(2, 10)

@@ -56,6 +56,27 @@ def test_parse_crlf():
     assert m.to_lists() == [[1, 0]]
 
 
+def test_parse_takes_ascii_blanks_around_fields_and_rows():
+    m, blocks = parse_matrix(" 2\t 3 \r\n\t101 \r\n \t\n 011\t\n")
+    assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
+    assert blocks is None
+
+
+# A comment is the block line only when "blocks" follows "#" and optional
+# blanks, and ends the line or is followed by a blank or a comma.
+@pytest.mark.parametrize("comment, blocks", [
+    ("#blocksize of the code", None),
+    ("#blocks3", None),
+    ("#blocks", ()),
+    ("#blocks 3,3", (3, 3)),
+    ("# blocks 3,3", (3, 3)),
+    ("#blocks,3,3", (3, 3)),
+    ("#\tblocks 3 \t3 ", (3, 3)),
+])
+def test_block_line_is_blocks_then_a_blank_comma_or_end(comment, blocks):
+    assert parse_matrix(f"1 3\n101\n{comment}\n")[1] == blocks
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -79,6 +100,11 @@ def test_parse_crlf():
         "1 3\n101\n#blocks 1_0\n",
         "1 3\n101\n#blocks -1,7\n",
         "1 3\n101\n#blocks \u0663\n",
+        # The format is ASCII: blanks are space and tab, lines end at \n.
+        "1\xa03\n101\n",
+        "1 3\n\u2003101\n",
+        "2 3\n101\x85110\n",
+        "2 3\n101\u2028110\n",
         # Past int()'s 4300-digit limit, which raises a bare ValueError.
         pytest.param("1" * 5000 + " 2\n10\n", id="header-past-4300-digits"),
         pytest.param("1 2\n10\n#blocks " + "1" * 5000 + "\n",
@@ -97,6 +123,13 @@ def test_file_round_trip(tmp_path):
     back, blocks = read_matrix(path)
     assert back == m
     assert blocks == (3, 3)
+
+
+@pytest.mark.parametrize("blocks, sep", [(None, ","), ((3, 3), " ")])
+def test_write_matrix_without_a_path_writes_stdout(capsys, blocks, sep):
+    m = BitMatrix.from_rows(GF_ROWS)
+    write_matrix(None, m, blocks, block_sep=sep)
+    assert capsys.readouterr().out == format_matrix(m, blocks, block_sep=sep)
 
 
 def format_per_bit(m):
