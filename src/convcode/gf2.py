@@ -10,13 +10,13 @@ by byte spreading) serves transpose, from_columns, select_columns,
 codes' distance scan and the oracle's syndrome tables; _combine (XOR
 the rows picked by a mask) serves every product (mat_mul and vec_mat),
 _eliminate, codes.contains off the RM preset, codes' distance scan and
-sampled_min_weight, and the oracle's syndromes; _reduce (insert a row
-into a pivot-indexed basis) serves _eliminate, enumerate_invertible
-and the oracle's stage 1; _eliminate serves rank, rref, solve, inverse
-and the kernels, and reduces each row only by the pivots it hits, so
-sparse, nearly echelon matrices such as Reed-Muller generators reduce
-in a few list lookups per row.  The information-set inverse is
-codes._inverse_on.
+sampled_min_weight, and the oracle's syndrome bases; _reduce (insert a
+row into a pivot-indexed basis) serves _eliminate and
+enumerate_invertible, not the oracle, whose stage 1 tests independence
+by a span mask; _eliminate serves rank, rref, solve, inverse and the
+kernels, and reduces each row only by the pivots it hits, so sparse,
+nearly echelon matrices such as Reed-Muller generators reduce in a few
+list lookups per row.  The information-set inverse is codes._inverse_on.
 """
 
 from __future__ import annotations

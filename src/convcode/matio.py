@@ -99,9 +99,11 @@ def parse_matrix(text: str) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
 
 
 def read_matrix(path: Union[str, Path]) -> Tuple[BitMatrix, Optional[Tuple[int, ...]]]:
-    """Parse the file's text, read with universal newlines: its \\r and
-    \\r\\n line ends reach parse_matrix as \\n."""
-    return parse_matrix(Path(path).read_text())
+    """Parse the file's text as read, with no newline translation, so the
+    file obeys parse_matrix's line rules: \\r\\n ends a line, a bare \\r
+    does not."""
+    with open(path, newline="") as fh:
+        return parse_matrix(fh.read())
 
 
 def write_matrix(

@@ -10,8 +10,9 @@ access cost found here a true optimum.
 _search_space, the one builder of that space, buckets every y by its
 syndrome once per instance (the coset of that syndrome), with whether
 each coset is forced (it has no weight-1 member, so the column must be
-written) and its least member weight, spreads every y into the column
-slot of Y's packed rows, and gives each unit word its code's slot.
+written), its least member weight and the members stage 2 tries once
+there is an incumbent, spreads every y into the column slot of Y's
+packed rows, and gives each unit word its code's slot.
 
 _walk, the one walk of that space, goes depth first in two stages.  It
 cuts only where even the cheapest completion costs strictly more than an
@@ -29,10 +30,20 @@ guarantees them; nothing is transposed or re-checked per candidate.
    ascending order; once v_t is, every final column whose highest RREF
    support bit is t has its syndrome.  A prefix is cut when its forced
    writes plus the largest least weight among those forced columns (every
-   write reads at least its column's weight) exceed the incumbent.
+   write reads at least its column's weight) exceed the incumbent.  Each
+   pick is O(1) plus one XOR and two lookups per column it fixes: level t
+   keeps a 2^k_F-bit mask of the v outside span(v_0 .. v_t-1), so the
+   next pick is its lowest set bit past the last, and each column fixed
+   at level t keeps the XOR of the images over its support less bit t,
+   computed once on entering the level, to which the pick is XORed.
 2. For a complete N, each column takes a member of its coset in turn, in
    ascending order, the last column fastest; the floor is the writes and
-   reads so far plus one write per forced column still to come.
+   reads so far plus one write per forced column still to come.  Once
+   there is an incumbent, an unforced column takes only its weight-1
+   members: swapping a written column for one keeps Y valid for the same
+   M, drops a write and adds no read, so a Y that writes an unforced
+   column costs strictly more than the optimum of its M and never ties
+   the final pick.
 """
 
 from __future__ import annotations
@@ -46,7 +57,6 @@ from .gf2 import (
     BitMatrix,
     SizeGuardError,
     _combine,
-    _reduce,
     _transpose_words,
     gl2_order,
 )
@@ -109,6 +119,9 @@ class _Space(NamedTuple):
     cosets: List[List[int]]  # per syndrome v in [0, 2^k_F)
     forced: List[bool]  # cosets[v] has no weight-1 member
     least: List[int]  # least member weight of cosets[v]
+    # trimmed[v]: the members stage 2 tries under an incumbent, cosets[v]'s
+    # weight-1 members, or all of cosets[v] if it is forced.
+    trimmed: List[List[int]]
     # spread[y]: bit i of y moved to bit i * n_F, so the OR of
     # spread[column j] << j over Y's columns packs Y's row i into bits
     # [i * n_F, (i + 1) * n_F); _walk ORs in one column per level.
@@ -125,7 +138,8 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     syn[y] = G_I . y for every y in [0, 2^N), doubled over G_I's columns
     at one XOR each, and spread[y] beside it at one OR each; every y then
     joins the bucket of its syndrome.  G_I has full row rank, so no
-    bucket is empty.  slot is set at the N unit words.
+    bucket is empty.  slot is set at the N unit words, which are the
+    weight-1 members that trimmed keeps.
     """
     _check_limits(inst, lim)
     g_stack = inst.stacked_generator()
@@ -141,12 +155,13 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
     slot = [0] * len(syn)
     for row, i in enumerate(code_of_row):
         slot[1 << row] = 1 << i * inst.n_final
-    weights = [list(map(int.bit_count, c)) for c in cosets]
+    units = [[y for y in c if slot[y]] for c in cosets]
     deadline = (
         None if lim.time_budget is None else time.monotonic() + lim.time_budget
     )
-    return _Space(deadline, cosets, [1 not in w for w in weights],
-                  [min(w) for w in weights], spread, slot)
+    return _Space(deadline, cosets, [not u for u in units],
+                  [min(map(int.bit_count, c)) for c in cosets],
+                  [u or c for u, c in zip(units, cosets)], spread, slot)
 
 
 def _walk(
@@ -164,8 +179,15 @@ def _walk(
     Every other column is new, so (keeps, reads) is conversion._report's
     key for Y.  The incumbent cost is the value sent back: None, as next
     sends, cuts nothing.
+
+    Stage 1 takes its next pick as the lowest set bit of free[t] past
+    the last, and the syndrome of each column the pick fixes as one XOR
+    with bases[t]; the child's mask drops the coset span(images[:t]) ^ v,
+    which one butterfly per set bit of v moves into place.  Stage 2 walks
+    space.trimmed in place of the cosets once there is an incumbent,
+    which loses no tie of the final pick (module docstring, item 2).
     """
-    deadline, table, forced, least, spread, slot = space
+    deadline, table, forced, least, trimmed, spread, slot = space
     k, n_final = inst.k_final, inst.n_final
     pivots, _, reduced = _echelon(inst.final_code)
     # Column j of N . rref(G_F) is the XOR of N's columns over support[j].
@@ -176,10 +198,22 @@ def _walk(
     for j, s in enumerate(support):
         fixed_by[s.bit_length()].append(j)
     syndromes = [0] * n_final
-    # Stage 1 at level t: images[:t] are picked, reduced into basis slots
-    # pivot_of[:t]; the columns they fix have writes1[t] forced writes and
-    # largest least weight reads1[t].
-    images, basis, pivot_of, writes1, reads1 = ([0] * k for _ in range(5))
+    # flips[v]: per set bit b of v, (2^b, the mask of the u in [0, 2^k)
+    # with bit b clear); moving each bit u of a mask to u ^ v is one
+    # butterfly per pair.
+    size = 1 << k
+    halves = [sum(1 << u for u in range(size) if not u >> b & 1)
+              for b in range(k)]
+    flips = [[(1 << b, halves[b]) for b in range(k) if v >> b & 1]
+             for v in range(size)]
+    full = (1 << size) - 1
+    # Stage 1 at level t: images[:t] are picked, free[t] masks the v
+    # outside their span, bases[t][i] is the XOR of images over the
+    # support of column fixed_by[t + 1][i] less bit t; the columns fixed
+    # before level t have writes1[t] forced writes and largest least
+    # weight reads1[t].
+    images, free, writes1, reads1 = ([0] * k for _ in range(4))
+    bases: List[List[int]] = [[]] * k
     # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes,
     # reads2[j] reads, packs2[j] their packed rows and keeps2[j] their
     # kept columns per code; members[j] walks column j's coset.
@@ -188,44 +222,49 @@ def _walk(
     after = [0] * n_final  # forced columns after column j
     best: Optional[int] = None
 
-    def settle(cols: List[int], writes: int, reads: int) -> Tuple[int, int]:
-        # Fix the syndromes of cols; add their forced writes and reads.
-        for j in cols:
-            v = syndromes[j] = _combine(support[j], images)
-            if forced[v]:
-                writes += 1
-                reads = max(reads, least[v])
-        return writes, reads
-
-    writes1[0], reads1[0] = settle(fixed_by[0], 0, 0)
+    # The zero columns have syndrome 0, whose least weight is 0; the
+    # columns fixed at level 0 have support 1, so base 0.
+    writes1[0] = len(fixed_by[0]) if forced[0] else 0
+    free[0], bases[0] = full ^ 1, [0] * len(fixed_by[1])
     t = v = 0  # stage 1's level, and the last v tried there
     while True:
-        red = 0
-        while not red and v + 1 < 1 << k:
-            v += 1
-            red = _reduce(v, basis)
-        if not red:  # level t is done
+        rest = free[t] >> v + 1
+        if not rest:  # level t is done
             if t == 0:
                 return
             t -= 1
-            basis[pivot_of[t]], v = 0, images[t]
+            v = images[t]
             continue
-        images[t] = v
-        writes, reads = settle(fixed_by[t + 1], writes1[t], reads1[t])
+        v += (rest & -rest).bit_length()
+        writes, reads = writes1[t], reads1[t]
+        for base in bases[t]:
+            s = base ^ v
+            if forced[s]:
+                writes += 1
+                if least[s] > reads:
+                    reads = least[s]
         if deadline is not None and time.monotonic() > deadline:
             raise SizeGuardError("time budget exhausted")
         if best is not None and writes + reads > best:
             continue
+        images[t] = v
+        for j, base in zip(fixed_by[t + 1], bases[t]):
+            syndromes[j] = base ^ v
         if t + 1 < k:
-            pivot_of[t] = (red & -red).bit_length() - 1
-            basis[pivot_of[t]] = red
+            coset = full ^ free[t]
+            for shift, half in flips[v]:
+                coset = (coset & half) << shift | coset >> shift & half
             t, v = t + 1, 0
+            free[t] = free[t - 1] ^ coset
+            bases[t] = [_combine(support[j] ^ 1 << t, images)
+                        for j in fixed_by[t + 1]]
             writes1[t], reads1[t] = writes, reads
             continue
         # Stage 2 for the complete N.
         for j in range(n_final - 2, -1, -1):
             after[j] = after[j + 1] + forced[syndromes[j + 1]]
-        j, members[0] = 0, iter(table[syndromes[0]])
+        j = 0
+        members[0] = iter((table if best is None else trimmed)[syndromes[0]])
         while j >= 0:
             y = next(members[j], None)
             if y is None:
@@ -248,7 +287,8 @@ def _walk(
             j += 1
             writes2[j], reads2[j], packs2[j], keeps2[j] = (writes, reads,
                                                            packed, keeps)
-            members[j] = iter(table[syndromes[j]])
+            members[j] = iter(
+                (table if best is None else trimmed)[syndromes[j]])
 
 
 def _unpacker(inst: ConvertibleInstance) -> Callable[[int], ConversionMatrix]:

@@ -1,6 +1,7 @@
 """The CLI's outputs past the golden sizes (m <= 9), one case per check:
-digests of matrix text, the (5, 10) merge's costs, `info` lines, and
-the refusals past the size budget.  Each calls cli.main in process."""
+digests of matrix text, the (5, 10) merge's costs, `info` lines, the
+refusals past the size budget, and the exact oracle on three initial
+codes.  Each calls cli.main in process."""
 
 import hashlib
 import json
@@ -10,8 +11,11 @@ import pytest
 
 from convcode import conversion, reedmuller
 from convcode.cli import main
-from convcode.conversion import rm_merge_chain
+from convcode.codes import from_generator
+from convcode.conversion import make_instance, rm_merge_chain
+from convcode.gf2 import BitMatrix
 from convcode.matio import format_matrix
+from convcode.oracle import candidate_count, enumerate_conversions
 
 
 class Sha256Writer:
@@ -98,3 +102,22 @@ def test_refused_past_the_bit_budget_before_building(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_oracle_on_three_initial_codes(tmp_path, capsys):
+    # lambda = 3: [1,1], [1,1] and [2,1] into a [4,3] code.  The pick's
+    # cost is 4, the emitted Y verifies, and the uncut stream has every
+    # candidate once with 4 as its least cost.
+    gi, gf, best = (tmp_path / n for n in ("gi3.txt", "gf3.txt", "y3.txt"))
+    gi.write_text("3 4\n1000\n0100\n0011\n")
+    gf.write_text("3 4\n1001\n0101\n0011\n")
+    args = ["--gi", str(gi), "--blocks", "1,1,2", "--gf", str(gf)]
+    assert main(["oracle", *args, "--emit-y", str(best)]) == 0
+    assert "optimal access cost: 4" in capsys.readouterr().out.splitlines()
+    assert main(["verify", *args, "--y", str(best)]) == 0
+    f = lambda rows: from_generator(BitMatrix.from_rows(rows))
+    inst = make_instance([f([[1]]), f([[1]]), f([[1, 1]])],
+                         f([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+    costs = [r.access_cost for _, r in enumerate_conversions(inst)]
+    assert len(costs) == candidate_count(inst) == 2688
+    assert min(costs) == 4

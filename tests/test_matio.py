@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convcode.cli import main
 from convcode.gf2 import BitMatrix
 from convcode.matio import (
     MatrixFormatError,
@@ -123,6 +124,24 @@ def test_file_round_trip(tmp_path):
     back, blocks = read_matrix(path)
     assert back == m
     assert blocks == (3, 3)
+
+
+def test_read_matrix_takes_crlf_and_refuses_a_bare_cr(tmp_path, capsys):
+    # The file is read with no newline translation, so read_matrix keeps
+    # parse_matrix's rules: \r\n ends a line, a bare \r does not, and
+    # `info` on the bare-\r file exits 2.
+    crlf, cr = tmp_path / "crlf.txt", tmp_path / "cr.txt"
+    crlf.write_bytes(b"1 3\r\n101\r\n")
+    cr.write_bytes(b"1 3\r101\r")
+    assert read_matrix(crlf) == (BitMatrix([0b101], 3), None)
+    assert main(["info", str(crlf)]) == 0
+    for refuse in (lambda: parse_matrix(cr.read_bytes().decode()),
+                   lambda: read_matrix(cr)):
+        with pytest.raises(MatrixFormatError, match="bad header line"):
+            refuse()
+    capsys.readouterr()
+    assert main(["info", str(cr)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("blocks, sep", [(None, ","), ((3, 3), " ")])

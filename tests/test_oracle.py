@@ -323,6 +323,102 @@ def test_min_access_cost_matches_per_m_walk_on_fixed_instances(
         assert_same_pick_as_per_m_walk(inst)
 
 
+ZERO_COLUMN, REPEATED_COLUMN = degenerate_final_instances()
+
+
+def leaf_rows(inst, packed):
+    """Y's rows from a leaf's packed rows, row i in bits [i * n_F, ...)."""
+    mask = (1 << inst.n_final) - 1
+    return tuple(packed >> i * inst.n_final & mask
+                 for i in range(inst.total_initial_length))
+
+
+def cut_walk_ties(inst, lim=SearchLimits()):
+    """The cost of min_access_cost's pick, and the Ys (rows, counted)
+    that its walk, cut by the incumbent, yields at that cost.  The
+    wrapper records each leaf and forwards each incumbent sent back."""
+    leaves, walk = [], oracle._walk
+
+    def recording(inst, space):
+        inner, sent = walk(inst, space), None
+        while True:
+            try:
+                leaf = inner.send(sent)
+            except StopIteration:
+                return
+            leaves.append(leaf)
+            sent = yield leaf
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_walk", recording)
+        _, report = min_access_cost(inst, lim)
+    cost = report.access_cost
+    return cost, Counter(leaf_rows(inst, packed)
+                         for writes, reads, packed, _ in leaves
+                         if writes + reads.bit_count() == cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+@example(wide_instance())
+@example(ZERO_COLUMN)
+@example(REPEATED_COLUMN)
+def test_cut_walk_yields_every_tie_of_the_pick(inst):
+    # Under an incumbent an unforced column tries only its weight-1
+    # members, and both cuts are strict: the cut walk still yields every
+    # Y at the final cost, each once, exactly as the uncut walk does.
+    cost, cut = cut_walk_ties(inst, WIDE)
+    uncut = Counter(
+        leaf_rows(inst, packed)
+        for writes, reads, packed, _ in oracle._walk(
+            inst, oracle._search_space(inst, WIDE))
+        if writes + reads.bit_count() == cost)
+    assert cut == uncut
+    assert set(cut.values()) == {1}
+
+
+def ties_by_per_m_walk(inst, cost):
+    """Every valid Y of the given access cost (rows, counted), by the
+    walk of min_access_cost_per_m cut at that cost from the start."""
+    table = kernel_cosets(inst)
+    n_final, total_rows = inst.n_final, inst.total_initial_length
+    found = Counter()
+    chosen = []
+
+    def descend(j, writes, read_mask):
+        if writes + read_mask.bit_count() + suffix_floor[j] > cost:
+            return
+        if j == n_final:
+            if writes + read_mask.bit_count() == cost:
+                found[tuple(_transpose_words(chosen, total_rows))] += 1
+            return
+        for mask in cosets[j]:
+            chosen.append(mask)
+            weight_1 = mask.bit_count() == 1
+            descend(j + 1, writes + (not weight_1),
+                    read_mask if weight_1 else read_mask | mask)
+            chosen.pop()
+
+    for m in enumerate_invertible(inst.k_final, limit=None):
+        target = mat_mul(m, inst.final_code.generator).row_words
+        cosets = [table[v] for v in _transpose_words(target, n_final)]
+        suffix_floor = [0] * (n_final + 1)
+        for j in range(n_final - 1, -1, -1):
+            suffix_floor[j] = suffix_floor[j + 1] + (
+                1 not in map(int.bit_count, cosets[j])
+            )
+        descend(0, 0, 0)
+    return found
+
+
+def test_cut_walk_yields_every_tie_on_the_worked_example(example_instance):
+    # Its uncut stream has 20,643,840 Ys, so the reference is the per-M
+    # walk cut at the final cost: the 1,080 Ys of access cost 3.
+    cost, cut = cut_walk_ties(example_instance)
+    assert cost == 3 and sum(cut.values()) == 1080
+    assert cut == ties_by_per_m_walk(example_instance, cost)
+
+
 def assert_same_cosets_as_kernel_cosets(inst):
     # Member for member and in the same order, and every y in [0, 2^N)
     # lies in exactly one coset.
@@ -456,18 +552,31 @@ def test_min_access_cost_checks_budget_while_picking_m(
     monkeypatch, example_instance
 ):
     # The fake clock reads 0 for the deadline and for the first column
-    # pick, then is far past the deadline.  Picking one of M's k_F = 4
-    # columns reduces at least one candidate, so fewer than k_F reductions
-    # means the budget stopped the walk before M was complete.
-    readings = iter([0.0, 0.0])
-    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
-    reductions = []
-    reduce = oracle._reduce
-    monkeypatch.setattr(oracle, "_reduce",
-                        lambda v, basis: reductions.append(v) or reduce(v, basis))
+    # pick, then is far past the deadline.  The walk reads it once per
+    # pick and once per coset member, so three reads and no coset looked
+    # up mean the budget stopped the walk at the second of M's k_F = 4
+    # picks, before M was complete.
+    readings = []
+    monkeypatch.setattr(oracle.time, "monotonic",
+                        lambda: readings.append(1) or
+                        (0.0 if len(readings) <= 2 else 1e9))
+    looked_up = []
+
+    class Watched(list):
+        def __getitem__(self, v):
+            looked_up.append(v)
+            return list.__getitem__(self, v)
+
+    def watched(space):
+        return space._replace(cosets=Watched(space.cosets),
+                              trimmed=Watched(space.trimmed))
+
+    build = oracle._search_space
+    monkeypatch.setattr(oracle, "_search_space",
+                        lambda *args: watched(build(*args)))
     with pytest.raises(SizeGuardError, match="time budget") as err:
         min_access_cost(example_instance, SearchLimits(time_budget=1.0))
-    assert 0 < len(reductions) < example_instance.k_final
+    assert len(readings) == 3 and looked_up == []
     assert err.traceback[-1].name == "_walk"
 
 
