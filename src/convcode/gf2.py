@@ -16,7 +16,10 @@ enumerate_invertible, not the oracle, whose stage 1 tests independence
 by a span mask; _eliminate serves rank, rref, solve, inverse and the
 kernels, and reduces each row only by the pivots it hits, so sparse,
 nearly echelon matrices such as Reed-Muller generators reduce in a few
-list lookups per row.  The information-set inverse is codes._inverse_on.
+list lookups per row; _butterflies (the Moebius transform's steps)
+serves the Reed-Muller generators, degree tests and ANF maps and codes'
+distance scan, and gives the oracle's walk its translation masks.  The
+information-set inverse is codes._inverse_on.
 """
 
 from __future__ import annotations

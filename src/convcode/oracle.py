@@ -16,13 +16,14 @@ packed rows, and gives each unit word its code's slot.
 
 _walk, the one walk of that space, goes depth first in two stages.  It
 cuts only where even the cheapest completion costs strictly more than an
-incumbent: min_access_cost lowers one as it goes, enumerate_conversions
-has none.  It classifies as it descends: each leaf is four ints, Y's
-cost, its packed rows and the two masks that key its shared CostReport.
-enumerate_conversions looks that report up with no row pass, and
-_unpacker, the one builder of Y, turns a leaf into the ConversionMatrix
-either entry point returns.  It checks no blocks, since the instance
-guarantees them; nothing is transposed or re-checked per candidate.
+incumbent: the walk keeps its own under `cut`, for min_access_cost, and
+enumerate_conversions walks uncut.  It classifies as it descends: each
+leaf is four ints, Y's cost, its packed rows and the two masks that key
+its shared CostReport.  Both entry points look that report up with no
+row pass, and _unpacker, the one builder of Y, turns a leaf into the
+ConversionMatrix either returns.  It checks no blocks, since the
+instance guarantees them; nothing is transposed or re-checked per
+candidate.
 
 1. rref(G_F) = A . G_F for an invertible A, so M . G_F = N . rref(G_F)
    with N = M . A^-1 ranging over GL(k_F, 2) as M does.  N's columns v_t,
@@ -50,12 +51,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import (Callable, Generator, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .gf2 import (
     BitMatrix,
     SizeGuardError,
+    _butterflies,
     _combine,
     _transpose_words,
     gl2_order,
@@ -66,7 +67,6 @@ from .conversion import (
     ConvertibleInstance,
     CostReport,
     _report,
-    classify_symbols,
 )
 
 MAX_CANDIDATES = 10**9
@@ -165,8 +165,8 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
 
 
 def _walk(
-    inst: ConvertibleInstance, space: _Space
-) -> Generator[Tuple[int, int, int, int], Optional[int], None]:
+    inst: ConvertibleInstance, space: _Space, cut: bool
+) -> Iterator[Tuple[int, int, int, int]]:
     """The module's walk of inst's candidate space, built (so the limits
     checked) by _search_space; the deadline is checked at each pick and
     each coset member.
@@ -177,8 +177,8 @@ def _walk(
     [i * n_F, (i + 1) * n_F), and the weight-1 columns packed from the
     slot table, code i's kept columns in bits [i * n_F, (i + 1) * n_F).
     Every other column is new, so (keeps, reads) is conversion._report's
-    key for Y.  The incumbent cost is the value sent back: None, as next
-    sends, cuts nothing.
+    key for Y.  Under cut, each leaf's cost is the incumbent once it is
+    yielded, and the strict cuts yield none costlier; uncut, every Y is.
 
     Stage 1 takes its next pick as the lowest set bit of free[t] past
     the last, and the syndrome of each column the pick fixes as one XOR
@@ -198,13 +198,11 @@ def _walk(
     for j, s in enumerate(support):
         fixed_by[s.bit_length()].append(j)
     syndromes = [0] * n_final
-    # flips[v]: per set bit b of v, (2^b, the mask of the u in [0, 2^k)
-    # with bit b clear); moving each bit u of a mask to u ^ v is one
+    # flips[v]: per set bit b of v, (the mask of the u in [0, 2^k) with
+    # bit b clear, 2^b); moving each bit u of a mask to u ^ v is one
     # butterfly per pair.
-    size = 1 << k
-    halves = [sum(1 << u for u in range(size) if not u >> b & 1)
-              for b in range(k)]
-    flips = [[(1 << b, halves[b]) for b in range(k) if v >> b & 1]
+    size, steps = 1 << k, _butterflies(k)
+    flips = [[step for b, step in enumerate(steps) if v >> b & 1]
              for v in range(size)]
     full = (1 << size) - 1
     # Stage 1 at level t: images[:t] are picked, free[t] masks the v
@@ -252,7 +250,7 @@ def _walk(
             syndromes[j] = base ^ v
         if t + 1 < k:
             coset = full ^ free[t]
-            for shift, half in flips[v]:
+            for half, shift in flips[v]:
                 coset = (coset & half) << shift | coset >> shift & half
             t, v = t + 1, 0
             free[t] = free[t - 1] ^ coset
@@ -282,7 +280,9 @@ def _walk(
                 continue
             packed = packs2[j] | spread[y] << j
             if j + 1 == n_final:  # the floor is now the cost
-                best = yield writes, reads, packed, keeps
+                if cut:
+                    best = writes + reads.bit_count()
+                yield writes, reads, packed, keeps
                 continue
             j += 1
             writes2[j], reads2[j], packs2[j], keeps2[j] = (writes, reads,
@@ -337,7 +337,7 @@ def enumerate_conversions(
     """
     space = _search_space(inst, lim)
     unpack, n_initial, n_final = _unpacker(inst), inst.n_initial, inst.n_final
-    for _, reads, packed, keeps in _walk(inst, space):
+    for _, reads, packed, keeps in _walk(inst, space, cut=False):
         yield unpack(packed), _report(n_initial, n_final, keeps, reads)
 
 
@@ -346,28 +346,21 @@ def min_access_cost(
 ) -> Tuple[ConversionMatrix, CostReport]:
     """Minimum-access-cost conversion over ALL linear conversions.
 
-    The module's walk, with the cost of the best Y so far as incumbent.
-    Both cuts are strict, so every tie is visited, and each Y comes from
-    exactly one M, so the pick does not depend on the walk's order.  Ties
-    are broken by write cost, then by the lexicographic row-major bit
-    string of Y, so results are deterministic.  That string is the walk's
-    packed rows read from bit 0 up, Y[0][0] first, so the key reverses
-    their fixed-width binary form; no candidate is transposed.  A time
-    budget in lim is checked at every pick and every coset member.
+    The module's walk, cut by its own incumbent.  Both cuts are strict, so
+    every tie is visited, and each Y comes from exactly one M, so the pick
+    does not depend on the walk's order.  Ties are broken by write cost,
+    then by the lexicographic row-major bit string of Y, so results are
+    deterministic.  That string is the walk's packed rows read from bit 0
+    up, Y[0][0] first, so the key reverses their fixed-width binary form;
+    no candidate is transposed.  The report comes from the pick's leaf.  A
+    time budget in lim is checked at every pick and every coset member.
     """
     width = f"0{inst.total_initial_length * inst.n_final}b"
-    walk = _walk(inst, _search_space(inst, lim))
-    best_key, best_packed = None, 0
-    try:
-        writes, reads, packed, _ = next(walk)
-        while True:
-            # Row-major bit string of Y, Y[0][0] most significant.
-            key = (writes + reads.bit_count(), writes,
-                   int(format(packed, width)[::-1], 2))
-            if best_key is None or key < best_key:
-                best_key, best_packed = key, packed
-            writes, reads, packed, _ = walk.send(best_key[0])
-    except StopIteration:
-        pass
-    y = _unpacker(inst)(best_packed)
-    return y, classify_symbols(inst, y)
+    # Row-major bit string of Y, Y[0][0] most significant: unique per Y.
+    *_, packed, keeps, reads = min(
+        (writes + reads.bit_count(), writes,
+         int(format(packed, width)[::-1], 2), packed, keeps, reads)
+        for writes, reads, packed, keeps in _walk(
+            inst, _search_space(inst, lim), cut=True))
+    return (_unpacker(inst)(packed),
+            _report(inst.n_initial, inst.n_final, keeps, reads))

@@ -1,21 +1,34 @@
 """The CLI's outputs past the golden sizes (m <= 9), one case per check:
 digests of matrix text, the (5, 10) merge's costs, `info` lines, the
-refusals past the size budget, and the exact oracle on three initial
-codes.  Each calls cli.main in process."""
+refusals past the size budget, the exact oracle on three initial codes,
+the ANF apply at (5, 11) and (3, 10, 3), and two peak-RSS caps.  The
+CLI checks call cli.main in process, except the peak-RSS caps, which run
+the CLI as the child of a fresh interpreter."""
 
 import hashlib
 import json
+import os
+import random
 import sys
 
 import pytest
 
 from convcode import conversion, reedmuller
 from convcode.cli import main
-from convcode.codes import from_generator
-from convcode.conversion import make_instance, rm_merge_chain
-from convcode.gf2 import BitMatrix
+from convcode.codes import encode, from_generator
+from convcode.conversion import (
+    _stack_codewords,
+    apply_conversion,
+    make_instance,
+    rm_merge_apply,
+    rm_merge_chain,
+    rm_merge_procedure,
+)
+from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix
 from convcode.oracle import candidate_count, enumerate_conversions
+
+from tests.conftest import run_fresh
 
 
 class Sha256Writer:
@@ -121,3 +134,53 @@ def test_oracle_on_three_initial_codes(tmp_path, capsys):
     costs = [r.access_cost for _, r in enumerate_conversions(inst)]
     assert len(costs) == candidate_count(inst) == 2688
     assert min(costs) == 4
+
+
+@pytest.mark.parametrize("build, apply", [
+    (lambda: rm_merge_procedure(5, 11),
+     lambda inst, y, words: rm_merge_apply(5, 11, *words)),
+    (lambda: rm_merge_chain(3, 10, 3), apply_conversion),
+], ids=["merge-5-11", "chain-3-10-3"])
+def test_anf_apply_matches_vec_mat_past_tier_1_sizes(build, apply):
+    # The fused ANF map against x . Y by gf2.vec_mat, on 20 seeded
+    # tuples of one codeword per initial code.
+    inst, y, _ = build()
+    rng = random.Random(2026)
+    for _ in range(20):
+        words = [encode(c, BitVector(c.k, rng.getrandbits(c.k)))
+                 for c in inst.initial_codes]
+        assert apply(inst, y, words) == vec_mat(_stack_codewords(words), y.y)
+
+
+# Runs the CLI as its own child, its stdout to the file argv[1], and
+# prints that child's peak RSS in KiB.  Read in pytest's process,
+# RUSAGE_CHILDREN would be the maximum over every child pytest has
+# reaped, so the wrapper is a fresh interpreter.
+PEAK_RSS_OF_CLI = """\
+import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    subprocess.run([sys.executable, "-m", "convcode.cli", *sys.argv[2:]],
+                   stdout=out, check=True, timeout=60)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def cli_peak_rss_kib(out, *argv):
+    return int(run_fresh(PEAK_RSS_OF_CLI, str(out), *argv))
+
+
+def test_rm_text_is_streamed_under_64_mib():
+    # The 5.6 MB RM(2, 18) generator is written without building its
+    # 45 MB text.
+    peak = cli_peak_rss_kib(os.devnull, "rm", "--r", "2", "--m", "18")
+    assert peak < 64 * 1024, f"peak RSS {peak} KiB"
+
+
+def test_info_of_rm_1_16_under_64_mib(tmp_path):
+    # The bit-sliced distance scan of the 65,536-symbol RM(1, 16), in
+    # bounded time (the wrapper's 60 s) and memory.
+    g, out = tmp_path / "g.txt", tmp_path / "info.txt"
+    assert main(["rm", "--r", "1", "--m", "16", "--out", str(g)]) == 0
+    peak = cli_peak_rss_kib(out, "info", str(g))
+    assert "d=32768" in out.read_text().split()
+    assert peak < 64 * 1024, f"peak RSS {peak} KiB"

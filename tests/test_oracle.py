@@ -132,23 +132,18 @@ def test_min_access_cost_never_beats_oracle():
 
 
 def test_min_access_cost_cuts_by_its_incumbent(monkeypatch, example_instance):
-    # The worked example has 20,643,840 candidates.  min_access_cost sends
-    # the walk its incumbent cost, so only about a thousand of them reach
-    # it; an uncut walk would reach all of them.  The wrapper counts the
-    # candidates the walk yields and forwards each incumbent sent back.
+    # The worked example has 20,643,840 candidates.  min_access_cost's
+    # walk cuts by its own incumbent cost, so only about a thousand of them
+    # reach it; an uncut walk would reach all of them.  The wrapper counts
+    # the candidates the walk yields.
     calls = []
     walk = oracle._walk
 
-    def counting(inst, space):
-        inner, sent = walk(inst, space), None
-        while True:
-            try:
-                leaf = inner.send(sent)
-            except StopIteration:
-                return
+    def counting(inst, space, cut):
+        for leaf in walk(inst, space, cut):
             calls.append(1)
             assert len(calls) < 10_000, "the walk is not cut"
-            sent = yield leaf
+            yield leaf
 
     monkeypatch.setattr(oracle, "_walk", counting)
     _, report = min_access_cost(example_instance)
@@ -264,10 +259,13 @@ def min_access_cost_per_m(inst):
 
 
 def assert_same_pick_as_per_m_walk(inst):
+    # The pick's report comes from its leaf: it must be the classification
+    # of its Y, sets and all, and the Y must verify.
     y, report = min_access_cost(inst)
     ref_y, ref_report = min_access_cost_per_m(inst)
     assert y.y == ref_y.y
-    assert report.to_record() == ref_report.to_record()
+    assert verify_conversion(inst, y)
+    assert report == ref_report
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,18 +334,13 @@ def leaf_rows(inst, packed):
 def cut_walk_ties(inst, lim=SearchLimits()):
     """The cost of min_access_cost's pick, and the Ys (rows, counted)
     that its walk, cut by the incumbent, yields at that cost.  The
-    wrapper records each leaf and forwards each incumbent sent back."""
+    wrapper records each leaf."""
     leaves, walk = [], oracle._walk
 
-    def recording(inst, space):
-        inner, sent = walk(inst, space), None
-        while True:
-            try:
-                leaf = inner.send(sent)
-            except StopIteration:
-                return
+    def recording(inst, space, cut):
+        for leaf in walk(inst, space, cut):
             leaves.append(leaf)
-            sent = yield leaf
+            yield leaf
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_walk", recording)
@@ -371,7 +364,7 @@ def test_cut_walk_yields_every_tie_of_the_pick(inst):
     uncut = Counter(
         leaf_rows(inst, packed)
         for writes, reads, packed, _ in oracle._walk(
-            inst, oracle._search_space(inst, WIDE))
+            inst, oracle._search_space(inst, WIDE), cut=False)
         if writes + reads.bit_count() == cost)
     assert cut == uncut
     assert set(cut.values()) == {1}
@@ -677,7 +670,7 @@ def test_walk_leaf_key_is_the_row_classification(inst):
     mask = (1 << n_final) - 1
     leaves = []
     for writes, reads, packed, keeps in oracle._walk(
-            inst, oracle._search_space(inst, WIDE)):
+            inst, oracle._search_space(inst, WIDE), cut=False):
         words = tuple(packed >> (i * n_final) & mask for i in range(rows))
         report = conversion._report(inst.n_initial, n_final, keeps, reads)
         assert report is conversion._classify_rows(inst, words)
@@ -722,8 +715,8 @@ def test_enumerate_eliminates_only_in_set_up(eliminations):
     # eliminates at most once: the final code's echelon form, cached on the
     # code.  The coset table comes from computed syndromes and nothing is
     # checked per candidate, so a second stream on the same instance
-    # eliminates nothing, and a solve only once, in verifying its pick
-    # (classify_symbols takes the rank of G_I . Y).
+    # eliminates nothing, and neither does a solve: its pick's report
+    # comes from its leaf, so nothing takes the rank of G_I . Y.
     inst = tiny_instance()
     del eliminations[:]
     assert sum(1 for _ in enumerate_conversions(inst)) == candidate_count(inst)
@@ -732,4 +725,4 @@ def test_enumerate_eliminates_only_in_set_up(eliminations):
     assert sum(1 for _ in enumerate_conversions(inst)) == candidate_count(inst)
     assert eliminations == []
     min_access_cost(inst)
-    assert len(eliminations) == 1
+    assert eliminations == []
