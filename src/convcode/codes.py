@@ -339,7 +339,8 @@ def puncture(c: LinearCode, s: Sequence[int]) -> LinearCode:
 
 
 def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
-    """Codewords supported inside s, projected onto s."""
+    """Codewords supported inside s, projected onto s: the messages u
+    whose u . G vanishes outside s, times G by one mat_mul, on s."""
     s = _check_coords(c.n, s)
     if not s:
         raise CodeError("shortening set must be nonempty")
@@ -348,17 +349,12 @@ def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
     complement = sorted(set(range(c.n)).difference(s))
     if not complement:
         return c
-    # Messages u with (u . G) vanishing outside s.
     outside = c.generator.select_columns(complement)
     kernel = right_kernel_basis(outside.transpose())
     if not kernel:
         return zero_code(len(s))
-    words = []
-    for u in kernel:
-        cw = vec_mat(u, c.generator)
-        words.append(cw.mask)
-    gen = BitMatrix(words, c.n).select_columns(s)
-    return from_generator(gen)
+    messages = BitMatrix([u.mask for u in kernel], c.k)
+    return from_generator(mat_mul(messages, c.generator).select_columns(s))
 
 
 def is_information_set(c: LinearCode, s: Sequence[int]) -> bool:
@@ -490,11 +486,13 @@ def sampled_min_weight(
 
 
 def random_code(n: int, k: int, rng: random.Random) -> LinearCode:
-    """Uniformly random full-rank generator -> an [n, k] code."""
+    """Uniformly random full-rank generator -> an [n, k] code, drawn
+    again on from_generator's CodeError: one elimination per draw."""
     if not 1 <= k <= n:
         raise CodeError("need 1 <= k <= n")
     while True:
-        words = [rng.getrandbits(n) for _ in range(k)]
-        m = BitMatrix(words, n)
-        if rank(m) == k:
-            return from_generator(m)
+        try:
+            return from_generator(
+                BitMatrix([rng.getrandbits(n) for _ in range(k)], n))
+        except CodeError:
+            pass

@@ -7,8 +7,9 @@ every bit of a row word lies below the column count.
 
 Each kernel has one implementation.  _transpose_words (one transpose,
 by byte spreading) serves transpose, from_columns, select_columns,
-codes' distance scan and the oracle's syndrome tables; _combine (XOR
-the rows picked by a mask) serves every product (mat_mul and vec_mat),
+right_kernel_basis (so codes.dual and shorten), codes' distance scan
+and the oracle's syndrome tables; _combine (XOR the rows picked by a
+mask) serves every product (mat_mul, so codes.shorten, and vec_mat),
 _eliminate, codes.contains off the RM preset, codes' distance scan and
 sampled_min_weight, and the oracle's syndrome bases; _reduce (insert a
 row into a pivot-indexed basis) serves _eliminate and
@@ -215,10 +216,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _transpose_words(words: Sequence[int], width: int) -> List[int]:
     """Transpose packed bit rows: bit j of words[i] becomes bit i of out[j].
 
-    Each word is spread to one byte per bit; eight words shifted into the
-    bits of each byte make the output's bytes, interleaved so that the
-    bytes of out[j] are adjacent, O(len(words) * width / 8) byte work
-    whatever the words' density.  Every bit must lie below width.
+    Each nonzero word is spread to one byte per bit; eight words shifted
+    into the bits of each byte make the output's bytes, interleaved so
+    that out[j]'s bytes are adjacent.  Zero words and all-zero groups of
+    eight are skipped (buf starts zeroed): O(width) byte work per nonzero
+    word and group, then the read-out.  Every bit must lie below width.
     """
     if not words:
         return [0] * width
@@ -228,9 +230,11 @@ def _transpose_words(words: Sequence[int], width: int) -> List[int]:
     for a in range(nb):
         spread = 0
         for t, w in enumerate(words[8 * a:8 * a + 8]):
-            bits = format(w, fmt).encode().translate(_BIT_BYTES)
-            spread |= int.from_bytes(bits, "big") << t
-        buf[a::nb] = spread.to_bytes(width, "little")
+            if w:
+                bits = format(w, fmt).encode().translate(_BIT_BYTES)
+                spread |= int.from_bytes(bits, "big") << t
+        if spread:
+            buf[a::nb] = spread.to_bytes(width, "little")
     return [int.from_bytes(buf[j:j + nb], "little")
             for j in range(0, width * nb, nb)]
 
@@ -384,18 +388,16 @@ def solve(a: BitMatrix, b: BitVector) -> Optional[BitVector]:
 
 
 def right_kernel_basis(a: BitMatrix) -> List[BitVector]:
-    """Basis of {x : a . x = 0}; has cols - rank(a) elements."""
+    """Basis of {x : a . x = 0}; has cols - rank(a) elements: for each
+    free column f, ascending, 1 << f | cols[f], cols the one transpose of
+    rref(a)'s rows placed at their pivot columns (0 at the free ones)."""
     reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        mask = 1 << free
-        for r, col in enumerate(pivots):
-            mask |= ((reduced.row_words[r] >> free) & 1) << col
-        basis.append(BitVector(a.cols, mask))
-    return basis
+    placed = [0] * a.cols
+    for p, w in zip(pivots, reduced.row_words):
+        placed[p] = w
+    cols = _transpose_words(placed, a.cols)
+    return [BitVector(a.cols, 1 << f | cols[f])
+            for f in range(a.cols) if not placed[f]]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:

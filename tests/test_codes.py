@@ -33,6 +33,7 @@ from convcode.gf2 import (
     inverse,
     mat_mul,
     rank,
+    right_kernel_basis,
     solve,
     vec_mat,
 )
@@ -360,6 +361,28 @@ def test_shorten_full_set_is_identity():
     assert same_code(shorten(c, range(7)), c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_shorten_matches_per_message_vec_mat(n, data):
+    # Reference: the codeword of each kernel message by its own vec_mat,
+    # the loop shorten ran before its one mat_mul.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    c = random_code(n, data.draw(st.integers(1, n)), rng)
+    s = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    sh = shorten(c, s)
+    complement = [j for j in range(n) if j not in s]
+    if not complement:
+        assert sh is c
+        return
+    outside = c.generator.select_columns(complement).transpose()
+    words = [vec_mat(u, c.generator).mask
+             for u in right_kernel_basis(outside)]
+    if words:
+        assert sh.generator == BitMatrix(words, n).select_columns(s)
+    else:
+        assert sh.is_zero and sh.n == len(s)
+
+
 def test_shorten_dimension_formula_random():
     rng = random.Random(5)
     for _ in range(30):
@@ -606,6 +629,30 @@ def test_random_code_shape():
     c = random_code(10, 4, random.Random(2))
     assert c.n == 10 and c.k == 4
     assert cc.rank(c.generator) == 4
+
+
+class CountingRandom(random.Random):
+    """random.Random that records the width of each getrandbits call."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.draws.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n, k, seed, tries", [(12, 4, 3, 1), (2, 2, 1, 5)])
+def test_random_code_eliminates_once_per_draw(eliminations, n, k, seed,
+                                              tries):
+    # from_generator's rank check is each draw's one elimination; a draw
+    # of dependent rows is refused there and drawn again.
+    rng = CountingRandom(seed)
+    c = random_code(n, k, rng)
+    assert rng.draws == [n] * (k * tries)
+    assert len(eliminations) == tries
+    assert (c.n, c.k) == (n, k) and rank(c.generator) == k
 
 
 # References for the information-set inverse: the rank test followed by

@@ -243,14 +243,17 @@ def select_columns_by_bits(m: BitMatrix, cols) -> BitMatrix:
 
 @st.composite
 def sparse_matrices(draw):
-    """Matrices up to 70 wide whose rows and columns may be all zero."""
+    """Matrices up to 70 wide whose rows and columns may be all zero,
+    rows also in whole groups of eight (one output byte each)."""
     rows = draw(st.integers(1, 70))
     cols = draw(st.integers(1, 70))
     zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_groups = draw(st.sets(st.integers(0, (rows - 1) >> 3)))
     zero_cols = draw(st.sets(st.integers(0, cols - 1)))
     keep = sum(1 << j for j in range(cols) if j not in zero_cols)
     words = [
-        0 if i in zero_rows else draw(st.integers(0, (1 << cols) - 1)) & keep
+        0 if i in zero_rows or i >> 3 in zero_groups
+        else draw(st.integers(0, (1 << cols) - 1)) & keep
         for i in range(rows)
     ]
     return BitMatrix(words, cols)
@@ -436,6 +439,84 @@ def test_eliminate_matches_column_scan_on_rm_matrices(m):
         assert_eliminates_like_column_scan(
             list(product.row_words), product.cols
         )
+
+
+# Bit-by-bit reference for right_kernel_basis: the double loop it ran
+# before it read every free column off one _transpose_words call, kept
+# here as the reference it is checked against.
+
+def right_kernel_basis_by_bits(a: BitMatrix):
+    reduced, pivots = rref(a)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(a.cols):
+        if free in pivot_set:
+            continue
+        mask = 1 << free
+        for r, col in enumerate(pivots):
+            mask |= ((reduced.row_words[r] >> free) & 1) << col
+        basis.append(mask)
+    return basis
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Matrices of 1-40 rows and 1-80 columns: all zero (rank 0), full
+    rank, or mixed rows (zero, dense, sparse, repeated, dependent)."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 80))
+    shape = draw(st.sampled_from(["zero", "full", "mixed"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "zero":
+        return BitMatrix.zeros(rows, cols)
+    if shape == "full":
+        while True:
+            m = BitMatrix([rng.getrandbits(cols) for _ in range(rows)], cols)
+            if rank(m) == min(rows, cols):
+                return m
+    words = []
+    for _ in range(rows):
+        kind = rng.choice(["zero", "dense", "sparse", "repeated", "dependent"])
+        if kind == "dense":
+            w = rng.getrandbits(cols)
+        elif kind == "sparse":
+            w = sum({1 << rng.randrange(cols) for _ in range(rng.randint(1, 3))})
+        elif kind == "repeated" and words:
+            w = rng.choice(words)
+        elif kind == "dependent" and words:
+            w = 0
+            for v in rng.choices(words, k=rng.randint(2, 4)):
+                w ^= v
+        else:
+            w = 0
+        words.append(w)
+    return BitMatrix(words, cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_right_kernel_basis_matches_bit_loop(a):
+    basis = right_kernel_basis(a)
+    assert [v.mask for v in basis] == right_kernel_basis_by_bits(a)
+    assert all(v.n == a.cols for v in basis)
+    for v in basis:
+        assert not any((w & v.mask).bit_count() & 1 for w in a.row_words)
+    assert len(basis) == a.cols - rank(a)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_rm_kernels_and_duals_match_bit_loop(m):
+    # The dual's generator rows are the kernel basis of the code's
+    # generator, in order, on every RM(r, m) including both ends.
+    for r in range(m + 1):
+        g = rm_generator(r, m)
+        ref = right_kernel_basis_by_bits(g)
+        assert [v.mask for v in right_kernel_basis(g)] == ref
+        d = cc.dual(cc.from_generator(g))
+        if ref:
+            assert list(d.generator.row_words) == ref
+        else:
+            assert d.is_zero
 
 
 # References for the shared kernels: the row-combination loops that

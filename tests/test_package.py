@@ -1,4 +1,7 @@
 import importlib
+import inspect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,25 @@ def test_importing_the_package_loads_none_of_its_modules():
     out = run_fresh("import sys, convcode; print(sorted(m for m in "
                     "sys.modules if m.startswith('convcode.')))")
     assert out.strip() == "[]"
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench's tracer wraps each module's public functions defined in
+    # that module, and the class methods it names: every per-layer
+    # `.calls` metric of BENCHMARK.json names one, or a module's total.
+    spec = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"][:-len(".calls")] for m in spec["per_layer"]
+             if m["name"].endswith(".calls")]
+    assert any("." in name for name in names)
+    for name in names:
+        short, *rest = name.split(".")
+        module = importlib.import_module(f"convcode.{short}")
+        if len(rest) == 1:
+            fn = getattr(module, rest[0], None)
+            assert inspect.isfunction(fn), name
+            assert not rest[0].startswith("_"), name
+            assert fn.__module__ == module.__name__, name
+        elif rest:
+            cls, method = rest
+            assert method in vars(getattr(module, cls)), name
