@@ -12,7 +12,7 @@ BoundRecord with its name, code index, value, observed count and sense
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -155,16 +155,15 @@ class BoundRecord:
     which the count clears value, or for "equal" its distance from
     value), else both stay None.  The verdict is stored, not recomputed
     on each read; audits are memoised, so a sweep reads a record's
-    verdict only when its BoundReport is built."""
+    verdict only when its BoundReport is built.  applicable, satisfied
+    and slack are attributes, not fields, so equality and repr see only
+    the five inputs."""
 
     name: str
     index: Optional[int]  # 0-based code index, None for global bounds
     value: Optional[int]
     observed: Optional[int]
     sense: str
-    applicable: bool = field(init=False)
-    satisfied: Optional[bool] = field(init=False)
-    slack: Optional[int] = field(init=False)
 
     def __post_init__(self):
         if self.sense not in ("upper", "lower", "equal"):

@@ -3,11 +3,11 @@
 Covers duals, puncturing, shortening, exact minimum distance (all 2^k
 codewords weighed up to 2^13 at a time in bit-sliced counters),
 information sets, encoding, and decoding from a coordinate subset.
-Codes are immutable except for two lazily filled caches, the minimum
-distances and the reduced echelon form of the generator; each is
-filled idempotently on first use.  A code built by
-reedmuller.rm_code also carries its preset ANF domain, which contains
-tests membership by instead of the echelon form.
+Codes are immutable except for two idempotent caches, the minimum
+distances and the generator's reduced echelon form, which the checked
+constructor's rank test fills (dual, shorten, puncture and rm_code
+skip the test and fill it on first use).  An RM code also carries its
+preset ANF domain, which contains tests membership by instead.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import gf2
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -27,8 +28,6 @@ from .gf2 import (
     inverse,
     mat_mul,
     rank,
-    rref,
-    right_kernel_basis,
     vec_mat,
 )
 
@@ -51,7 +50,7 @@ class LinearCode:
 
     Nothing changes after construction except the private caches, each
     filled idempotently: ``_d`` and ``_d_dual`` (the distances) and
-    ``_echelon`` (pivots and reduced rows of the generator's RREF).
+    ``_echelon`` (the generator's RREF; see _echelon).
     ``_degree_test`` is None except on codes built by rm_code, which
     preset it to the code's ANF domain (steps, low) (see contains).
     """
@@ -62,7 +61,7 @@ class LinearCode:
 
     def __init__(self, n: int, generator: Optional[BitMatrix]):
         self._fill(n, generator)
-        if generator is not None and rank(generator) != generator.rows:
+        if generator is not None and len(_echelon(self)[0]) != self.k:
             raise CodeError(
                 "dependent rows in generator; supply a full-rank matrix"
             )
@@ -92,6 +91,14 @@ class LinearCode:
 def from_generator(m: BitMatrix) -> LinearCode:
     """Code generated by the rows of m; rejects rank-deficient input."""
     return LinearCode(m.cols, m)
+
+
+def _independent(n: int, words: Sequence[int]) -> LinearCode:
+    """Code of rows independent by construction: no rank test, and the
+    echelon form left to fill on first use."""
+    c = LinearCode.__new__(LinearCode)
+    c._fill(n, BitMatrix(words, n))
+    return c
 
 
 def zero_code(n: int) -> LinearCode:
@@ -288,19 +295,16 @@ def _complement(count: List[int], size: int, full: int) -> List[int]:
 def dual(c: LinearCode) -> LinearCode:
     """The [n, n-k] dual code {h : x . h = 0 for all x in c}.
 
-    Total on the degenerate ends: dual of the zero code is the full
-    space, dual of the full space is the zero code.
+    Its rows, the kernel of c's cached echelon form, each hold a free
+    column bit that no other holds, so they skip the rank test.  Total
+    on the degenerate ends: dual of the zero code is the full space,
+    dual of the full space is the zero code.
     """
     if c.is_zero:
-        return from_generator(BitMatrix.identity(c.n))
+        return _independent(c.n, BitMatrix.identity(c.n).row_words)
     if c.k == c.n:
         return zero_code(c.n)
-    # Each kernel basis row holds one free-column bit that no other row
-    # holds, so the rows are independent and need no rank check.
-    basis = right_kernel_basis(c.generator)
-    d = LinearCode.__new__(LinearCode)
-    d._fill(c.n, BitMatrix([v.mask for v in basis], c.n))
-    return d
+    return _independent(c.n, gf2._kernel_words(_echelon(c)[2], c.n))
 
 
 def dual_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
@@ -325,22 +329,24 @@ def _check_coords(n: int, s: Sequence[int]) -> Tuple[int, ...]:
 
 
 def puncture(c: LinearCode, s: Sequence[int]) -> LinearCode:
-    """Projection of the code onto the coordinates in s."""
+    """Projection of the code onto the coordinates in s: the restricted
+    generator's reduced rows, which skip the rank test (distinct pivots)."""
     s = _check_coords(c.n, s)
     if not s:
         raise CodeError("puncturing set must be nonempty")
     if c.is_zero:
         return zero_code(len(s))
     restricted = c.generator.select_columns(s)
-    reduced, pivots = rref(restricted)
+    pivots, placed = gf2._eliminate(restricted.row_words, len(s), True)
     if not pivots:
         return zero_code(len(s))
-    return from_generator(BitMatrix(reduced.row_words[: len(pivots)], len(s)))
+    return _independent(len(s), [placed[p] for p in pivots])
 
 
 def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
     """Codewords supported inside s, projected onto s: the messages u
-    whose u . G vanishes outside s, times G by one mat_mul, on s."""
+    whose u . G vanishes outside s, times G on s.  The rows skip the rank
+    test: G has full rank and their codewords vanish outside s."""
     s = _check_coords(c.n, s)
     if not s:
         raise CodeError("shortening set must be nonempty")
@@ -349,12 +355,13 @@ def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
     complement = sorted(set(range(c.n)).difference(s))
     if not complement:
         return c
-    outside = c.generator.select_columns(complement)
-    kernel = right_kernel_basis(outside.transpose())
-    if not kernel:
+    cols = _transpose_words(c.generator.row_words, c.n)
+    _, placed = gf2._eliminate([cols[j] for j in complement], c.k, True)
+    messages = gf2._kernel_words(placed, c.k)
+    if not messages:
         return zero_code(len(s))
-    messages = BitMatrix([u.mask for u in kernel], c.k)
-    return from_generator(mat_mul(messages, c.generator).select_columns(s))
+    on_s = _transpose_words([cols[j] for j in s], c.k)
+    return _independent(len(s), [_combine(u, on_s) for u in messages])
 
 
 def is_information_set(c: LinearCode, s: Sequence[int]) -> bool:
@@ -368,17 +375,13 @@ def is_information_set(c: LinearCode, s: Sequence[int]) -> bool:
 
 
 def _echelon(c: LinearCode) -> _Echelon:
-    """The code's echelon form, computed on first use and then cached.
-
-    The reduced row with pivot p has its lowest set bit at column p and
-    a zero at every other pivot column.
+    """The code's echelon form, filled by the checked constructor or on
+    first use: pivots, their mask, and gf2._eliminate's reduced rows
+    placed at their pivots (0 at every other column).
     """
     if c._echelon is None:
-        reduced, pivots = rref(c.generator)
-        rows = [0] * c.n
-        for p, w in zip(pivots, reduced.row_words):
-            rows[p] = w
-        c._echelon = (pivots, sum(1 << p for p in pivots), rows)
+        pivots, placed = gf2._eliminate(c.generator.row_words, c.n, True)
+        c._echelon = (pivots, sum(1 << p for p in pivots), placed)
     return c._echelon
 
 

@@ -7,20 +7,20 @@ every bit of a row word lies below the column count.
 
 Each kernel has one implementation.  _transpose_words (one transpose,
 by byte spreading) serves transpose, from_columns, select_columns,
-right_kernel_basis (so codes.dual and shorten), codes' distance scan
-and the oracle's syndrome tables; _combine (XOR the rows picked by a
-mask) serves every product (mat_mul, so codes.shorten, and vec_mat),
-_eliminate, codes.contains off the RM preset, codes' distance scan and
-sampled_min_weight, and the oracle's syndrome bases; _reduce (insert a
-row into a pivot-indexed basis) serves _eliminate and
-enumerate_invertible, not the oracle, whose stage 1 tests independence
-by a span mask; _eliminate serves rank, rref, solve, inverse and the
-kernels, and reduces each row only by the pivots it hits, so sparse,
-nearly echelon matrices such as Reed-Muller generators reduce in a few
-list lookups per row; _butterflies (the Moebius transform's steps)
-serves the Reed-Muller generators, degree tests and ANF maps and codes'
-distance scan, and gives the oracle's walk its translation masks.  The
-information-set inverse is codes._inverse_on.
+_kernel_words, codes' distance scan and shorten, and the oracle's
+syndrome tables; _combine (XOR the rows picked by a mask) serves every
+product (mat_mul, vec_mat, codes.shorten), _eliminate, codes.contains
+off the RM preset, codes' distance scan and sampled_min_weight, and the
+oracle's syndrome bases; _reduce (insert a row into a pivot-indexed
+basis) serves _eliminate and enumerate_invertible, not the oracle,
+whose stage 1 tests independence by a span mask; _butterflies (the
+Moebius transform's steps) serves the Reed-Muller generators, degree
+tests and ANF maps and codes' distance scan, and gives the oracle's
+walk its translation masks; _eliminate returns the one echelon form,
+the pivots and the rows placed at them (placed[p] the row whose lowest
+set bit is p, 0 off the pivots), which rank, rref, solve, inverse,
+_kernel_words (the null space) and codes._echelon (each code's cache)
+read.  The information-set inverse is codes._inverse_on.
 """
 
 from __future__ import annotations
@@ -304,27 +304,27 @@ def _reduce(v: int, basis: Sequence[int]) -> int:
     return 0
 
 
-def _eliminate(words: List[int], cols: int, reduce_above: bool) -> List[int]:
-    """In-place Gaussian elimination; returns the ascending pivot columns.
+def _eliminate(words: Sequence[int], cols: int,
+               reduce_above: bool) -> Tuple[Tuple[int, ...], List[int]]:
+    """Gaussian elimination of words (left unchanged): the ascending
+    pivot columns and placed, cols rows spanning the same space, with
+    placed[p] the row whose lowest set bit is the pivot p, 0 at every
+    other column.  With reduce_above each is 0 at every other pivot
+    too: the (unique) reduced row echelon form.  Bits lie below cols.
 
-    Afterwards words is a row echelon form of the same row space: one row
-    per pivot, in ascending pivot order, each row's lowest set bit its
-    pivot, then zero rows.  With reduce_above it is the (unique) reduced
-    row echelon form.  Every bit of every word must lie below cols.
-
-    Each row is inserted into a basis indexed by pivot column by _reduce
-    and stored at its lowest set bit.  With reduce_above, one pass from
-    the highest pivot down then clears the other pivot bits of each row.
-    So the cost is one lowest-bit lookup per row plus one per XOR
-    performed, not a bit test of every row for every pivot.
+    Each row is reduced by the pivots it hits (_reduce) and stored at
+    its lowest set bit; with reduce_above, one pass from the highest
+    pivot down clears the other pivot bits of each row.  So the cost is
+    one lookup per row plus one per XOR, not a test per row and pivot,
+    and nearly echelon rows such as Reed-Muller generators are cheap.
     """
-    basis = [0] * cols
+    placed = [0] * cols
     pivots = []
     for v in words:
-        v = _reduce(v, basis)
+        v = _reduce(v, placed)
         if v:
             p = (v & -v).bit_length() - 1
-            basis[p] = v
+            placed[p] = v
             pivots.append(p)
     pivots.sort()
     if reduce_above:
@@ -332,22 +332,27 @@ def _eliminate(words: List[int], cols: int, reduce_above: bool) -> List[int]:
         for p in reversed(pivots):
             # Rows of higher pivots are reduced already, so XORing one in
             # clears its pivot bit here and sets no other pivot bit.
-            basis[p] ^= _combine(basis[p] & mask ^ (1 << p), basis)
-    words[:] = [basis[p] for p in pivots] + [0] * (len(words) - len(pivots))
-    return pivots
+            placed[p] ^= _combine(placed[p] & mask ^ (1 << p), placed)
+    return tuple(pivots), placed
+
+
+def _kernel_words(placed: Sequence[int], cols: int) -> List[int]:
+    """Right kernel of _eliminate's reduced placement: 1 << f | t[f]
+    per free column f, ascending, t the one transpose of placed."""
+    t = _transpose_words(placed, cols)
+    return [1 << f | t[f] for f in range(cols) if not placed[f]]
 
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the row space of m over GF(2)."""
-    words = list(m.row_words)
-    return len(_eliminate(words, m.cols, reduce_above=False))
+    return len(_eliminate(m.row_words, m.cols, reduce_above=False)[0])
 
 
 def rref(m: BitMatrix) -> Tuple[BitMatrix, Tuple[int, ...]]:
     """Reduced row echelon form of m and its pivot columns."""
-    words = list(m.row_words)
-    pivots = _eliminate(words, m.cols, reduce_above=True)
-    return BitMatrix(words, m.cols), tuple(pivots)
+    pivots, placed = _eliminate(m.row_words, m.cols, reduce_above=True)
+    rows = [placed[p] for p in pivots] + [0] * (m.rows - len(pivots))
+    return BitMatrix(rows, m.cols), pivots
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -378,26 +383,18 @@ def solve(a: BitMatrix, b: BitVector) -> Optional[BitVector]:
     words = [
         w | (((b.mask >> i) & 1) << aug_col) for i, w in enumerate(a.row_words)
     ]
-    pivots = _eliminate(words, a.cols + 1, reduce_above=True)
+    pivots, placed = _eliminate(words, a.cols + 1, reduce_above=True)
     if pivots and pivots[-1] == aug_col:
         return None
-    mask = 0
-    for r, col in enumerate(pivots):
-        mask |= ((words[r] >> aug_col) & 1) << col
-    return BitVector(a.cols, mask)
+    return BitVector(a.cols, sum((placed[col] >> aug_col) << col
+                                 for col in pivots))
 
 
 def right_kernel_basis(a: BitMatrix) -> List[BitVector]:
-    """Basis of {x : a . x = 0}; has cols - rank(a) elements: for each
-    free column f, ascending, 1 << f | cols[f], cols the one transpose of
-    rref(a)'s rows placed at their pivot columns (0 at the free ones)."""
-    reduced, pivots = rref(a)
-    placed = [0] * a.cols
-    for p, w in zip(pivots, reduced.row_words):
-        placed[p] = w
-    cols = _transpose_words(placed, a.cols)
-    return [BitVector(a.cols, 1 << f | cols[f])
-            for f in range(a.cols) if not placed[f]]
+    """Basis of {x : a . x = 0}; has cols - rank(a) elements, one per
+    free column, ascending (see _kernel_words)."""
+    _, placed = _eliminate(a.row_words, a.cols, reduce_above=True)
+    return [BitVector(a.cols, w) for w in _kernel_words(placed, a.cols)]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -406,10 +403,10 @@ def inverse(m: BitMatrix) -> BitMatrix:
         raise DimensionError("only square matrices can be inverted")
     n = m.rows
     words = [w | (1 << (n + i)) for i, w in enumerate(m.row_words)]
-    pivots = _eliminate(words, 2 * n, reduce_above=True)
-    if list(pivots) != list(range(n)):
+    pivots, placed = _eliminate(words, 2 * n, reduce_above=True)
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return BitMatrix([w >> n for w in words], n)
+    return BitMatrix([w >> n for w in placed[:n]], n)
 
 
 def gl2_order(k: int) -> int:

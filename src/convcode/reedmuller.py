@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import BitMatrix, BitVector, SizeGuardError, _butterflies, _moebius
-from .codes import LinearCode, from_generator, zero_code
+from .codes import LinearCode, _independent, from_generator, zero_code
 
 MAX_M = 20
 # Bits of the largest matrix built: a generator of k rows of 2^m bits,
@@ -114,10 +114,11 @@ def rm_code(r: int, m: int) -> LinearCode:
     the Moebius transform's (gf2._butterflies(m)) and low the points of
     weight <= r, the monomials of degree <= r.  A word is a codeword iff
     its ANF has no bit outside low (codes.contains), and the RM merge
-    and its ANF apply read the same preset (conversion)."""
+    and its ANF apply read the same preset (conversion).  Row p is
+    M(e_p), lowest set bit p, so the rows skip the rank test."""
     key = (r, m)
     if key not in _RM_CODES:
-        code = from_generator(rm_generator(r, m))
+        code = _independent(1 << m, rm_generator(r, m).row_words)
         code._d = 1 << (m - r)
         if r < m:
             code._d_dual = 1 << (r + 1)

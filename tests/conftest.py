@@ -29,7 +29,11 @@ def fresh_rm_codes():
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """List that gains one entry per gf2._eliminate call in the test."""
+    """List that gains one entry per gf2._eliminate call in the test.
+
+    Every other module calls it as gf2._eliminate, so patching gf2 alone
+    counts each call (tests/test_package.py checks that no module binds
+    it by a name of its own)."""
     calls = []
     eliminate = gf2._eliminate
 

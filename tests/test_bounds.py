@@ -454,7 +454,11 @@ def test_report_counts_are_stored_from_its_sets(sets):
                       "d_final", "d_final_dual"), ("_hash",)),
     (lambda: evaluate_bounds(example_params()), ("records",),
      ("violations",)),
-], ids=["ConvertibleInstance", "CostReport", "ParamSet", "BoundReport"])
+    (lambda: BoundRecord("read_lower_omega", 0, 2, 3, "lower"),
+     ("name", "index", "value", "observed", "sense"),
+     ("applicable", "satisfied", "slack")),
+], ids=["ConvertibleInstance", "CostReport", "ParamSet", "BoundReport",
+        "BoundRecord"])
 def test_derived_values_are_frozen_attributes_not_fields(build, inputs,
                                                          derived):
     record = build()

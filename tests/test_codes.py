@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from convcode.codes import (
     systematic_generator,
     zero_code,
 )
+from convcode.conversion import default_conversion, make_instance
 from convcode.gf2 import (
     BitMatrix,
     BitVector,
@@ -37,9 +39,16 @@ from convcode.gf2 import (
     solve,
     vec_mat,
 )
+from convcode.oracle import enumerate_conversions, min_access_cost
 from convcode.reedmuller import rm_code, rm_generator
 
-from tests.conftest import GF_ROWS, GI1_ROWS, raises_exactly, row_space_by_rref
+from tests.conftest import (
+    GF_ROWS,
+    GI1_ROWS,
+    GI2_ROWS,
+    raises_exactly,
+    row_space_by_rref,
+)
 
 
 def repetition(n):
@@ -284,13 +293,21 @@ def test_dual_degenerate_ends():
     assert same_code(dual(zero_code(3)), full)
 
 
-def assert_dual_matches_from_generator(c):
-    # dual skips from_generator's rank check; on the same rows the checked
-    # constructor must accept them and give the same code, caches empty.
-    d = dual(c)
-    ref = from_generator(d.generator) if d.k else zero_code(c.n)
+def assert_matches_checked_twin(d, n):
+    # d may have skipped from_generator's rank check; on the same rows the
+    # checked constructor must accept them and give the same code, slot for
+    # slot, once d's lazy echelon form is filled too.
+    ref = from_generator(d.generator) if d.k else zero_code(n)
+    if d.k:
+        codes._echelon(d)
     for name in LinearCode.__slots__:
         assert getattr(d, name) == getattr(ref, name), name
+
+
+def assert_dual_matches_from_generator(c):
+    d = dual(c)
+    assert d.is_zero or d._echelon is None  # filled on first use
+    assert_matches_checked_twin(d, c.n)
     assert d.k == c.n - c.k
     assert d.is_zero or all(
         (g & h).bit_count() % 2 == 0
@@ -312,11 +329,69 @@ def test_dual_matches_from_generator_on_rm_1_m(m):
 
 
 def test_dual_eliminates_once(eliminations):
-    # The kernel basis comes from one RREF; its rows are not re-ranked.
+    # The kernel basis comes from the code's one echelon form, filled by
+    # the checked constructor, so a checked code's dual eliminates nothing;
+    # rm_code skips the rank test, so its dual fills the echelon form once.
+    # The dual's rows are never re-ranked.
     c = from_generator(rm_generator(1, 9))
     eliminations.clear()
     dual(c)
+    assert len(eliminations) == 0
+    rm = rm_code(1, 9)
+    assert rm._echelon is None and len(eliminations) == 0
+    dual(rm)
     assert len(eliminations) == 1
+
+
+def test_a_checked_code_eliminates_once_in_its_life(eliminations):
+    # The checked constructor's rank test is a code's one elimination: it
+    # fills the echelon form, which every later reader takes from the cache.
+    c = random_code(12, 6, random.Random(1))
+    assert len(eliminations) == 1
+    assert contains(c, encode(c, BitVector(6, 0b101101)))
+    assert not contains(c, BitVector(12, 1))
+    first_information_set(c)
+    dual(c)
+    dual_distance(c)
+    assert len(eliminations) == 1
+    eliminations.clear()
+    initial = [from_generator(BitMatrix.from_rows(rows))
+               for rows in (GI1_ROWS, GI2_ROWS)]
+    final = from_generator(BitMatrix.from_rows(GF_ROWS))
+    assert len(eliminations) == 3
+    inst = make_instance(initial, final)
+    min_distance(final)
+    dual_distance(final)
+    default_conversion(inst)
+    min_access_cost(inst)
+    assert len(list(islice(enumerate_conversions(inst), 1000))) == 1000
+    assert len(eliminations) == 3
+
+
+def test_shorten_and_puncture_eliminate_once_and_rm_code_never(
+        eliminations):
+    # Their rows are independent by construction, so neither takes the
+    # rank test: shorten's one elimination finds its kernel messages and
+    # puncture's reduces the restricted rows.  RM row p is M(e_p), whose
+    # lowest set bit is p, so rm_code takes no elimination at all.
+    c = random_code(12, 6, random.Random(1))
+    eliminations.clear()
+    assert shorten(c, range(9)).k and len(eliminations) == 1
+    assert puncture(c, range(9)).k and len(eliminations) == 2
+    rms = [rm_code(r, m) for m in range(1, 10) for r in range(m + 1)]
+    assert len(eliminations) == 2
+    assert all(rm._echelon is None for rm in rms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_shorten_and_puncture_match_from_generator_on_random_codes(n, data):
+    k = data.draw(st.integers(1, n))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    c = random_code(n, k, rng)
+    for op in (shorten, puncture):
+        s = [j for j in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+        assert_matches_checked_twin(op(c, s), len(s))
 
 
 def test_dual_distance_example_final():

@@ -52,6 +52,7 @@ from convcode.reedmuller import (
 )
 
 from tests.conftest import (
+    GF_ROWS,
     GI1_ROWS,
     GI2_ROWS,
     row_space_by_rref,
@@ -677,20 +678,22 @@ def test_rm_merge_build_eliminates_nothing(eliminations, r, m):
 
 
 def test_apply_conversion_eliminates_nothing_once_warm(
-    eliminations, example_instance, example_y
+    eliminations, example_y
 ):
-    # Guards the data path by a count, not a time: after one warm-up call
-    # has cached the initial codes' echelon forms, membership checks and
-    # the conversion itself run without any Gaussian elimination.
-    inst, y = example_instance, example_y
+    # Guards the data path by a count, not a time: each checked code's rank
+    # test is its one elimination and fills its echelon form, so membership
+    # checks and the conversion itself, the first apply included, run
+    # without any Gaussian elimination.
+    eliminations.clear()
+    inst = make_instance(
+        [from_generator(BitMatrix.from_rows(GI1_ROWS)),
+         from_generator(BitMatrix.from_rows(GI2_ROWS))],
+        from_generator(BitMatrix.from_rows(GF_ROWS)))
+    assert len(eliminations) == 3  # the counter sees the three rank tests
     rng = random.Random(23)
-    before = len(eliminations)
-    apply_conversion(inst, y, random_codewords(inst, rng))
-    warm = len(eliminations)
-    assert warm > before  # the counter sees the warm-up's echelon forms
-    for _ in range(10):
-        apply_conversion(inst, y, random_codewords(inst, rng))
-    assert len(eliminations) == warm
+    for _ in range(11):
+        apply_conversion(inst, example_y, random_codewords(inst, rng))
+    assert len(eliminations) == 3
 
 
 def test_apply_conversion_on_rm_codes_eliminates_nothing(eliminations):

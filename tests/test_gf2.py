@@ -360,23 +360,35 @@ def eliminate_by_columns(words, cols, reduce_above):
 
 
 def assert_eliminates_like_column_scan(words, cols):
-    """Both modes: the pivot lists agree; with reduce_above the words
-    (the RREF) agree; without it the words are a row echelon form of
-    the same row space."""
+    """Both modes: the pivot lists agree; the placed rows, read in pivot
+    order and padded with zero rows, are the RREF with reduce_above and
+    a row echelon form of the same row space without it.  The placement
+    contract that codes.contains and _kernel_words read: placed has cols
+    entries, placed[p]'s lowest set bit is p at each pivot and placed is
+    0 elsewhere, and with reduce_above each row is 0 at every other
+    pivot.  words itself is left as it was."""
     ref_rref = list(words)
     ref_pivots = eliminate_by_columns(ref_rref, cols, reduce_above=True)
-    got = list(words)
-    assert _eliminate(got, cols, reduce_above=True) == ref_pivots
-    assert got == ref_rref
-
-    got = list(words)
-    pivots = _eliminate(got, cols, reduce_above=False)
-    assert pivots == eliminate_by_columns(list(words), cols, False)
-    n = len(pivots)
-    assert [(w & -w).bit_length() - 1 for w in got[:n]] == pivots
-    assert not any(got[n:])
-    eliminate_by_columns(got, cols, reduce_above=True)
-    assert got == ref_rref
+    given = list(words)
+    for reduce_above in (True, False):
+        pivots, placed = _eliminate(words, cols, reduce_above)
+        assert words == given
+        assert type(pivots) is tuple and list(pivots) == ref_pivots
+        assert list(pivots) == eliminate_by_columns(
+            list(words), cols, reduce_above)
+        assert len(placed) == cols
+        mask = sum(1 << p for p in pivots)
+        for j, w in enumerate(placed):
+            if mask >> j & 1:
+                assert (w & -w).bit_length() - 1 == j
+                if reduce_above:
+                    assert w & mask == 1 << j
+            else:
+                assert w == 0
+        got = [placed[p] for p in pivots] + [0] * (len(words) - len(pivots))
+        if not reduce_above:
+            eliminate_by_columns(got, cols, reduce_above=True)
+        assert got == ref_rref
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,20 @@ def test_importing_the_package_loads_none_of_its_modules():
     out = run_fresh("import sys, convcode; print(sorted(m for m in "
                     "sys.modules if m.startswith('convcode.')))")
     assert out.strip() == "[]"
+
+
+def test_only_gf2_binds_eliminate():
+    # The eliminations fixture patches gf2._eliminate alone, so it counts
+    # every elimination only if each other module reaches the function
+    # through gf2, never by a global of its own, under any name.
+    from convcode import gf2
+    names = [info.name for info in pkgutil.iter_modules(convcode.__path__)]
+    assert "gf2" in names and "codes" in names
+    for name in ["__init__"] + names:
+        module = convcode if name == "__init__" else importlib.import_module(
+            f"convcode.{name}")
+        bound = [k for k, v in vars(module).items() if v is gf2._eliminate]
+        assert bound == (["_eliminate"] if name == "gf2" else []), name
 
 
 def test_benchmark_traced_names_resolve():

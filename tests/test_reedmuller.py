@@ -312,3 +312,14 @@ def test_plotkin_sum_with_a_zero_code(c, d):
         "low-weight-r-negative", "low-weight-r-above-m"])
 def test_refusals_raise_value_error(call):
     raises_exactly(ValueError, call)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_rm_rows_have_distinct_lowest_bits_and_full_rank(m):
+    # rm_code skips the rank test because row p is M(e_p), whose lowest
+    # set bit is p; the elimination agrees on every RM(r, m) up to m = 10.
+    for r in range(m + 1):
+        g = rm_generator(r, m)
+        lowest = {(w & -w).bit_length() - 1 for w in g.row_words}
+        assert len(lowest) == g.rows == rm_dimension(r, m)
+        assert rank(g) == rm_dimension(r, m)
