@@ -15,12 +15,11 @@ import importlib
 # Public name -> the module that defines it.
 _HOME = {name: module for module, names in {
     "gf2": """BitMatrix BitVector DimensionError SizeGuardError block_diag
-        enumerate_invertible gl2_order inverse mat_mul rank
-        right_kernel_basis rref solve vec_mat""",
+        enumerate_invertible gl2_order inverse mat_mul rank rref vec_mat""",
     "codes": """CodeError LinearCode contains decode_from_positions dual
         dual_distance encode first_information_set from_generator
-        is_information_set min_distance puncture random_code same_code
-        sampled_min_weight shorten systematic_generator zero_code""",
+        min_distance puncture random_code shorten systematic_generator
+        zero_code""",
     "reedmuller": """evaluate_monomial low_weight_positions monomial_basis
         plotkin_sum rm_code rm_dimension rm_generator
         rm_transformed_generator""",
@@ -29,7 +28,7 @@ _HOME = {name: module for module, names in {
         make_instance rm_merge_apply rm_merge_chain rm_merge_procedure
         verify_conversion""",
     "bounds": """BoundRecord BoundReport BoundsError ParamSet audit
-        delta_sign_check evaluate_bounds read_lower_delta read_lower_omega
+        evaluate_bounds read_lower_delta read_lower_omega
         unchanged_lower_complement unchanged_total_lower
         unchanged_upper_dual unchanged_upper_singleton""",
     "oracle": """SearchLimits candidate_count enumerate_conversions

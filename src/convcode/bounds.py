@@ -139,12 +139,6 @@ def read_lower_omega(p: ParamSet, i: int) -> int:
     return max(p.k_initial[i] - omega, 0)
 
 
-def delta_sign_check(p: ParamSet, i: int) -> bool:
-    """True iff d_F > n_Ii - k_Ii + 1, which forces delta_i <= 0."""
-    p._check_index(i)
-    return p.d_final > p.n_initial[i] - p.k_initial[i] + 1
-
-
 @dataclass(frozen=True)
 class BoundRecord:
     """One evaluated bound, judged once when it is built.

@@ -5,9 +5,10 @@ codewords weighed up to 2^13 at a time in bit-sliced counters),
 information sets, encoding, and decoding from a coordinate subset.
 Codes are immutable except for two idempotent caches, the minimum
 distances and the generator's reduced echelon form, which the checked
-constructor's rank test fills (dual, shorten, puncture and rm_code
-skip the test and fill it on first use).  An RM code also carries its
-preset ANF domain, which contains tests membership by instead.
+constructor's rank test fills (puncture stores its own elimination;
+dual, shorten and rm_code skip the test and fill it on first use).  An
+RM code also carries its preset ANF domain, which contains tests
+membership by instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .gf2 import (
     _transpose_words,
     inverse,
     mat_mul,
-    rank,
     vec_mat,
 )
 
@@ -103,19 +103,6 @@ def _independent(n: int, words: Sequence[int]) -> LinearCode:
 
 def zero_code(n: int) -> LinearCode:
     return LinearCode(n, None)
-
-
-def same_code(a: LinearCode, b: LinearCode) -> bool:
-    """Row-space equality (generator choice does not matter).
-
-    Generators have full rank, so the codes are equal iff k agrees and
-    every generator row of a is a codeword of b.
-    """
-    if a.n != b.n or a.k != b.k:
-        return False
-    return a.is_zero or all(
-        contains(b, a.generator.row(i)) for i in range(a.k)
-    )
 
 
 def min_distance(c: LinearCode, k_limit: int = DEFAULT_K_LIMIT) -> int:
@@ -330,7 +317,8 @@ def _check_coords(n: int, s: Sequence[int]) -> Tuple[int, ...]:
 
 def puncture(c: LinearCode, s: Sequence[int]) -> LinearCode:
     """Projection of the code onto the coordinates in s: the restricted
-    generator's reduced rows, which skip the rank test (distinct pivots)."""
+    generator's reduced rows, which skip the rank test (distinct pivots).
+    That elimination is the new code's echelon form, so it is stored."""
     s = _check_coords(c.n, s)
     if not s:
         raise CodeError("puncturing set must be nonempty")
@@ -340,7 +328,9 @@ def puncture(c: LinearCode, s: Sequence[int]) -> LinearCode:
     pivots, placed = gf2._eliminate(restricted.row_words, len(s), True)
     if not pivots:
         return zero_code(len(s))
-    return _independent(len(s), [placed[p] for p in pivots])
+    out = _independent(len(s), [placed[p] for p in pivots])
+    out._echelon = (pivots, sum(1 << p for p in pivots), placed)
+    return out
 
 
 def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
@@ -362,16 +352,6 @@ def shorten(c: LinearCode, s: Sequence[int]) -> LinearCode:
         return zero_code(len(s))
     on_s = _transpose_words([cols[j] for j in s], c.k)
     return _independent(len(s), [_combine(u, on_s) for u in messages])
-
-
-def is_information_set(c: LinearCode, s: Sequence[int]) -> bool:
-    """True iff the generator columns indexed by s are invertible."""
-    if c.is_zero:
-        raise CodeError("the zero code has no information set")
-    s = _check_coords(c.n, s)
-    if len(s) != c.k:
-        raise CodeError(f"information set must have size k = {c.k}")
-    return rank(c.generator.select_columns(s)) == c.k
 
 
 def _echelon(c: LinearCode) -> _Echelon:
@@ -462,30 +442,6 @@ def systematic_generator(c: LinearCode, s: Sequence[int]) -> BitMatrix:
     Row t corresponds to the t-th element of sorted(s).
     """
     return mat_mul(_inverse_on(c, _check_coords(c.n, s)), c.generator)
-
-
-def sampled_min_weight(
-    c: LinearCode, trials: int = 100_000, seed: int = 0
-) -> int:
-    """Minimum weight over `trials` random nonzero codewords.
-
-    A randomized floor check for codes too large for the exhaustive
-    scan; the true distance is at most the returned value.
-    """
-    if c.is_zero:
-        raise CodeError("the zero code has no nonzero codeword")
-    if not trials >= 1:  # also refuses NaN
-        raise CodeError("need trials >= 1")
-    rng = random.Random(seed)
-    rows = c.generator.row_words
-    k = c.k
-    best = c.n + 1
-    for _ in range(trials):
-        u = rng.getrandbits(k)
-        while u == 0:
-            u = rng.getrandbits(k)
-        best = min(best, _combine(u, rows).bit_count())
-    return best
 
 
 def random_code(n: int, k: int, rng: random.Random) -> LinearCode:

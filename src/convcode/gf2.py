@@ -10,17 +10,18 @@ by byte spreading) serves transpose, from_columns, select_columns,
 _kernel_words, codes' distance scan and shorten, and the oracle's
 syndrome tables; _combine (XOR the rows picked by a mask) serves every
 product (mat_mul, vec_mat, codes.shorten), _eliminate, codes.contains
-off the RM preset, codes' distance scan and sampled_min_weight, and the
-oracle's syndrome bases; _reduce (insert a row into a pivot-indexed
-basis) serves _eliminate and enumerate_invertible, not the oracle,
-whose stage 1 tests independence by a span mask; _butterflies (the
-Moebius transform's steps) serves the Reed-Muller generators, degree
-tests and ANF maps and codes' distance scan, and gives the oracle's
-walk its translation masks; _eliminate returns the one echelon form,
-the pivots and the rows placed at them (placed[p] the row whose lowest
-set bit is p, 0 off the pivots), which rank, rref, solve, inverse,
-_kernel_words (the null space) and codes._echelon (each code's cache)
-read.  The information-set inverse is codes._inverse_on.
+off the RM preset and codes' distance scan, and the oracle's syndrome
+bases; _reduce (insert a row into a pivot-indexed basis) serves
+_eliminate and enumerate_invertible, not the oracle, whose stage 1
+tests independence by a span mask; _butterflies (the Moebius
+transform's steps) serves the Reed-Muller generators, degree tests and
+ANF maps and codes' distance scan, and gives the oracle's walk its
+translation masks; _eliminate returns the one echelon form, the pivots
+and the rows placed at them (placed[p] the row whose lowest set bit is
+p, 0 off the pivots), which rank, rref, inverse, _kernel_words (the
+null space, which codes.dual and codes.shorten read) and codes._echelon
+(each code's cache) read.  The information-set inverse is
+codes._inverse_on.
 """
 
 from __future__ import annotations
@@ -370,31 +371,6 @@ def vec_mat(x: BitVector, a: BitMatrix) -> BitVector:
     if x.n != a.rows:
         raise DimensionError("vector/matrix size mismatch")
     return BitVector(a.cols, _combine(x.mask, a.row_words))
-
-
-def solve(a: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some x with a . x = b, or None if the system is inconsistent.
-
-    Free variables are set to 0, so the returned solution is canonical.
-    """
-    if a.rows != b.n:
-        raise DimensionError("right-hand side length must equal row count")
-    aug_col = a.cols
-    words = [
-        w | (((b.mask >> i) & 1) << aug_col) for i, w in enumerate(a.row_words)
-    ]
-    pivots, placed = _eliminate(words, a.cols + 1, reduce_above=True)
-    if pivots and pivots[-1] == aug_col:
-        return None
-    return BitVector(a.cols, sum((placed[col] >> aug_col) << col
-                                 for col in pivots))
-
-
-def right_kernel_basis(a: BitMatrix) -> List[BitVector]:
-    """Basis of {x : a . x = 0}; has cols - rank(a) elements, one per
-    free column, ascending (see _kernel_words)."""
-    _, placed = _eliminate(a.row_words, a.cols, reduce_above=True)
-    return [BitVector(a.cols, w) for w in _kernel_words(placed, a.cols)]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:

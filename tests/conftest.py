@@ -53,10 +53,64 @@ def raises_exactly(err, call):
 
 
 def row_space_by_rref(m):
-    """Reference canonical form of a row space: the nonzero RREF rows (the
-    comparison that verify_conversion and same_code used to make)."""
+    """Reference canonical form of a row space: the nonzero RREF rows,
+    which same_code compares (as verify_conversion used to)."""
     reduced, pivots = cc.rref(m)
     return reduced.row_words[: len(pivots)]
+
+
+def same_code(a, b):
+    """Equality of two codes, whatever their generators: the same n and k,
+    then the same canonical row space (row_space_by_rref)."""
+    return (a.n, a.k) == (b.n, b.k) and (
+        a.is_zero
+        or row_space_by_rref(a.generator) == row_space_by_rref(b.generator))
+
+
+def solve(a, b):
+    """Some BitVector x with a . x = b, or None if there is none; free
+    variables are 0.  One elimination of a with b as an extra column,
+    kept as the reference for the information-set inverse
+    (codes._inverse_on) and the oracle's coset table, so it shares no
+    code with either."""
+    if a.rows != b.n:
+        raise cc.DimensionError("right-hand side length must equal row count")
+    words = [w | (b.mask >> i & 1) << a.cols
+             for i, w in enumerate(a.row_words)]
+    pivots, placed = gf2._eliminate(words, a.cols + 1, reduce_above=True)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    return cc.BitVector(a.cols, sum((placed[p] >> a.cols) << p
+                                    for p in pivots))
+
+
+def kernel_words(m):
+    """Basis words of {x : m . x = 0}, one per free column, ascending: the
+    elimination and null-space read-out that codes.dual and codes.shorten
+    run (gf2._eliminate, then gf2._kernel_words)."""
+    _, placed = gf2._eliminate(m.row_words, m.cols, reduce_above=True)
+    return gf2._kernel_words(placed, m.cols)
+
+
+def equivalent_instance(inst, rng):
+    """An instance equivalent to inst, and the order of its initial codes:
+    its initial code t is a map of inst's initial code order[t].
+
+    Each code gets a random change of basis (an invertible k x k matrix
+    times its generator) and a random permutation of its coordinates.
+    These maps carry each valid conversion of inst to exactly one of the
+    new instance, with the same write cost and the same per-code counts
+    in the new code order.
+    """
+    def mapped(c):
+        mix = random_code(c.k, c.k, rng).generator  # invertible k x k
+        perm = rng.sample(range(c.n), c.n)
+        return from_generator(
+            gf2.mat_mul(mix, c.generator).select_columns(perm))
+
+    order = rng.sample(range(inst.lam), inst.lam)
+    return cc.make_instance([mapped(inst.initial_codes[i]) for i in order],
+                            mapped(inst.final_code)), order
 
 
 def run_fresh(*argv: str) -> str:

@@ -11,7 +11,6 @@ from convcode.bounds import (
     BoundsError,
     ParamSet,
     audit,
-    delta_sign_check,
     evaluate_bounds,
     read_lower_delta,
     read_lower_omega,
@@ -287,14 +286,6 @@ def test_read_floor_omega():
     assert read_lower_omega(p, 0) == 1
     tight = ParamSet((3, 3), (2, 2), 5, 4, 2, 2)
     assert read_lower_omega(tight, 0) == 1
-
-
-def test_delta_sign_check():
-    p = example_params()
-    # d_F = 2 = n_Ii - k_Ii + 1: not strictly larger.
-    assert not delta_sign_check(p, 0)
-    q = ParamSet((4, 4), (2, 2), 8, 4, 4, 2)
-    assert delta_sign_check(q, 0)
 
 
 def test_index_range_checked():

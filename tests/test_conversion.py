@@ -39,7 +39,6 @@ from convcode.gf2 import (
     inverse,
     mat_mul,
     rank,
-    right_kernel_basis,
     vec_mat,
 )
 from convcode.oracle import enumerate_conversions
@@ -55,7 +54,9 @@ from tests.conftest import (
     GF_ROWS,
     GI1_ROWS,
     GI2_ROWS,
+    kernel_words,
     row_space_by_rref,
+    same_code,
     small_instances,
 )
 
@@ -233,7 +234,7 @@ def perturbed_default(inst, data):
     (still valid) and optionally one flip outside the kernel, which
     usually breaks Y."""
     y0 = default_conversion(inst)
-    kernel = [v.mask for v in right_kernel_basis(inst.stacked_generator())]
+    kernel = kernel_words(inst.stacked_generator())
     rows = inst.total_initial_length
     cols = []
     for j in range(inst.n_final):
@@ -840,8 +841,8 @@ def test_rm_merge_chain_2_4():
     assert inst.lam == 3
     expected = [rm_code(2, 2), rm_code(1, 2), rm_code(1, 3)]
     for a, b in zip(inst.initial_codes, expected):
-        assert cc.same_code(a, b)
-    assert cc.same_code(inst.final_code, rm_code(2, 4))
+        assert same_code(a, b)
+    assert same_code(inst.final_code, rm_code(2, 4))
     assert verify_conversion(inst, y)
     assert report.to_record() == {
         "U": [4, 3, 4], "W": 5, "R": [4, 4, 4], "access": 17
@@ -963,7 +964,7 @@ def test_rm_product_and_verify_match_mat_mul_on_any_y(m, r, kind, rng):
     if kind == "random":
         cols = [rng.getrandbits(n) for _ in range(n)]
     else:
-        kernel = [v.mask for v in right_kernel_basis(inst.stacked_generator())]
+        kernel = kernel_words(inst.stacked_generator())
         cols = [y0.y.column_mask(j) for j in range(n)]
         for j in range(n):
             for v in kernel:

@@ -16,13 +16,17 @@ from convcode.gf2 import (
     inverse,
     mat_mul,
     rank,
-    right_kernel_basis,
     rref,
-    solve,
     vec_mat,
 )
 from convcode.reedmuller import rm_generator
-from tests.conftest import GI1_ROWS, GI2_ROWS, raises_exactly
+from tests.conftest import (
+    GI1_ROWS,
+    GI2_ROWS,
+    kernel_words,
+    raises_exactly,
+    solve,
+)
 
 
 def stacked_gi() -> BitMatrix:
@@ -78,6 +82,10 @@ def test_mat_mul_dimension_mismatch():
         mat_mul(BitMatrix.identity(2), BitMatrix.identity(3))
 
 
+# solve is the test-side reference (tests/conftest.py) that the
+# information-set inverse and the oracle's coset table are checked
+# against; these tests check the reference itself.
+
 def test_solve_identity():
     b = BitVector.from_bits([1, 0, 1])
     assert solve(BitMatrix.identity(3), b) == b
@@ -102,20 +110,19 @@ def test_solve_dimension_mismatch():
 
 
 def test_kernel_identity_empty():
-    assert right_kernel_basis(BitMatrix.identity(3)) == []
+    assert kernel_words(BitMatrix.identity(3)) == []
 
 
 def test_kernel_single_parity():
-    basis = right_kernel_basis(BitMatrix.from_rows([[1, 1]]))
-    assert [v.mask for v in basis] == [0b11]
+    assert kernel_words(BitMatrix.from_rows([[1, 1]])) == [0b11]
 
 
 def test_kernel_of_stacked_example():
-    basis = right_kernel_basis(stacked_gi())
+    basis = kernel_words(stacked_gi())
     assert len(basis) == 2
     span = {0}
     for v in basis:
-        span |= {s ^ v.mask for s in span}
+        span |= {s ^ v for s in span}
     assert span == {0, 0b000111, 0b111000, 0b111111}
 
 
@@ -124,12 +131,12 @@ def test_kernel_vectors_annihilate():
     for _ in range(50):
         rows = [rng.getrandbits(8) for _ in range(4)]
         m = BitMatrix(rows, 8)
-        basis = right_kernel_basis(m)
+        basis = kernel_words(m)
         assert len(basis) == 8 - rank(m)
         for v in basis:
-            assert vec_mat(v, m.transpose()).mask == 0
+            assert vec_mat(BitVector(8, v), m.transpose()).mask == 0
         if basis:
-            stacked = BitMatrix([v.mask for v in basis], 8)
+            stacked = BitMatrix(basis, 8)
             assert rank(stacked) == len(basis)
 
 
@@ -395,7 +402,7 @@ def assert_eliminates_like_column_scan(words, cols):
 def elimination_inputs(draw):
     """(words, cols) with zero, duplicate and dependent rows, sparse and
     dense rows, possibly more rows than columns, in the plain layout or
-    the augmented ones that solve (cols + 1) and inverse (2n) build.
+    the augmented ones that a solve (cols + 1) and inverse (2n) build.
 
     Hypothesis draws the shape and each row's kind; the words come from
     a drawn seed, so an example costs a few draws rather than one per
@@ -453,11 +460,11 @@ def test_eliminate_matches_column_scan_on_rm_matrices(m):
         )
 
 
-# Bit-by-bit reference for right_kernel_basis: the double loop it ran
-# before it read every free column off one _transpose_words call, kept
-# here as the reference it is checked against.
+# Bit-by-bit reference for the null space: the double loop the kernel
+# basis ran before it read every free column off one _transpose_words
+# call, kept here as the reference gf2._kernel_words is checked against.
 
-def right_kernel_basis_by_bits(a: BitMatrix):
+def kernel_words_by_bits(a: BitMatrix):
     reduced, pivots = rref(a)
     pivot_set = set(pivots)
     basis = []
@@ -508,11 +515,11 @@ def kernel_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
 def test_right_kernel_basis_matches_bit_loop(a):
-    basis = right_kernel_basis(a)
-    assert [v.mask for v in basis] == right_kernel_basis_by_bits(a)
-    assert all(v.n == a.cols for v in basis)
+    basis = kernel_words(a)
+    assert basis == kernel_words_by_bits(a)
+    assert all(0 < v < 1 << a.cols for v in basis)
     for v in basis:
-        assert not any((w & v.mask).bit_count() & 1 for w in a.row_words)
+        assert not any((w & v).bit_count() & 1 for w in a.row_words)
     assert len(basis) == a.cols - rank(a)
 
 
@@ -522,8 +529,8 @@ def test_rm_kernels_and_duals_match_bit_loop(m):
     # generator, in order, on every RM(r, m) including both ends.
     for r in range(m + 1):
         g = rm_generator(r, m)
-        ref = right_kernel_basis_by_bits(g)
-        assert [v.mask for v in right_kernel_basis(g)] == ref
+        ref = kernel_words_by_bits(g)
+        assert kernel_words(g) == ref
         d = cc.dual(cc.from_generator(g))
         if ref:
             assert list(d.generator.row_words) == ref

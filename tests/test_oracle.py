@@ -3,7 +3,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from convcode import conversion, oracle
 from convcode.codes import from_generator, random_code
@@ -24,8 +24,6 @@ from convcode.gf2 import (
     enumerate_invertible,
     gl2_order,
     mat_mul,
-    right_kernel_basis,
-    solve,
 )
 from convcode.oracle import (
     SearchLimits,
@@ -34,7 +32,13 @@ from convcode.oracle import (
     min_access_cost,
 )
 
-from tests.conftest import reference_conversions, small_instances
+from tests.conftest import (
+    equivalent_instance,
+    kernel_words,
+    reference_conversions,
+    small_instances,
+    solve,
+)
 
 
 def tiny_instance():
@@ -204,8 +208,8 @@ def kernel_cosets(inst):
     g_stack = inst.stacked_generator()
     e_cols = right_inverse_by_solve(g_stack).transpose().row_words
     combos = [0]
-    for v in right_kernel_basis(g_stack):
-        combos += [c ^ v.mask for c in combos]
+    for v in kernel_words(g_stack):
+        combos += [c ^ v for c in combos]
     return [[_combine(v, e_cols) ^ kc for kc in combos]
             for v in range(1 << inst.k_final)]
 
@@ -698,6 +702,30 @@ def test_enumerate_yields_trusted_y(inst):
         assert (y.y.rows, y.y.cols) == (built.y.rows, built.y.cols)
         assert y._anf is None
         assert vars(y) == vars(built)
+
+
+def count_records(stream, order):
+    """Counter of the stream's cost records, each as (U, W, R, access)
+    with its per-code counts taken in the given code order."""
+    return Counter(
+        (tuple(r.unchanged_counts[i] for i in order), r.write_cost,
+         tuple(r.read_counts[i] for i in order), r.access_cost)
+        for _, r in stream)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.integers(0, 2**32 - 1))
+def test_equivalent_instances_have_the_same_costs(inst, seed):
+    # A change of basis and a coordinate permutation of every code, and a
+    # reordering of the initial codes, map the valid conversions one to
+    # one and keep each one's costs, code by code in the new order.
+    twin, order = equivalent_instance(inst, random.Random(seed))
+    _, best = min_access_cost(inst, WIDE)
+    _, twin_best = min_access_cost(twin, WIDE)
+    assert (twin_best.access_cost, twin_best.write_cost) == (
+        best.access_cost, best.write_cost)
+    got = count_records(enumerate_conversions(twin, WIDE), range(twin.lam))
+    assert got == count_records(enumerate_conversions(inst, WIDE), order)
 
 
 def test_public_constructors_keep_their_checks():

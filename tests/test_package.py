@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -68,3 +69,46 @@ def test_benchmark_traced_names_resolve():
         elif rest:
             cls, method = rest
             assert method in vars(getattr(module, cls)), name
+
+
+# Public names that no module, demo or traced metric uses, each kept for
+# its reason; every other public name must have a use.
+KEPT_WITHOUT_A_USE = {
+    "plotkin_sum": "Plotkin decomposition; waits on a caller (ROADMAP 24)",
+    "low_weight_positions": "RM information sets; waits on a caller "
+                            "(ROADMAP 24)",
+    "puncture": "the shorten/puncture duality, an acceptance criterion",
+    "shorten": "the shorten/puncture duality, an acceptance criterion",
+}
+
+
+def names_used(paths):
+    """Every name that the files in paths mention as a Name, an Attribute
+    or an import."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_use():
+    # A public name stays when a module other than __init__ or a demo uses
+    # it, when BENCHMARK.json's per-layer list traces it (until that list
+    # is re-pointed), or when KEPT_WITHOUT_A_USE gives it a reason.
+    root = Path(__file__).resolve().parents[1]
+    src = Path(convcode.__file__).resolve().parent
+    used = names_used([p for p in sorted(src.glob("*.py"))
+                       if p.name != "__init__.py"]
+                      + sorted((root / "demos").glob("*.py")))
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    traced = {m["name"][:-len(".calls")] for m in spec["per_layer"]
+              if m["name"].endswith(".calls")}
+    without = [name for name, home in convcode._HOME.items()
+               if name not in used and f"{home}.{name}" not in traced]
+    assert sorted(without) == sorted(KEPT_WITHOUT_A_USE)

@@ -8,9 +8,7 @@ from convcode.codes import (
     dual_distance,
     encode,
     from_generator,
-    is_information_set,
     min_distance,
-    same_code,
     zero_code,
 )
 from convcode import conversion, reedmuller
@@ -25,7 +23,7 @@ from convcode.reedmuller import (
     rm_generator,
     rm_transformed_generator,
 )
-from tests.conftest import raises_exactly
+from tests.conftest import raises_exactly, same_code
 
 
 def points(m):
@@ -228,7 +226,7 @@ def test_low_weight_positions_information_set(r, m):
     s = low_weight_positions(r, m)
     c = rm_code(r, m)
     assert len(s) == c.k
-    assert is_information_set(c, s)
+    assert rank(c.generator.select_columns(s)) == c.k
 
 
 def test_transformed_generator_1_2():
