@@ -36,15 +36,25 @@ candidate.
    keeps a 2^k_F-bit mask of the v outside span(v_0 .. v_t-1), so the
    next pick is its lowest set bit past the last, and each column fixed
    at level t keeps the XOR of the images over its support less bit t,
-   computed once on entering the level, to which the pick is XORed.
+   computed once on entering the level, to which the pick is XORed.  A
+   pick's cost depends only on the level's writes, reads and those XORs,
+   so once there is an incumbent, entering a level also takes the mask of
+   the v that pass the cut, priced once per walk for each such key, and
+   the picks are the free v that pass it: the clock is read, and the cost
+   checked again against an incumbent that may have dropped, at each
+   pick that passes its level's mask.
 2. For a complete N, each column takes a member of its coset in turn, in
    ascending order, the last column fastest; the floor is the writes and
-   reads so far plus one write per forced column still to come.  Once
-   there is an incumbent, an unforced column takes only its weight-1
-   members: swapping a written column for one keeps Y valid for the same
-   M, drops a write and adds no read, so a Y that writes an unforced
-   column costs strictly more than the optimum of its M and never ties
-   the final pick.
+   reads so far plus one write per forced column still to come, and the
+   clock is read at each coset member walked.  Once there is an
+   incumbent, an unforced column takes only its weight-1 members:
+   swapping a written column for one keeps Y valid for the same M, drops
+   a write and adds no read, so a Y that writes an unforced column costs
+   strictly more than the optimum of its M and never ties the final
+   pick.  A column left one such member (lone) then never branches and
+   adds nothing to the floor, so if there is an incumbent when stage 2
+   starts, the lone columns are folded into its starting word and only
+   the others are walked; if none is left, that word is the leaf.
 """
 
 from __future__ import annotations
@@ -120,7 +130,9 @@ class _Space(NamedTuple):
     forced: List[bool]  # cosets[v] has no weight-1 member
     least: List[int]  # least member weight of cosets[v]
     # trimmed[v]: the members stage 2 tries under an incumbent, cosets[v]'s
-    # weight-1 members, or all of cosets[v] if it is forced.
+    # weight-1 members, or all of cosets[v] if it is forced; the clock is
+    # read at each one walked, and a column with one, unforced, is folded
+    # into stage 2's starting word instead of walked.
     trimmed: List[List[int]]
     # spread[y]: bit i of y moved to bit i * n_F, so the OR of
     # spread[column j] << j over Y's columns packs Y's row i into bits
@@ -164,12 +176,44 @@ def _search_space(inst: ConvertibleInstance, lim: SearchLimits) -> _Space:
                   [u or c for u, c in zip(units, cosets)], spread, slot)
 
 
+class _PassMasks(dict):
+    """Stage 1's pass masks for one walk, keyed (incumbent, writes1[t],
+    reads1[t], *bases[t]): the mask of the v in [0, 2^k_F) whose pick at
+    such a level costs no more than the incumbent.
+
+    A pick's cost depends on the key alone, never on the images picked,
+    so a miss prices all 2^k_F <= 32 values once, as the pick loop of
+    _walk prices one, and every later entry with that key reads it.
+    """
+
+    def __init__(self, forced: List[bool], least: List[int]):
+        super().__init__()
+        self.forced, self.least = forced, least
+
+    def __missing__(self, key: Tuple[int, ...]) -> int:
+        best, writes0, reads0, *bases = key
+        forced, least = self.forced, self.least
+        mask = 0
+        for v in range(len(forced)):
+            writes, reads = writes0, reads0
+            for base in bases:
+                s = base ^ v
+                if forced[s]:
+                    writes += 1
+                    if least[s] > reads:
+                        reads = least[s]
+            if writes + reads <= best:
+                mask |= 1 << v
+        self[key] = mask
+        return mask
+
+
 def _walk(
     inst: ConvertibleInstance, space: _Space, cut: bool
 ) -> Iterator[Tuple[int, int, int, int]]:
     """The module's walk of inst's candidate space, built (so the limits
-    checked) by _search_space; the deadline is checked at each pick and
-    each coset member.
+    checked) by _search_space; the deadline is checked at each pick that
+    passes its level's mask and at each coset member walked.
 
     Yields (writes, reads, packed, keeps) for each Y not cut: how many of
     its columns do not have weight 1, their OR (the read rows, stacked),
@@ -180,12 +224,19 @@ def _walk(
     key for Y.  Under cut, each leaf's cost is the incumbent once it is
     yielded, and the strict cuts yield none costlier; uncut, every Y is.
 
-    Stage 1 takes its next pick as the lowest set bit of free[t] past
+    Stage 1 takes its next pick as the lowest set bit of picks[t] past
     the last, and the syndrome of each column the pick fixes as one XOR
     with bases[t]; the child's mask drops the coset span(images[:t]) ^ v,
-    which one butterfly per set bit of v moves into place.  Stage 2 walks
-    space.trimmed in place of the cosets once there is an incumbent,
-    which loses no tie of the final pick (module docstring, item 2).
+    which one butterfly per set bit of v moves into place.  Under an
+    incumbent, picks[t] is free[t] less the v that _PassMasks finds cut
+    on entering the level; the incumbent only drops, so each pick still
+    checks its cost.  Stage 2 walks space.trimmed in place of the cosets
+    once there is an incumbent, which loses no tie of the final pick
+    (module docstring, item 2).  If there is one when stage 2 starts, the
+    lone columns are folded into the starting word and the others linked
+    by hop and back.  Neither skips a leaf: a masked pick fails the cut,
+    and a lone column's one member adds nothing to a floor already
+    checked before it, in stage 2 or at the last pick.
     """
     deadline, table, forced, least, trimmed, spread, slot = space
     k, n_final = inst.k_final, inst.n_final
@@ -206,27 +257,38 @@ def _walk(
              for v in range(size)]
     full = (1 << size) - 1
     # Stage 1 at level t: images[:t] are picked, free[t] masks the v
-    # outside their span, bases[t][i] is the XOR of images over the
-    # support of column fixed_by[t + 1][i] less bit t; the columns fixed
-    # before level t have writes1[t] forced writes and largest least
-    # weight reads1[t].
-    images, free, writes1, reads1 = ([0] * k for _ in range(4))
+    # outside their span and picks[t] those of them tried, bases[t][i] is
+    # the XOR of images over the support of column fixed_by[t + 1][i]
+    # less bit t; the columns fixed before level t have writes1[t] forced
+    # writes and largest least weight reads1[t].
+    images, free, picks, writes1, reads1 = ([0] * k for _ in range(5))
     bases: List[List[int]] = [[]] * k
-    # Stage 2 at level j: columns[:j] are chosen, with writes2[j] writes,
-    # reads2[j] reads, packs2[j] their packed rows and keeps2[j] their
-    # kept columns per code; members[j] walks column j's coset.
+    masks = _PassMasks(forced, least)
+    # Stage 2 at walked column j: the columns before j are chosen, with
+    # writes2[j] writes, reads2[j] reads, packs2[j] their packed rows and
+    # keeps2[j] their kept columns per code; members[j] walks column j's
+    # coset.  The walked columns ascend from hop[-1] to last, hop[j]
+    # following column j and back[j] preceding it (-1 for the first).
+    # They are all n_F columns until there is an incumbent, which stays,
+    # so each fold relinks them and none has to undo one.
     writes2, reads2, packs2, keeps2 = ([0] * n_final for _ in range(4))
     members: List[Iterator[int]] = [iter(())] * n_final
+    hop, back = [*range(1, n_final + 1), 0], list(range(-1, n_final - 1))
     after = [0] * n_final  # forced columns after column j
+    # lone[v]: the one member of trimmed[v] if v is unforced with one
+    # weight-1 member, else 0.
+    lone = [u[0] if len(u) == 1 and not f else 0
+            for f, u in zip(forced, trimmed)]
     best: Optional[int] = None
 
     # The zero columns have syndrome 0, whose least weight is 0; the
     # columns fixed at level 0 have support 1, so base 0.
     writes1[0] = len(fixed_by[0]) if forced[0] else 0
-    free[0], bases[0] = full ^ 1, [0] * len(fixed_by[1])
+    free[0] = picks[0] = full ^ 1
+    bases[0] = [0] * len(fixed_by[1])
     t = v = 0  # stage 1's level, and the last v tried there
     while True:
-        rest = free[t] >> v + 1
+        rest = picks[t] >> v + 1
         if not rest:  # level t is done
             if t == 0:
                 return
@@ -253,20 +315,40 @@ def _walk(
             for half, shift in flips[v]:
                 coset = (coset & half) << shift | coset >> shift & half
             t, v = t + 1, 0
-            free[t] = free[t - 1] ^ coset
+            free[t] = picks[t] = free[t - 1] ^ coset
             bases[t] = [_combine(support[j] ^ 1 << t, images)
                         for j in fixed_by[t + 1]]
             writes1[t], reads1[t] = writes, reads
+            if best is not None:
+                picks[t] &= masks[(best, writes, reads, *bases[t])]
             continue
         # Stage 2 for the complete N.
         for j in range(n_final - 2, -1, -1):
             after[j] = after[j + 1] + forced[syndromes[j + 1]]
-        j = 0
-        members[0] = iter((table if best is None else trimmed)[syndromes[0]])
+        packed = keeps = 0
+        if best is None:
+            last = n_final - 1
+        else:  # fold the lone columns, link the others
+            last = -1
+            for j, s in enumerate(syndromes):
+                y = lone[s]
+                if y:
+                    packed |= spread[y] << j
+                    keeps |= slot[y] << j
+                else:
+                    hop[last], back[j] = j, last
+                    last = j
+            if last < 0:  # nothing branches: a leaf of cost 0
+                best = 0
+                yield 0, 0, packed, keeps
+                continue
+        j = hop[-1]
+        writes2[j], reads2[j], packs2[j], keeps2[j] = 0, 0, packed, keeps
+        members[j] = iter((table if best is None else trimmed)[syndromes[j]])
         while j >= 0:
             y = next(members[j], None)
             if y is None:
-                j -= 1
+                j = back[j]
                 continue
             kept = slot[y]
             if kept:  # unchanged symbol: free
@@ -279,12 +361,12 @@ def _walk(
             if best is not None and writes + reads.bit_count() + after[j] > best:
                 continue
             packed = packs2[j] | spread[y] << j
-            if j + 1 == n_final:  # the floor is now the cost
+            if j == last:  # the floor is now the cost
                 if cut:
                     best = writes + reads.bit_count()
                 yield writes, reads, packed, keeps
                 continue
-            j += 1
+            j = hop[j]
             writes2[j], reads2[j], packs2[j], keeps2[j] = (writes, reads,
                                                            packed, keeps)
             members[j] = iter(
@@ -353,7 +435,8 @@ def min_access_cost(
     deterministic.  That string is the walk's packed rows read from bit 0
     up, Y[0][0] first, so the key reverses their fixed-width binary form;
     no candidate is transposed.  The report comes from the pick's leaf.  A
-    time budget in lim is checked at every pick and every coset member.
+    time budget in lim is checked at every pick that passes its level's
+    mask and every coset member walked.
     """
     width = f"0{inst.total_initial_length * inst.n_final}b"
     # Row-major bit string of Y, Y[0][0] most significant: unique per Y.

@@ -9,7 +9,7 @@ from convcode.cli import CliError, _split_blocks, main
 from convcode.gf2 import BitMatrix, BitVector, vec_mat
 from convcode.matio import format_matrix, parse_matrix, read_matrix
 from convcode.reedmuller import rm_code, rm_generator, rm_transformed_generator
-from tests.conftest import run_fresh
+from tests.conftest import GF_ROWS, run_fresh
 
 
 def test_rm_stdout(capsys):
@@ -283,6 +283,19 @@ def test_oracle_example(example_files, tmp_path, capsys):
     assert main(
         ["verify", "--gi", str(gi), "--gf", str(gf), "--y", str(y_out)]
     ) == 0
+
+
+def test_oracle_on_one_initial_code(tmp_path, capsys):
+    # lambda = 1 with G_I = G_F, the [5,4] parity code: the identity keeps
+    # every symbol, and under the incumbent every column of a permuting M
+    # folds, so stage 2 walks none.
+    f = tmp_path / "f.txt"
+    f.write_text(format_matrix(BitMatrix.from_rows(GF_ROWS)))
+    assert main(["oracle", "--gi", str(f), "--blocks", "5",
+                 "--gf", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "optimal access cost: 0" in out
+    assert "|U|=5" in out and "|W|=0" in out
 
 
 def test_oracle_unwritable_emit_y_prints_nothing(example_files, tmp_path,

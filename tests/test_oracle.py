@@ -33,12 +33,14 @@ from convcode.oracle import (
 )
 
 from tests.conftest import (
+    GF_ROWS,
     equivalent_instance,
     kernel_words,
     reference_conversions,
     small_instances,
     solve,
 )
+from tests.reference_walk import reference_walk
 
 
 def tiny_instance():
@@ -416,6 +418,51 @@ def test_cut_walk_yields_every_tie_on_the_worked_example(example_instance):
     assert cut == ties_by_per_m_walk(example_instance, cost)
 
 
+def all_folded_instances():
+    # Instances where, under an incumbent, some complete M has only lone
+    # columns (each column's syndrome unforced with one weight-1 member),
+    # so stage 2 walks no column: lambda = 1 with G_I = G_F, the [5,4]
+    # parity code, and two [1,1] codes into the [2,2] full space.
+    parity = from_generator(BitMatrix.from_rows(GF_ROWS))
+    one = from_generator(BitMatrix([1], 1))
+    yield make_instance([parity], parity)
+    yield make_instance([one, one], from_generator(BitMatrix([1, 2], 2)))
+
+
+def assert_walk_is_the_reference_walk(inst, lim=SearchLimits(), cuts=(True,)):
+    # The same leaves in the same order: pass masks and folded columns
+    # skip only picks and branches that the reference cuts or walks
+    # without a choice.
+    for cut in cuts:
+        walked = oracle._walk(inst, oracle._search_space(inst, lim), cut)
+        reference = reference_walk(inst, oracle._search_space(inst, lim), cut)
+        assert list(walked) == list(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+@example(wide_instance())
+@example(ZERO_COLUMN)
+@example(REPEATED_COLUMN)
+def test_walk_yields_the_reference_leaves(inst):
+    assert_walk_is_the_reference_walk(inst, WIDE, cuts=(True, False))
+
+
+@pytest.mark.parametrize("seed", [37, 3737, 373737])
+def test_walk_yields_the_reference_leaves_on_sweep_shapes(seed):
+    for inst in sweep_instances(seed):
+        assert_walk_is_the_reference_walk(inst)
+
+
+def test_walk_yields_the_reference_leaves_on_fixed_instances(
+    example_instance,
+):
+    # The worked example's uncut stream has 20,643,840 Ys: cut walk only.
+    assert_walk_is_the_reference_walk(example_instance)
+    for inst in all_folded_instances():
+        assert_walk_is_the_reference_walk(inst, cuts=(True, False))
+
+
 def assert_same_cosets_as_kernel_cosets(inst):
     # Member for member and in the same order, and every y in [0, 2^N)
     # lies in exactly one coset.
@@ -586,6 +633,44 @@ def test_min_access_cost_checks_budget_inside_the_walk(monkeypatch):
     monkeypatch.setattr(oracle.time, "monotonic", lambda: next(readings, 1e9))
     with pytest.raises(SizeGuardError, match="time budget") as err:
         min_access_cost(one_m_instance(), SearchLimits(time_budget=1.0))
+    assert err.traceback[-1].name == "_walk"
+
+
+def test_cut_walk_reads_the_clock_at_most_8000_times(
+    monkeypatch, example_instance
+):
+    # One read sets the deadline; then the walk reads the clock once per
+    # pick that passes its level's mask and once per coset member walked.
+    # On the worked example that is 6,442 reads; the walk that tried every
+    # free pick and every column's members read it 17,450 times.
+    readings = []
+    monkeypatch.setattr(oracle.time, "monotonic",
+                        lambda: readings.append(1) or 0.0)
+    _, report = min_access_cost(example_instance,
+                                SearchLimits(time_budget=1.0))
+    assert report.access_cost == 3
+    assert len(readings) <= 8000
+
+
+def test_min_access_cost_checks_budget_after_its_first_leaf(
+    monkeypatch, example_instance
+):
+    # The fake clock passes the deadline on the first read after the walk
+    # yields its first leaf: under the incumbent, the picks that pass
+    # their masks and the columns left after folding still read it.
+    leaves, walk = [], oracle._walk
+
+    def recording(inst, space, cut):
+        for leaf in walk(inst, space, cut):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(oracle, "_walk", recording)
+    monkeypatch.setattr(oracle.time, "monotonic",
+                        lambda: 1e9 if leaves else 0.0)
+    with pytest.raises(SizeGuardError, match="time budget") as err:
+        min_access_cost(example_instance, SearchLimits(time_budget=1.0))
+    assert len(leaves) == 1
     assert err.traceback[-1].name == "_walk"
 
 
